@@ -44,26 +44,18 @@ class Matrix:
     def entry(self, r, c) -> Polynomial:
         return self.columns[c].component(r)
 
-    def rows(self):
-        return [[self.entry(r, c) for c in range(self.source.rank)] for r in range(self.target.rank)]
-
     def compose(self, other: "Matrix") -> "Matrix":
         """self o other, as a matrix source(other) -> target(self)."""
         cols = []
         for v in other.columns:
             acc = Vector(v.ring, self.target.rank, {})
-            for k in range(other.target.rank):
-                f = v.component(k)
-                if f:
-                    acc = acc + f * self.columns[k]
+            for k, f in v.components().items():
+                acc = acc + f * self.columns[k]
             cols.append(acc)
         return Matrix(self.target, other.source, cols)
 
     def is_zero_mod(self, nf_vector) -> bool:
         return all(nf_vector(v).is_zero() for v in self.columns)
-
-    def transpose_entries(self):
-        return [[self.entry(r, c) for r in range(self.target.rank)] for c in range(self.source.rank)]
 
     def __repr__(self):
         return f"Matrix({self.target.rank}x{self.source.rank})"
@@ -84,9 +76,6 @@ class FreeComplex:
     def length(self):
         return len(self.mats)
 
-    def betti_ranks(self):
-        return [lay.rank for lay in self.layouts]
-
     def check_complex(self, nf_vector):
         """Exact consecutive-composition-zero check; raises if violated."""
         for i in range(len(self.mats) - 1):
@@ -99,7 +88,9 @@ class FreeComplex:
 
 
 def _grid(mat: Matrix):
-    return [[mat.entry(r, c) for c in range(mat.source.rank)] for r in range(mat.target.rank)]
+    cols = [v.components() for v in mat.columns]
+    zero = Polynomial(mat.ring, {})
+    return [[col.get(r, zero) for col in cols] for r in range(mat.target.rank)]
 
 
 def _from_grid(grid, target, source, ring):
@@ -206,15 +197,6 @@ class ResolutionResult:
         return [m.source.rank for m in self.mats]
 
 
-def _nf_vector(v, ctx):
-    terms = {}
-    for comp in range(v.rank):
-        f = ctx.nf(v.component(comp))
-        for e, a in f.terms.items():
-            terms[(comp, e)] = a
-    return Vector(v.ring, v.rank, terms)
-
-
 def min_gens_with_syz(cand, layout, ctx):
     """Minimal generating subset of <cand> and generators of its syzygies.
 
@@ -223,11 +205,11 @@ def min_gens_with_syz(cand, layout, ctx):
     which keeps the remaining columns generating over the localization.
     """
     ring = ctx.cover
-    cand = [v for v in (_nf_vector(v, ctx) for v in cand) if v]
+    cand = [v for v in (ctx.nf_vector(v) for v in cand) if v]
     if not cand:
         return [], []
     syz = syzygies(cand, ctx.order, layout, modulus=ctx.ideal_sb)
-    cols = [w for w in (_nf_vector(v, ctx) for v in syz.columns) if w]
+    cols = [w for w in (ctx.nf_vector(v) for v in syz.columns) if w]
     zm = ring._zero_mon
 
     def find_unit():
@@ -262,7 +244,7 @@ def min_gens_with_syz(cand, layout, ctx):
                     continue
                 terms[(comp - 1 if comp > j else comp, e)] = val
             v = Vector(ring, len(cand), terms)
-            v = _nf_vector(v, ctx)
+            v = ctx.nf_vector(v)
             if v:
                 cols.append(v)
     return cand, cols
@@ -273,7 +255,7 @@ def resolve_bounded(gens, layout, ctx, cutoff, graded=False):
 
     Over the graded flavor the source twists are the column degrees; over
     the local flavor all twists are zero.  ``ctx`` supplies cover ring,
-    order, ideal_sb, nf and is_unit.
+    order, ideal_sb, nf_vector and is_unit.
     """
     cand = list(gens)
     cur_layout = layout

@@ -11,10 +11,27 @@ Syzygies are computed by the block-elimination construction: each column
 dominant in the order; basis elements with vanishing F-part have epsilon
 parts that generate the syzygy module.
 
-The hot loops work on raw term dicts ``{(comp, exps): coeff}``.
+The hot loops work on raw term dicts ``{(comp, exps): coeff}`` and on
+indexes keyed by lead component, in the spirit of Gebauer and Moeller
+("On an installation of Buchberger's algorithm", 1988):
+
+- reducers are looked up in ``{comp: [reducer, ...]}``, each list in
+  insertion order, so only reducers whose lead shares the component of the
+  term being reduced are scanned;
+- the pair queue is a ``heapq`` heap of ``(sugar, (i, j))``; pairs pruned
+  by the Gebauer-Moeller criterion stay in the heap and are skipped when
+  popped;
+- the pair prune and the new-pair loop visit only the pairs and positions
+  of the new element's lead component, positions kept ascending.
+
+Each index keeps the relative order of the linear scan it replaces and
+every key is unique, so the pairs and reducers are chosen in the same
+order as by a scan, and the bases come out term for term the same.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .orders import OrderSpec
 from .poly import FreeLayout, Polynomial, Vector, mon_deg, mon_div, mon_divides, mon_lcm, mon_mul
@@ -65,10 +82,6 @@ def _lt(terms, key):
     return max(terms, key=key)
 
 
-def _divides(t1, t2):
-    return t1[0] == t2[0] and all(x <= y for x, y in zip(t1[1], t2[1]))
-
-
 def _sub_scaled(h, g_terms, shift, coeff, p):
     """In place: h -= coeff * x^shift * g."""
     for (c, e), a in g_terms.items():
@@ -95,23 +108,33 @@ class _Red:
         self.ecart = max(wdeg(t) for t in terms) - wdeg(self.lt)
 
 
-def _weak_nf(h, reducers, key, wdeg, p, mora, tail=False):
-    """Reduce dict h against reducers (list of _Red); returns (dict, weak_flag).
+def _index(reds):
+    """{lead component: [reducer, ...]}, each list in the order of ``reds``."""
+    index = {}
+    for r in reds:
+        index.setdefault(r.lt[0], []).append(r)
+    return index
+
+
+def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
+    """Reduce dict h against the reducers of ``index`` (see ``_index``);
+    returns (dict, weak_flag).
 
     mora=True: Mora weak normal form (intermediates may serve as reducers,
     so the result is valid up to a unit); lead-irreducible remainder, tail
     untouched.  mora=False: classical division with remainder; with tail=True
     the remainder's tail is fully reduced as well.
     """
-    inter = []
+    inter = {}
     weak = False
     rem = {}
     steps = 0
     while h:
         lt = _lt(h, key)
-        cands = [r for r in reducers if _divides(r.lt, lt)]
+        comp, exps = lt
+        cands = [r for r in index.get(comp, ()) if mon_divides(r.lt[1], exps)]
         if mora:
-            cands.extend(r for r in inter if _divides(r.lt, lt))
+            cands.extend(r for r in inter.get(comp, ()) if mon_divides(r.lt[1], exps))
         if not cands:
             if mora or not tail:
                 break
@@ -122,7 +145,8 @@ def _weak_nf(h, reducers, key, wdeg, p, mora, tail=False):
         if mora:
             h_ecart = max(wdeg(t) for t in h) - wdeg(lt)
             if best.ecart > h_ecart:
-                inter.append(_Red(_scale(dict(h), pow(h[lt], -1, p), p), key, wdeg))
+                inter.setdefault(comp, []).append(
+                    _Red(_scale(dict(h), pow(h[lt], -1, p), p), key, wdeg))
                 weak = True
         shift = mon_div(lt[1], best.lt[1])
         _sub_scaled(h, best.terms, shift, h[lt], p)
@@ -145,7 +169,8 @@ class StandardBasis:
     reduction in the quotient ring.
     """
 
-    __slots__ = ("ring", "layout", "order", "gens", "certified", "modulus", "_key", "_wdeg", "_reds")
+    __slots__ = ("ring", "layout", "order", "gens", "certified", "modulus", "_key", "_wdeg",
+                 "_reds", "_index")
 
     def __init__(self, ring, layout, order, gens, modulus=None, certified=False):
         self.ring = ring
@@ -156,12 +181,13 @@ class StandardBasis:
         self.certified = certified
         self._key, self._wdeg = _make_keys(order, layout.twists)
         self._reds = [_Red(g.terms, self._key, self._wdeg) for g in gens]
+        self._index = _index(self._reds)
 
     def reduce(self, v):
         """Weak normal form of v; returns (remainder, weak_flag)."""
         h = dict(v.terms)
         h, weak = _weak_nf(
-            h, self._reds, self._key, self._wdeg, self.ring.p,
+            h, self._index, self._key, self._wdeg, self.ring.p,
             mora=self.order.is_local, tail=not self.order.is_local,
         )
         return Vector(self.ring, self.layout.rank, h), weak
@@ -187,7 +213,7 @@ class StandardBasis:
                 _sub_scaled(h, b.terms, mon_div(L, b.lt[1]), 1, p)
                 if not h:
                     continue
-                h, _ = _weak_nf(h, self._reds, self._key, self._wdeg, p,
+                h, _ = _weak_nf(h, self._index, self._key, self._wdeg, p,
                                 mora=self.order.is_local, tail=False)
                 if h:
                     raise EngineError(f"certificate violated by pair ({j}, {i})")
@@ -254,25 +280,25 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
     mora = order.is_local
     reds = []
     sugars = []
-    pairs = {}
+    index = {}        # lead component -> reducers, in insertion order
+    positions = {}    # lead component -> positions in reds, ascending
+    pairs = {}        # lead component -> {(i, j): (sugar, lcm)}, the live pairs
+    queue = []        # heap of (sugar, (i, j)); may hold pruned pairs
 
     def add_pairs(new):
         lt_new = reds[new].lt
+        live = pairs.setdefault(lt_new[0], {})
         # Gebauer-Moeller: prune existing pairs strictly dominated by lt_new
-        for (i, j) in list(pairs):
-            L = pairs[(i, j)][1]
+        for (i, j), (_, L) in list(live.items()):
             if (
-                reds[i].lt[0] == lt_new[0]
-                and mon_divides(lt_new[1], L)
+                mon_divides(lt_new[1], L)
                 and mon_lcm(reds[i].lt[1], lt_new[1]) != L
                 and mon_lcm(reds[j].lt[1], lt_new[1]) != L
             ):
-                del pairs[(i, j)]
+                del live[(i, j)]
         # candidate pairs with the new element, grouped by lcm
         cand = {}
-        for i in range(new):
-            if reds[i].lt[0] != lt_new[0]:
-                continue
+        for i in positions.get(lt_new[0], ()):
             L = mon_lcm(reds[i].lt[1], lt_new[1])
             cand.setdefault(L, []).append(i)
         # keep only divisibility-minimal lcms, one representative per lcm
@@ -292,21 +318,28 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
                 continue
             i = min(members)
             sug = _pair_sugar(sugars[i], reds[i], sugars[new], reds[new], L)
-            pairs[(i, new)] = (sug, L)
+            live[(i, new)] = (sug, L)
+            heapq.heappush(queue, (sug, (i, new)))
 
     def append(terms, sugar):
         idx = len(reds)
-        reds.append(_Red(terms, key, wdeg))
+        red = _Red(terms, key, wdeg)
+        reds.append(red)
         sugars.append(sugar)
         add_pairs(idx)
+        index.setdefault(red.lt[0], []).append(red)
+        positions.setdefault(red.lt[0], []).append(idx)
 
     for terms in seed:
         lt = _lt(terms, key)
         append(_scale(terms, pow(terms[lt], -1, p), p), max(wdeg(t) for t in terms))
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (pairs[ij][0], ij))
-        sug, L = pairs.pop((i, j))
+    while queue:
+        _, (i, j) = heapq.heappop(queue)
+        entry = pairs[reds[i].lt[0]].pop((i, j), None)
+        if entry is None:
+            continue        # pruned after it was queued
+        sug, L = entry
         if i < n_frozen and j < n_frozen:
             continue
         # s-vector of monic reducers i and j
@@ -315,7 +348,7 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
         _sub_scaled(h, reds[j].terms, mon_div(L, reds[j].lt[1]), 1, p)
         if not h:
             continue
-        h, _ = _weak_nf(h, reds, key, wdeg, p, mora=mora, tail=False)
+        h, _ = _weak_nf(h, index, key, wdeg, p, mora=mora, tail=False)
         if h:
             lt = _lt(h, key)
             append(_scale(h, pow(h[lt], -1, p), p), sug)
@@ -325,18 +358,25 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
 
 def _interreduce(dicts, key, wdeg, p, mora):
     """Drop lead-dominated elements; tail-reduce under global orders."""
-    order_idx = sorted(range(len(dicts)), key=lambda i: key(_lt(dicts[i], key)))
+    lts = [_lt(d, key) for d in dicts]
     kept = []
-    for i in order_idx:
-        lt = _lt(dicts[i], key)
-        if any(_divides(_lt(k, key), lt) for k in kept):
+    kept_lts = {}     # lead component -> lead monomials kept so far
+    for i in sorted(range(len(dicts)), key=lambda i: key(lts[i])):
+        comp, exps = lts[i]
+        if any(mon_divides(e, exps) for e in kept_lts.get(comp, ())):
             continue
+        kept_lts.setdefault(comp, []).append(exps)
         kept.append(dicts[i])
     if not mora:
+        reds = [_Red(d, key, wdeg) for d in kept]
+        index = _index(reds)
         out = []
-        for i, d in enumerate(kept):
-            others = [_Red(k, key, wdeg) for j, k in enumerate(kept) if j != i]
-            h, _ = _weak_nf(dict(d), others, key, wdeg, p, mora=False, tail=True)
+        for red in reds:
+            # reduce against every other kept element
+            same = index[red.lt[0]]
+            index[red.lt[0]] = [r for r in same if r is not red]
+            h, _ = _weak_nf(dict(red.terms), index, key, wdeg, p, mora=False, tail=True)
+            index[red.lt[0]] = same
             lt = _lt(h, key)
             out.append(_scale(h, pow(h[lt], -1, p), p))
         kept = out
@@ -382,8 +422,8 @@ class SyzygyMatrix:
         tgt = self.target
         for col in self.columns:
             acc = None
-            for j, v in enumerate(tgt):
-                w = col.component(j) * v
+            for j, f in col.components().items():
+                w = f * tgt[j]
                 acc = w if acc is None else acc + w
             if acc is None or acc.is_zero():
                 continue

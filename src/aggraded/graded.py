@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import FINITE, FreeComplex, resolve_bounded
+from .modules import BridgeError
 from .poly import FreeLayout, Polynomial, Vector
 from .rings import GradedRing
 
@@ -202,7 +203,7 @@ class GradedModule:
                 continue
             if not v.is_homogeneous(layout):
                 raise ValueError("relations must be homogeneous for the layout")
-            if minimal and any(ring.is_unit(v.component(c)) for c in range(layout.rank)):
+            if minimal and any(ring.is_unit(f) for f in v.components().values()):
                 raise ValueError("minimal presentation needs relations inside the irrelevant ideal")
             cleaned.append(v)
         self.relations = cleaned
@@ -352,7 +353,8 @@ def numeric_invariants(gmod: GradedModule, cutoff: int = 8) -> NumericInvariants
             status = (PDIM_FINITE, table.pdim)
         else:
             status = (PDIM_AT_LEAST, cutoff + 1)
-    assert cmd >= 0 and depth <= dim
+    if cmd < 0 or depth > dim:
+        raise BridgeError(f"depth {depth} exceeds dimension {dim}")
     return NumericInvariants(dim, depth, codim, cmd, hs.multiplicity, status)
 
 

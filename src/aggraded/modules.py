@@ -45,7 +45,7 @@ class LocalModule:
             g = ring.nf_vector(g)
             if g.is_zero():
                 continue
-            if any(ring.is_unit(g.component(c)) for c in range(layout.rank)):
+            if any(ring.is_unit(f) for f in g.components().values()):
                 raise SubmoduleNotInMaximalIdeal("N ⊆ mF required")
             cleaned.append(g)
         self.gens = cleaned
@@ -208,20 +208,16 @@ def initial_matrix(mat: Matrix, ring: LocalRing):
     """(s, initial matrix over A): entries of order s survive as initial
     forms, strictly deeper entries become zero."""
     A = ring.graded_cover
-    entries = [[ring.nf(mat.entry(r, c)) for c in range(mat.source.rank)]
-               for r in range(mat.target.rank)]
-    orders = [
-        e.order() for row in entries for e in row if not e.is_zero()
-    ]
+    entries = [ring.nf_vector(v).components() for v in mat.columns]
+    orders = [e.order() for col in entries for e in col.values()]
     if not orders:
         raise ZeroInQuotientError("initial form of the zero matrix")
     s = min(orders)
     cols = []
-    for c in range(mat.source.rank):
+    for col in entries:
         terms = {}
-        for r in range(mat.target.rank):
-            e = entries[r][c]
-            if e.is_zero() or e.order() != s:
+        for r, e in col.items():
+            if e.order() != s:
                 continue
             f = A.nf(e.initial_form())
             for exps, a in f.terms.items():

@@ -414,8 +414,20 @@ class Vector:
             self.ring, {e: c for (k, e), c in self.terms.items() if k == comp}
         )
 
+    def components(self):
+        """{comp: Polynomial} of the nonzero components, in ascending order.
+
+        One pass over the terms; within a component the terms keep their
+        order in ``terms``, as in ``component``.
+        """
+        groups = {}
+        for (k, e), c in self.terms.items():
+            groups.setdefault(k, {})[e] = c
+        return {k: Polynomial(self.ring, groups[k]) for k in sorted(groups)}
+
     def entries(self):
-        return [self.component(i) for i in range(self.rank)]
+        comps = self.components()
+        return [comps.get(i) or Polynomial(self.ring, {}) for i in range(self.rank)]
 
     def __add__(self, other):
         p = self.ring.p

@@ -126,10 +126,10 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
         if not all(bfull.reduce(v)[0].is_zero() for v in first_cols):
             raise BridgeError("initial matrix columns escape the initial submodule")
     minimal = all(
-        not A.is_unit(m.entry(r, c))
+        not A.is_unit(f)
         for m in mats
-        for r in range(m.target.rank)
-        for c in range(m.source.rank)
+        for v in m.columns
+        for f in v.components().values()
     )
     fully = res.finite and maxpos >= n and witness is None
     if witness is not None or not coker or not minimal:

@@ -9,7 +9,7 @@ degrees <= 3) so the truncation windows stay cheap.  Every case checks:
 * the Hilbert function of the associated graded module against the
   oracle's layer dimensions.
 
-Any disagreement raises; a window violation skips the case.
+Any disagreement raises ``BridgeError``; a window violation skips the case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .graded import hilbert_series
-from .modules import LocalModule, assoc_graded_module, equigenerated_check
+from .modules import BridgeError, LocalModule, assoc_graded_module, equigenerated_check
 from .poly import FreeLayout, PolyRing, Vector
 from .rings import LocalRing
 
@@ -83,12 +83,14 @@ def run_agreement_case(mod: LocalModule, truncation: int):
     ring = mod.ring
     fmodel = oracle.FreeModel(ring, mod.layout.rank, truncation)
     for col in mod.gens:
-        assert ring.vector_order(col) == oracle.element_order(fmodel, col)
+        if ring.vector_order(col) != oracle.element_order(fmodel, col):
+            raise BridgeError("generator column order differs from the oracle's element order")
     rep = equigenerated_check(mod, truncation=truncation)
     gm = assoc_graded_module(mod)
     model = oracle.build_model(mod, truncation)
     upto = truncation - 1
-    assert hilbert_series(gm).series(upto) == model.layer_dims[: upto + 1]
+    if hilbert_series(gm).series(upto) != model.layer_dims[: upto + 1]:
+        raise BridgeError("Hilbert function of G(M) differs from the oracle's layer dimensions")
     if rep.verdict:
         # equigenerated: N | m^i F = m^{i-s} N throughout the window
         s = rep.order
@@ -96,7 +98,8 @@ def run_agreement_case(mod: LocalModule, truncation: int):
         for i in range(s, min(s + 3, truncation - maxdeg - oracle.WINDOW_SLACK) + 1):
             inter = oracle.filtration_intersection(fmodel, mod.gens, i)
             power = fmodel.submodule(mod.gens, min_mult_deg=i - s)
-            assert inter == power, f"filtration equality fails at layer {i}"
+            if inter != power:
+                raise BridgeError(f"filtration equality fails at layer {i}")
     return rep
 
 

@@ -39,10 +39,10 @@ class _QuotientOps:
         return normal_form(f, sb).remainder
 
     def nf_vector(self, v: Vector) -> Vector:
+        """The column normal form: each nonzero component reduced by ``nf``."""
         terms = {}
-        for comp in range(v.rank):
-            f = self.nf(v.component(comp))
-            for e, a in f.terms.items():
+        for comp, f in v.components().items():
+            for e, a in self.nf(f).terms.items():
                 terms[(comp, e)] = a
         return Vector(v.ring, v.rank, terms)
 
@@ -128,14 +128,10 @@ class LocalRing(_QuotientOps):
 
     def vector_order(self, v: Vector):
         """Minimal entry order of a column over the quotient ring."""
-        orders = []
-        for comp in range(v.rank):
-            f = self.nf(v.component(comp))
-            if f:
-                orders.append(f.order())
-        if not orders:
+        w = self.nf_vector(v)
+        if not w:
             raise ZeroInQuotientError("zero column: order undefined")
-        return min(orders)
+        return w.order()
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal) or "0"

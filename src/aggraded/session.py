@@ -46,10 +46,22 @@ KNOWN_COMMANDS = (
 RING_COMMANDS = ("hilbert", "invariants", "tangentcone", "betti")
 
 
+# The oracle eliminates over GF(p) in int64: a product of two residues must
+# stay below 2^63, which holds for every p below this bound.
+MAX_CHARACTERISTIC = 2**31
+
+
 class SessionError(ValueError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _check_characteristic_bound(line_no, p):
+    if p >= MAX_CHARACTERISTIC:
+        raise SessionError(
+            line_no, f"characteristic {p} is too large: the oracle's int64 arithmetic needs p < 2^31"
+        )
 
 
 @dataclass
@@ -121,6 +133,7 @@ def parse_session(text: str) -> Session:
                 raise SessionError(line_no, f"bad characteristic {rest!r}")
             if not is_prime(p):
                 raise SessionError(line_no, f"characteristic {p} is not prime")
+            _check_characteristic_bound(line_no, p)
             ses.characteristic = p
             declared["char"] = True
         elif head == "vars":
@@ -221,6 +234,7 @@ class _Workspace:
         if max_homdeg is not None:
             self.options["max_homdeg"] = max_homdeg
         p = char_override if char_override is not None else ses.characteristic
+        _check_characteristic_bound(0, p)
         self.characteristic = p
         self.cover = PolyRing(ses.variables, p)
         ideal = [self.cover.from_string(s) for s in ses.ideal_strings]

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from aggraded import oracle
 from aggraded.engine import normal_form, standard_basis, syzygies
 from aggraded.orders import DS, GREVLEX
@@ -157,3 +159,61 @@ def test_engine_determinism():
         syz = syzygies([R3.gen(0) ** 2, R3.gen(1) ** 2, R3.gen(0) * R3.gen(1)], GREVLEX)
         runs[-1].append([tuple(sorted(c.terms.items())) for c in syz.columns])
     assert runs[0] == runs[1]
+
+
+TANGENT_CONE = [R3.from_string(s) for s in ("X*Z", "Y*Z", "Z^2", "Y^4")]
+
+
+def test_nf_vector_matches_per_component_normal_form(semigroup_ring):
+    rank = 500
+    entries = {7: "X*Z + Y^4 + X", 250: "Z^2 + Y", 499: "Y*Z - X^4 + Z"}
+    terms = {}
+    for comp, text in entries.items():
+        for e, a in R3.from_string(text).terms.items():
+            terms[(comp, e)] = a
+    v = Vector(R3, rank, terms)
+    for ring in (semigroup_ring, semigroup_ring.graded_cover):
+        expected = Vector.from_polys(
+            [normal_form(v.component(c), ring.ideal_sb).remainder for c in range(rank)]
+        )
+        got = ring.nf_vector(v)
+        assert got == expected
+        assert list(got.terms.items()) == list(expected.terms.items())
+
+
+PIN_COLS = [("X", "Y^2"), ("Y", "X^2 + Z"), ("Z", "X*Y")]
+
+# Generators in the order the engine returned them before its pair queue and
+# reducer lookups were indexed; the indexes must not change that order.
+PINNED = {
+    "local": (
+        DS, EXAMPLE_IDEAL,
+        ["[0, Y^4 - X^5]", "[Y^4 - X^5, 0]", "[0, X*Y^3]", "[0, X^2*Y^2]", "[X^4, X*Y^2]",
+         "[Y^3, X^2*Y]", "[0, X^3]", "[0, Z^2 - X^3*Y^2]", "[Z^2 - X^3*Y^2, 0]",
+         "[0, Y*Z - X^4]", "[Y*Z - X^4, 0]", "[0, X*Z - Y^3]", "[X*Z - Y^3, 0]", "[Z, X*Y]",
+         "[Y, Z + X^2]", "[X, Y^2]"],
+        2,
+        ["[Z^2 - X^3*Y^2, -Y^2*Z + X^4*Y]", "[Y*Z - X^4, 0]", "[X*Z - Y^3, 0]",
+         "[Y^4 - X^5, 0]", "[0, Z^2 - X^3*Y^2]", "[0, Y*Z - X^4]", "[0, X*Z - Y^3]",
+         "[0, Y^4 - X^5]"],
+    ),
+    "graded": (
+        GREVLEX, TANGENT_CONE,
+        ["[0, Z^2]", "[Z^2, 0]", "[0, Y*Z]", "[Y*Z, 0]", "[0, X*Z]", "[X*Z, 0]", "[X, Y^2]",
+         "[Y^2, 0]", "[Z, X*Y]", "[Y, Z + X^2]", "[X^2, 0]"],
+        3,
+        ["[Z, 0, 0]", "[Y^2, -X*Y, X^2]", "[Y^4, 0, 0]", "[0, Z, 0]", "[0, -Y^3, X*Y^2]",
+         "[0, Y^4, 0]", "[0, 0, Z]", "[0, 0, Y^3]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(PINNED))
+def test_standard_basis_and_syzygies_keep_their_order(flavor):
+    order, ideal, basis, n_syz_cols, syz = PINNED[flavor]
+    modulus = standard_basis(ideal, order)
+    cols = [Vector.from_polys([R3.from_string(a), R3.from_string(b)]) for a, b in PIN_COLS]
+    sb = standard_basis(cols, order, FreeLayout(2), modulus=modulus)
+    assert [str(g) for g in sb.gens] == basis
+    sz = syzygies(cols[:n_syz_cols], order, FreeLayout(2), modulus=modulus)
+    assert [str(c) for c in sz.columns] == syz

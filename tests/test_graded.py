@@ -180,3 +180,12 @@ def test_betti_render_shape():
     lines = text.splitlines()
     assert lines[0].split() == ["0", "1", "2", "3"]
     assert "." in text and "3" in text
+
+
+def test_numeric_invariants_raise_when_depth_exceeds_dimension(monkeypatch):
+    import aggraded.graded as graded
+    from aggraded.modules import BridgeError
+
+    monkeypatch.setattr(graded, "pdim_over_cover", lambda gm: -1)
+    with pytest.raises(BridgeError, match="depth"):
+        numeric_invariants(squares_gmod(), cutoff=4)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -152,3 +153,19 @@ def test_free_module_session():
     by = {e["command"]: e for e in report["results"]}
     assert by["purity"]["result"]["verdict"] == "pure"
     assert by["hilbert"]["result"]["multiplicity"] == 2
+
+
+def test_characteristic_at_or_above_two_to_the_31_rejected():
+    # 4294967311 is prime, and the oracle's int64 elimination overflows there
+    with pytest.raises(SessionError, match="2\\^31"):
+        parse_session("char 4294967311\nvars x\n")
+    report, status = execute(parse_session(SQUARES), char_override=4294967311)
+    assert status == 1 and not report["results"]
+    assert "2^31" in report["provenance"]["error"]
+
+
+def test_deep_semigroup_report_matches_benchmark_golden():
+    goldens = json.loads((SESSIONS.parent / "perfbench" / "goldens.json").read_text())
+    report, _ = execute(parse_session(SEMIGROUP), max_homdeg=8)
+    digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+    assert digest == goldens["deep_resolution"]["semigroup@max_homdeg=8"]
