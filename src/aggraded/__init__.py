@@ -35,5 +35,4 @@ from .herzog_kuhl import (CMPurityReport, FinitePdimReport, HKCoefficients,
                           cm_purity_report, finite_pdim_consequences,
                           hk_coefficients, ring_local_invariants)
 from .oracle import (FreeModel, OracleWindowError, Subspace, TruncatedModel,
-                     build_model, filtration_intersection, graded_dims,
-                     submodule_layer_data)
+                     build_model, filtration_intersection, submodule_layer_data)

@@ -11,6 +11,12 @@ localization).  Scalar units are divided out exactly.
 ``resolve_bounded`` builds minimal resolutions level by level: syzygy
 generators of a minimal generating set are unit-stripped (Nakayama) and the
 stripped syzygy matrix doubles as the next level's candidate generators.
+
+``resolve_cached`` is the one resolution cache of the local and the graded
+flavor.  A FINITE result serves every cutoff, a truncated result serves
+every cutoff up to its own, and the deepest result is kept; a result served
+at a shallower cutoff is its first maps, exactly what ``resolve_bounded``
+returns there.
 """
 
 from __future__ import annotations
@@ -196,6 +202,10 @@ class ResolutionResult:
     def betti(self):
         return [m.source.rank for m in self.mats]
 
+    @property
+    def finite(self):
+        return self.status == FINITE
+
 
 def min_gens_with_syz(cand, layout, ctx):
     """Minimal generating subset of <cand> and generators of its syzygies.
@@ -277,3 +287,18 @@ def resolve_bounded(gens, layout, ctx, cutoff, graded=False):
             break
         cand, cur_layout = syz, src
     return ResolutionResult(mats, status, pdim if pdim is not None else -1, cutoff)
+
+
+def resolve_cached(cache: dict, gens, layout, ctx, cutoff, graded=False) -> ResolutionResult:
+    """``resolve_bounded`` of the same module, reusing the result kept in
+    ``cache`` under the rule stated in the module docstring."""
+    if cutoff < 0:
+        raise ValueError("the homological cutoff must be nonnegative")
+    kept = cache.get("resolution")
+    if kept is None or not (kept.finite or cutoff <= kept.cutoff):
+        cache["resolution"] = res = resolve_bounded(gens, layout, ctx, cutoff, graded)
+        return res
+    # resolve_bounded needs one step to see that a free cokernel is finite
+    if kept.finite and cutoff >= max(kept.pdim, 1):
+        return kept
+    return ResolutionResult(kept.mats[:cutoff], TRUNCATED, -1, cutoff)

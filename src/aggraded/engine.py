@@ -429,7 +429,8 @@ class SyzygyMatrix:
                 continue
             if not isinstance(modulus, StandardBasis):
                 return False
-            if not modulus.contains(acc):
+            # the modulus is a basis of the ideal: reduce each component
+            if not all(modulus.contains(Vector.from_polys([f])) for f in acc.components().values()):
                 return False
         return True
 

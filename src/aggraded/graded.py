@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FINITE, FreeComplex, resolve_bounded
+from .complexes import FreeComplex, resolve_bounded, resolve_cached
 from .modules import BridgeError
 from .poly import FreeLayout, Polynomial, Vector
 from .rings import GradedRing
@@ -220,24 +220,14 @@ class GradedModule:
 
 def minimal_graded_resolution(gmod: GradedModule, cutoff: int):
     """(complex, BettiTable) of a minimal resolution over the quotient ring."""
-    cached = gmod._cache.get("res")
-    if cached is not None and (cached.status == FINITE or cached.cutoff >= cutoff):
-        if cached.status == FINITE and cached.pdim <= cutoff:
-            raw = cached
-        else:
-            raw = type(cached)(cached.mats[:cutoff], "truncated", -1, cutoff)
-    else:
-        raw = resolve_bounded(gmod.relations, gmod.layout, gmod.ring, cutoff, graded=True)
-        if cached is None or (raw.cutoff > cached.cutoff and cached.status != FINITE):
-            gmod._cache["res"] = raw
+    raw = resolve_cached(gmod._cache, gmod.relations, gmod.layout, gmod.ring, cutoff, graded=True)
     entries = {}
     for j in gmod.layout.twists:
         entries[(0, j)] = entries.get((0, j), 0) + 1
     for i, m in enumerate(raw.mats, start=1):
         for j in m.source.twists:
             entries[(i, j)] = entries.get((i, j), 0) + 1
-    complete = raw.status == FINITE
-    table = BettiTable(entries, cutoff, complete, raw.pdim if complete else -1)
+    table = BettiTable(entries, cutoff, raw.finite, raw.pdim if raw.finite else -1)
     layouts = [gmod.layout] + [m.source for m in raw.mats]
     cx = FreeComplex(layouts, raw.mats)
     return cx, table
@@ -284,7 +274,7 @@ def resolution_over_cover(gmod: GradedModule):
         sm = _presentation_over_cover(gmod)
         n = gmod.ring.nvars
         raw = resolve_bounded(sm.relations, sm.layout, sm.ring, n + 1, graded=True)
-        if raw.status != FINITE:
+        if not raw.finite:
             raise RuntimeError("resolution over the polynomial cover must be finite")
         gmod._cache["cover_res"] = raw
     return gmod._cache["cover_res"]

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .complexes import FINITE, TRUNCATED, Matrix, min_gens_with_syz, resolve_bounded
+from .complexes import FINITE, Matrix, ResolutionResult, min_gens_with_syz, resolve_cached
+from .complexes import resolve_bounded  # noqa: F401  (public name; perfbench binds it)
 from .engine import standard_basis
 from .orders import DS, GREVLEX
 from .poly import FreeLayout, Polynomial, Vector
@@ -136,22 +137,14 @@ def minimal_generators(mpres: LocalModule):
 
 
 @dataclass
-class LocalResolution:
-    """Minimal free resolution data over the local ring, up to a cutoff."""
+class LocalResolution(ResolutionResult):
+    """A minimal free resolution over the local ring, up to a cutoff."""
 
     module: LocalModule
-    mats: list                      # Matrix phi_1..phi_k, minimal
-    status: str                     # FINITE | TRUNCATED
-    pdim: int                       # valid when FINITE
-    cutoff: int
-
-    @property
-    def betti(self):
-        return [m.source.rank for m in self.mats]
 
     @property
     def ranks(self):
-        return [self.mats[0].target.rank if self.mats else self.module.layout.rank] + self.betti
+        return [self.module.layout.rank] + self.betti
 
     def column_orders(self, i):
         """Orders of the columns of phi_i (1-based)."""
@@ -161,7 +154,6 @@ class LocalResolution:
     @property
     def s(self):
         """s_i = nu(phi_i), per homological degree 1..len."""
-        ring = self.module.ring
         return [min(self.column_orders(i)) for i in range(1, len(self.mats) + 1)]
 
     @property
@@ -172,36 +164,16 @@ class LocalResolution:
             out.append(out[-1] + si)
         return out
 
-    @property
-    def finite(self):
-        return self.status == FINITE
-
 
 def local_minimal_resolution(mpres: LocalModule, cutoff: int) -> LocalResolution:
-    """Iterated minimal syzygies over R, stopping at the homological cutoff."""
-    cached = mpres._cache.get("resolution")
-    if cached is not None and (cached.finite or cached.cutoff >= cutoff):
-        if cached.finite or cached.cutoff == cutoff:
-            res = cached
-        else:
-            res = LocalResolution(mpres, cached.mats[:cutoff], TRUNCATED, -1, cutoff)
-        return _trim(res, cutoff)
+    """Iterated minimal syzygies over R, stopping at the homological cutoff.
+
+    A free module is its own resolution (pdim 0) at every cutoff, 0 included.
+    """
     if mpres.is_free:
-        res = LocalResolution(mpres, [], FINITE, 0, cutoff)
-    else:
-        raw = resolve_bounded(mpres.gens, mpres.layout, mpres.ring, cutoff, graded=False)
-        res = LocalResolution(mpres, raw.mats, raw.status, raw.pdim, cutoff)
-    if cached is None or (res.cutoff > cached.cutoff and not cached.finite):
-        mpres._cache["resolution"] = res
-    return res
-
-
-def _trim(res: LocalResolution, cutoff: int) -> LocalResolution:
-    if res.finite and res.pdim <= cutoff:
-        return res
-    if len(res.mats) <= cutoff and res.cutoff == cutoff:
-        return res
-    return LocalResolution(res.module, res.mats[:cutoff], TRUNCATED, -1, cutoff)
+        return LocalResolution([], FINITE, 0, cutoff, mpres)
+    raw = resolve_cached(mpres._cache, mpres.gens, mpres.layout, mpres.ring, cutoff)
+    return LocalResolution(raw.mats, raw.status, raw.pdim, raw.cutoff, mpres)
 
 
 def initial_matrix(mat: Matrix, ring: LocalRing):

@@ -121,9 +121,6 @@ class Subspace:
             and bool((self.mat == other.mat).all())
         )
 
-    def __le__(self, other):
-        return all(other.contains(row) for row in self.mat)
-
 
 # -------------------------------------------------------------- enumeration
 
@@ -331,24 +328,6 @@ def filtration_intersection(model: FreeModel, gens, i, checked=True) -> Subspace
     if checked:
         _window_check(gens, i, model.t)
     return model.submodule(gens).intersect(model.degree_part(i))
-
-
-def graded_dims(model: TruncatedModel, degrees):
-    """Hilbert-function values and minimal-generator counts of the modeled
-    quotient object, by graded Nakayama rank counts."""
-    out = {}
-    free = model.free
-    for d in degrees:
-        if d >= model.t:
-            raise OracleWindowError("degree range exceeds truncation")
-        layer = model.layer_dims[d]
-        if d == 0:
-            out[d] = (layer, layer)
-            continue
-        # (irrelevant * object)_d == m^d part of the object: for a quotient
-        # object generated in degree 0 this is the whole layer for d >= 1
-        out[d] = (layer, 0)
-    return out
 
 
 def submodule_layer_data(model: FreeModel, gens, jmax, checked=True):

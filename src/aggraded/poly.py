@@ -323,12 +323,6 @@ class Polynomial:
         """Terms as (coefficient, exponents), strictly descending."""
         return [(self.terms[e], e) for e in sorted(self.terms, key=order.mon_key, reverse=True)]
 
-    def monic(self, order: OrderSpec):
-        if not self.terms:
-            return self
-        _, c = self.leading_term(order)
-        return self * self.ring.field.inv(c)
-
     def __str__(self):
         return format_poly(self)
 
@@ -498,12 +492,6 @@ class Vector:
                 reverse=True,
             )
         ]
-
-    def monic(self, order: OrderSpec, shifts=None):
-        if not self.terms:
-            return self
-        _, c = self.leading_term(order, shifts)
-        return self * self.ring.field.inv(c)
 
     def degree_in(self, layout: FreeLayout):
         """Homogeneous degree with respect to layout twists; raises if mixed."""

@@ -17,7 +17,10 @@ Grammar (``#`` comments allowed)::
 
 Reports are deterministic JSON documents; identical sessions and options
 produce byte-identical output.  Exit status: 0 all conclusive, 2 some
-result inconclusive at its cutoff, 1 error.
+result inconclusive at its cutoff, 1 error.  A command that fails with one
+of the package's errors gets an ``error`` entry in place of its result; an
+engine-vs-oracle or route-vs-route disagreement is labelled an internal
+disagreement, never a verdict.
 """
 
 from __future__ import annotations
@@ -27,15 +30,17 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .field import is_prime
+from .engine import EngineError
 from .graded import (GradedModule, betti_analysis, hilbert_series,
                      minimal_graded_resolution, numeric_invariants, ring_as_module)
 from .herzog_kuhl import PreconditionError, cmd_equivalence_report, ring_local_invariants
-from .modules import LocalModule, SubmoduleNotInMaximalIdeal, equigenerated_check, local_minimal_resolution
-from .oracle import OracleWindowError
+from .modules import (BridgeError, LocalModule, SubmoduleNotInMaximalIdeal, assoc_graded_module,
+                      equigenerated_check, local_minimal_resolution)
+from .oracle import ModelSizeError, OracleWindowError
 from .poly import FreeLayout, PolyRing, Vector
 from .purity import (INCONCLUSIVE, NOT_PURE, PURE, initial_complex, koszul_fibre_check,
                      purity_verdict, verify_initial_complex)
-from .rings import GradedRing, LocalRing
+from .rings import GradedRing, LocalRing, ZeroInQuotientError
 
 DEFAULT_OPTIONS = {"truncation": 12, "max_homdeg": 8, "regbound": 10}
 
@@ -44,6 +49,8 @@ KNOWN_COMMANDS = (
     "koszulfp", "tangentcone",
 )
 RING_COMMANDS = ("hilbert", "invariants", "tangentcone", "betti")
+GRADED_MODULE_COMMANDS = ("betti", "hilbert", "invariants", "purity")
+LOCAL_MODULE_COMMANDS = tuple(c for c in KNOWN_COMMANDS if c != "tangentcone")
 
 
 # The oracle eliminates over GF(p) in int64: a product of two residues must
@@ -62,6 +69,17 @@ def _check_characteristic_bound(line_no, p):
         raise SessionError(
             line_no, f"characteristic {p} is too large: the oracle's int64 arithmetic needs p < 2^31"
         )
+
+
+# smallest accepted value of each bounded option: the oracle needs at least
+# one degree, and a resolution at least zero homological steps
+OPTION_MINIMUM = {"truncation": 1, "max_homdeg": 0}
+
+
+def _check_option(line_no, key, value):
+    low = OPTION_MINIMUM.get(key)
+    if low is not None and value < low:
+        raise SessionError(line_no, f"option {key} must be at least {low}, got {value}")
 
 
 @dataclass
@@ -199,6 +217,7 @@ def parse_session(text: str) -> Session:
                 ses.options[key] = int(val.strip())
             except ValueError:
                 raise SessionError(line_no, f"bad value for option {key}")
+            _check_option(line_no, key, ses.options[key])
         elif head == "analyze":
             target, _, body = rest.partition(":")
             target = target.strip()
@@ -229,16 +248,18 @@ class _Workspace:
     def __init__(self, ses: Session, char_override=None, truncation=None, max_homdeg=None):
         self.session = ses
         self.options = dict(ses.options)
-        if truncation is not None:
-            self.options["truncation"] = truncation
-        if max_homdeg is not None:
-            self.options["max_homdeg"] = max_homdeg
+        for key, value in (("truncation", truncation), ("max_homdeg", max_homdeg)):
+            if value is not None:
+                _check_option(0, key, value)
+                self.options[key] = value
+        self.cutoff = self.options["max_homdeg"]
         p = char_override if char_override is not None else ses.characteristic
         _check_characteristic_bound(0, p)
         self.characteristic = p
         self.cover = PolyRing(ses.variables, p)
         ideal = [self.cover.from_string(s) for s in ses.ideal_strings]
-        if ses.flavor == "local":
+        self.local = ses.flavor == "local"
+        if self.local:
             self.ring = LocalRing(self.cover, ideal)
             self.graded_ring = self.ring.graded_cover
         else:
@@ -255,13 +276,62 @@ class _Workspace:
                     if len(entries) != rank:
                         raise SessionError(0, f"column {colspec!r} has {len(entries)} entries, free rank is {rank}")
                     cols.append(Vector.from_polys([self.cover.from_string(e or "0") for e in entries]))
-            if ses.flavor == "local":
+            if self.local:
                 self.modules[name] = LocalModule(self.ring, layout, cols)
             else:
                 self.modules[name] = GradedModule(self.graded_ring, layout, cols)
 
+    def graded_module(self, target):
+        """The graded module a command reads: the ring itself, a graded
+        module, or the associated graded module of a local one."""
+        if target == "ring":
+            return ring_as_module(self.graded_ring)
+        mod = self.modules[target]
+        return assoc_graded_module(mod) if self.local else mod
 
-def _purity_payload(pv):
+
+def _hilbert(ws, target):
+    hs = hilbert_series(ws.graded_module(target))
+    return {"series": hs.render(), "numerator": list(hs.numerator),
+            "dim": hs.dim, "multiplicity": hs.multiplicity}, True
+
+
+def _betti(ws, target):
+    _, table = minimal_graded_resolution(ws.graded_module(target), ws.cutoff)
+    return {
+        "entries": [[i, j, c] for (i, j), c in sorted(table.entries.items())],
+        "complete": table.complete,
+        "pdim": table.pdim if table.complete else None,
+        "cutoff": table.cutoff,
+        "rendered": table.render(),
+    }, table.complete
+
+
+def _invariants(ws, target):
+    cutoff = ws.cutoff
+    inv = numeric_invariants(ws.graded_module(target), cutoff)
+    payload = {"dim": inv.dim, "depth": inv.depth, "codim": inv.codim,
+               "cmd": inv.cmd, "multiplicity": inv.multiplicity}
+    if target != "ring" and ws.local:
+        res = local_minimal_resolution(ws.modules[target], cutoff)
+        payload["pdim_status_graded"] = list(inv.pdim_status)
+        payload["pdim_status_local"] = ["finite", res.pdim] if res.finite else ["at_least", cutoff + 1]
+        return payload, inv.pdim_status[0] == "finite" and res.finite
+    payload["pdim_status"] = list(inv.pdim_status)
+    if target == "ring" and ws.local:
+        dim_r, depth_r, cmd_r, e_r = ring_local_invariants(ws.ring)
+        payload["local_ring"] = {"dim": dim_r, "depth": depth_r, "cmd": cmd_r, "multiplicity": e_r}
+    return payload, True
+
+
+def _purity(ws, target):
+    if not ws.local:
+        _, table = minimal_graded_resolution(ws.graded_module(target), ws.cutoff)
+        rep = betti_analysis(table)
+        verdict = (PURE if rep.complete else INCONCLUSIVE) if rep.is_pure else NOT_PURE
+        return {"verdict": verdict, "is_pure": rep.is_pure, "type": list(rep.delta),
+                "witness": list(rep.witness) if rep.witness else None}, verdict != INCONCLUSIVE
+    pv = purity_verdict(ws.modules[target], ws.cutoff)
     wa = None
     if pv.route_a.witness:
         wa = {"position": pv.route_a.witness[0], "degrees": list(pv.route_a.witness[1])}
@@ -287,144 +357,93 @@ def _purity_payload(pv):
         "betti_transfer": {str(k): list(v) for k, v in sorted(pv.betti_transfer.items())},
         "delta": list(pv.delta),
         "noteworthy_acyclic_without_coker": pv.noteworthy,
-    }
+    }, pv.conclusive
 
 
-def _betti_payload(table):
+def _fstar(ws, target):
+    res = local_minimal_resolution(ws.modules[target], ws.cutoff + 1)
+    fs = initial_complex(res)
+    vr = verify_initial_complex(fs, ws.cutoff)
+    wb = None
+    if vr.homology_witness:
+        wb = {"position": vr.homology_witness[0], "class": str(vr.homology_witness[1])}
     return {
-        "entries": [[i, j, c] for (i, j), c in sorted(table.entries.items())],
-        "complete": table.complete,
-        "pdim": table.pdim if table.complete else None,
-        "cutoff": table.cutoff,
-        "rendered": table.render(),
-    }
+        "is_complex": vr.is_complex,
+        "delta": list(fs.delta),
+        "column_orders": [res.column_orders(i) for i in range(1, len(res.mats) + 1)],
+        "acyclic_up_to": vr.acyclic_up_to,
+        "homology_witness": wb,
+        "coker_matches": vr.coker_matches,
+        "is_minimal": vr.is_minimal,
+        "conclusion": vr.purity_conclusion,
+    }, vr.purity_conclusion != INCONCLUSIVE
+
+
+def _hk(ws, target):
+    rep = cmd_equivalence_report(ws.modules[target], ws.cutoff)
+    return {
+        "conditions": {
+            "cmd_module_eq_cmd_ring": rep.condition_cmd_module,
+            "betti_eq_hk": rep.condition_betti,
+            "cmd_graded_eq_cmd_graded_ring": rep.condition_cmd_graded,
+        },
+        "cmd": {"module": rep.cmd_module, "ring": rep.cmd_ring,
+                "graded_module": rep.cmd_graded_module, "graded_ring": rep.cmd_graded_ring},
+        "betti": list(rep.betti),
+        "hk_coefficients": [str(b) for b in rep.hk.b],
+        "multiplicity_identity": rep.multiplicity_identity_holds,
+        "multiplicity_sides": [str(s) for s in rep.multiplicity_sides],
+    }, True
+
+
+def _equigen(ws, target):
+    rep = equigenerated_check(ws.modules[target], ws.options["truncation"])
+    return {
+        "verdict": rep.verdict,
+        "order": rep.order,
+        "generator_degrees": list(rep.generator_degrees),
+        "intersection_condition": rep.intersection_condition,
+        "mu_condition": rep.mu_condition,
+        "mu": {"submodule": rep.mu_n, "initial_submodule": rep.mu_nstar},
+    }, True
+
+
+def _koszulfp(ws, target):
+    rep = koszul_fibre_check(ws.modules[target], ws.cutoff, force=True)
+    return {
+        "omega2_equigenerated": rep.omega2_equigenerated,
+        "omega2_degrees": list(rep.omega2_degrees),
+        "omega2_linear_within_cutoff": rep.omega2_linear_within_cutoff,
+        "column_orders_ok": {str(k): v for k, v in sorted(rep.column_orders_ok.items())},
+        "not_pure_certificate": rep.not_pure_certificate,
+    }, True
+
+
+def _tangentcone(ws, target):
+    if not ws.local:
+        raise PreconditionError("tangentcone needs the local flavor")
+    return {"generators": [str(g) for g in ws.ring.tangent_cone()]}, True
+
+
+# command -> handler(workspace, target) returning (payload dict, conclusive flag)
+HANDLERS = {
+    "purity": _purity, "betti": _betti, "hilbert": _hilbert, "invariants": _invariants,
+    "fstar": _fstar, "hk": _hk, "equigen": _equigen, "koszulfp": _koszulfp,
+    "tangentcone": _tangentcone,
+}
 
 
 def _run_command(ws: _Workspace, target: str, command: str):
     """Returns (payload dict, conclusive flag)."""
-    opts = ws.options
-    cutoff = opts["max_homdeg"]
-    truncation = opts["truncation"]
-    local = ws.session.flavor == "local"
-
     if target == "ring":
-        if command == "tangentcone":
-            if not local:
-                raise PreconditionError("tangentcone needs the local flavor")
-            gens = ws.ring.tangent_cone()
-            return {"generators": [str(g) for g in gens]}, True
-        gmod = ring_as_module(ws.graded_ring)
-        if command == "hilbert":
-            hs = hilbert_series(gmod)
-            return {"series": hs.render(), "numerator": list(hs.numerator),
-                    "dim": hs.dim, "multiplicity": hs.multiplicity}, True
-        if command == "invariants":
-            inv = numeric_invariants(gmod, cutoff)
-            payload = {"dim": inv.dim, "depth": inv.depth, "codim": inv.codim,
-                       "cmd": inv.cmd, "multiplicity": inv.multiplicity,
-                       "pdim_status": list(inv.pdim_status)}
-            if local:
-                dim_r, depth_r, cmd_r, e_r = ring_local_invariants(ws.ring)
-                payload["local_ring"] = {"dim": dim_r, "depth": depth_r, "cmd": cmd_r, "multiplicity": e_r}
-            return payload, True
-        if command == "betti":
-            _, table = minimal_graded_resolution(gmod, cutoff)
-            return _betti_payload(table), table.complete
-        raise PreconditionError(f"command {command!r} not available on the ring")
-
-    mod = ws.modules[target]
-    if not local:
-        if command == "betti":
-            _, table = minimal_graded_resolution(mod, cutoff)
-            return _betti_payload(table), table.complete
-        if command == "hilbert":
-            hs = hilbert_series(mod)
-            return {"series": hs.render(), "numerator": list(hs.numerator),
-                    "dim": hs.dim, "multiplicity": hs.multiplicity}, True
-        if command == "invariants":
-            inv = numeric_invariants(mod, cutoff)
-            return {"dim": inv.dim, "depth": inv.depth, "codim": inv.codim,
-                    "cmd": inv.cmd, "multiplicity": inv.multiplicity,
-                    "pdim_status": list(inv.pdim_status)}, True
-        if command == "purity":
-            _, table = minimal_graded_resolution(mod, cutoff)
-            rep = betti_analysis(table)
-            verdict = (PURE if rep.complete else INCONCLUSIVE) if rep.is_pure else NOT_PURE
-            return {"verdict": verdict, "is_pure": rep.is_pure, "type": list(rep.delta),
-                    "witness": list(rep.witness) if rep.witness else None}, verdict != INCONCLUSIVE
-        raise PreconditionError(f"command {command!r} needs the local flavor")
-
-    from .modules import assoc_graded_module
-    if command == "purity":
-        pv = purity_verdict(mod, cutoff)
-        return _purity_payload(pv), pv.conclusive
-    if command == "betti":
-        _, table = minimal_graded_resolution(assoc_graded_module(mod), cutoff)
-        return _betti_payload(table), table.complete
-    if command == "hilbert":
-        hs = hilbert_series(assoc_graded_module(mod))
-        return {"series": hs.render(), "numerator": list(hs.numerator),
-                "dim": hs.dim, "multiplicity": hs.multiplicity}, True
-    if command == "invariants":
-        inv = numeric_invariants(assoc_graded_module(mod), cutoff)
-        res = local_minimal_resolution(mod, cutoff)
-        payload = {"dim": inv.dim, "depth": inv.depth, "codim": inv.codim,
-                   "cmd": inv.cmd, "multiplicity": inv.multiplicity,
-                   "pdim_status_graded": list(inv.pdim_status),
-                   "pdim_status_local": ["finite", res.pdim] if res.finite else ["at_least", cutoff + 1]}
-        return payload, inv.pdim_status[0] == "finite" and res.finite
-    if command == "fstar":
-        res = local_minimal_resolution(mod, cutoff + 1)
-        fs = initial_complex(res)
-        vr = verify_initial_complex(fs, cutoff)
-        wb = None
-        if vr.homology_witness:
-            wb = {"position": vr.homology_witness[0], "class": str(vr.homology_witness[1])}
-        return {
-            "is_complex": vr.is_complex,
-            "delta": list(fs.delta),
-            "column_orders": [res.column_orders(i) for i in range(1, len(res.mats) + 1)],
-            "acyclic_up_to": vr.acyclic_up_to,
-            "homology_witness": wb,
-            "coker_matches": vr.coker_matches,
-            "is_minimal": vr.is_minimal,
-            "conclusion": vr.purity_conclusion,
-        }, vr.purity_conclusion != INCONCLUSIVE
-    if command == "hk":
-        rep = cmd_equivalence_report(mod, cutoff)
-        return {
-            "conditions": {
-                "cmd_module_eq_cmd_ring": rep.condition_cmd_module,
-                "betti_eq_hk": rep.condition_betti,
-                "cmd_graded_eq_cmd_graded_ring": rep.condition_cmd_graded,
-            },
-            "cmd": {"module": rep.cmd_module, "ring": rep.cmd_ring,
-                    "graded_module": rep.cmd_graded_module, "graded_ring": rep.cmd_graded_ring},
-            "betti": list(rep.betti),
-            "hk_coefficients": [str(b) for b in rep.hk.b],
-            "multiplicity_identity": rep.multiplicity_identity_holds,
-            "multiplicity_sides": [str(s) for s in rep.multiplicity_sides],
-        }, True
-    if command == "equigen":
-        rep = equigenerated_check(mod, truncation)
-        return {
-            "verdict": rep.verdict,
-            "order": rep.order,
-            "generator_degrees": list(rep.generator_degrees),
-            "intersection_condition": rep.intersection_condition,
-            "mu_condition": rep.mu_condition,
-            "mu": {"submodule": rep.mu_n, "initial_submodule": rep.mu_nstar},
-        }, True
-    if command == "koszulfp":
-        rep = koszul_fibre_check(mod, cutoff, force=True)
-        return {
-            "omega2_equigenerated": rep.omega2_equigenerated,
-            "omega2_degrees": list(rep.omega2_degrees),
-            "omega2_linear_within_cutoff": rep.omega2_linear_within_cutoff,
-            "column_orders_ok": {str(k): v for k, v in sorted(rep.column_orders_ok.items())},
-            "not_pure_certificate": rep.not_pure_certificate,
-        }, True
-    raise PreconditionError(f"unhandled command {command!r}")
+        allowed, message = RING_COMMANDS, "command {!r} not available on the ring"
+    elif ws.local:
+        allowed, message = LOCAL_MODULE_COMMANDS, "unhandled command {!r}"
+    else:
+        allowed, message = GRADED_MODULE_COMMANDS, "command {!r} needs the local flavor"
+    if command not in allowed:
+        raise PreconditionError(message.format(command))
+    return HANDLERS[command](ws, target)
 
 
 def execute(ses: Session, char_override=None, truncation=None, max_homdeg=None):
@@ -445,7 +464,11 @@ def execute(ses: Session, char_override=None, truncation=None, max_homdeg=None):
             entry["conclusive"] = conclusive
             if not conclusive and status == 0:
                 status = 2
-        except (PreconditionError, OracleWindowError) as exc:
+        except BridgeError as exc:
+            entry["error"] = f"internal disagreement (a bug, not a verdict): {exc}"
+            status = 1
+        except (PreconditionError, OracleWindowError, ModelSizeError, ZeroInQuotientError,
+                EngineError) as exc:
             entry["error"] = str(exc)
             status = 1
         results.append(entry)

@@ -83,3 +83,63 @@ def test_graded_resolution_of_residue_field_one_var():
     res = resolve_bounded([Vector.from_polys([P1.gen(0)])], FreeLayout(1), S1, 4, graded=True)
     assert res.status == FINITE and res.pdim == 1
     assert res.mats[0].source.twists == (1,)
+
+
+def _shape(res):
+    return ([(m.target.twists, m.source.twists, m.columns) for m in res.mats],
+            res.status, res.pdim)
+
+
+def _cache_cases(squares_module):
+    from aggraded.modules import assoc_graded_module
+
+    gm = assoc_graded_module(squares_module)
+    sq = (squares_module.gens, squares_module.layout, squares_module.ring, False)
+    return [
+        (sq, (2, 3, 5)),                                         # pdim 3
+        ((gm.relations, gm.layout, gm.ring, True), (2, 3, 5)),   # pdim 3
+        (([], FreeLayout(2), S_LOC, False), (0, 2)),             # pdim 0
+        (([], FreeLayout(2), S_GR, True), (0, 2)),
+    ]
+
+
+def test_resolution_cache_serves_every_cutoff_like_a_fresh_resolution(squares_module, monkeypatch):
+    import aggraded.complexes as complexes
+    from aggraded.complexes import resolve_cached
+
+    fresh = {}
+    for (gens, layout, ctx, graded), cutoffs in _cache_cases(squares_module):
+        for c in cutoffs:
+            fresh[id(ctx), graded, c] = _shape(resolve_bounded(gens, layout, ctx, c, graded))
+    misses = []
+    real = complexes.resolve_bounded
+    monkeypatch.setattr(complexes, "resolve_bounded",
+                        lambda *args: misses.append(args[3]) or real(*args))
+    for (gens, layout, ctx, graded), cutoffs in _cache_cases(squares_module):
+        for order in (cutoffs[::-1], cutoffs):
+            cache, misses[:] = {}, []
+            for c in order:
+                got = resolve_cached(cache, gens, layout, ctx, c, graded)
+                assert _shape(got) == fresh[id(ctx), graded, c], (graded, order, c)
+            # deep first: one miss (the deepest result is finite here);
+            # shallow first: a miss per cutoff until the first finite result
+            first_finite = next(c for c in cutoffs if fresh[id(ctx), graded, c][1] == FINITE)
+            assert misses == ([order[0]] if order[0] == max(order)
+                              else [c for c in order if c <= first_finite])
+            assert cache["resolution"].cutoff == misses[-1]
+
+
+def test_resolution_cache_rejects_a_negative_cutoff():
+    from aggraded.complexes import resolve_cached
+
+    with pytest.raises(ValueError, match="nonnegative"):
+        resolve_cached({}, [col("x")], FreeLayout(1), S_LOC, -1)
+
+
+def test_free_local_module_is_finite_at_every_cutoff(regular3):
+    from aggraded.modules import LocalModule, local_minimal_resolution
+
+    free = LocalModule(regular3, FreeLayout(2), [])
+    for c in (3, 0, 1):
+        res = local_minimal_resolution(free, c)
+        assert (res.mats, res.status, res.pdim, res.ranks) == ([], FINITE, 0, [2])

@@ -6,7 +6,7 @@ from aggraded import oracle
 from aggraded.engine import normal_form, standard_basis, syzygies
 from aggraded.orders import DS, GREVLEX
 from aggraded.poly import FreeLayout, PolyRing, Vector
-from aggraded.rings import ideals_equal
+from aggraded.rings import GradedRing, ideals_equal
 
 R3 = PolyRing(["X", "Y", "Z"], 32003)
 EXAMPLE_IDEAL = [
@@ -76,6 +76,21 @@ def test_syzygies_of_regular_sequence_squares():
         for c in range(3):
             f = col.component(c)
             assert f.is_zero() or f.degree() == 2
+
+
+def test_check_annihilates_reduces_every_component_modulo_the_ideal():
+    # rank-2 target columns over the associated graded ring: the modulus is a
+    # rank-1 ideal basis, so each component of a product is reduced by itself
+    A = GradedRing(R3, [R3.from_string(s) for s in ("X*Z", "Y*Z", "Z^2", "Y^4")])
+    cols = [Vector.from_polys([R3.from_string(a), R3.from_string(b)])
+            for a, b in (("X", "Y^2"), ("Y", "X^2 + Z"), ("Z", "X*Y"))]
+    syz = syzygies(cols, GREVLEX, FreeLayout(2), modulus=A.ideal_sb)
+    assert len(syz.columns) == 8
+    for col in syz.columns:
+        product = sum((f * cols[j] for j, f in col.components().items()),
+                      Vector(R3, 2, {}))
+        assert A.nf_vector(product).is_zero()
+    assert syz.check_annihilates(modulus=A.ideal_sb)
 
 
 def test_syzygy_of_x_over_semigroup_ring_is_trivial(semigroup_ring):

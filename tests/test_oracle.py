@@ -3,8 +3,7 @@ import pytest
 
 from aggraded import oracle
 from aggraded.oracle import (FreeModel, OracleWindowError, Subspace, build_model,
-                             filtration_intersection, graded_dims,
-                             submodule_layer_data)
+                             filtration_intersection, submodule_layer_data)
 from aggraded.poly import PolyRing, Vector
 from aggraded.rings import LocalRing
 
@@ -86,23 +85,15 @@ def test_submodule_layer_data_matches_paper(semigroup_ring):
     assert {j: c for j, c in mus.items() if c} == {1: 1, 3: 1}
 
 
-def test_graded_dims_of_quotients(semigroup_ring, squares_module):
+def test_layer_dims_of_quotients(semigroup_ring, squares_module):
     model = build_model(semigroup_ring, 6)
-    vals = graded_dims(model, range(5))
-    assert [vals[d][0] for d in range(5)] == [1, 3, 3, 4, 4]
-    # free module of rank r: mu_0 = r, mu_j = 0 above
+    assert model.layer_dims[:5] == [1, 3, 3, 4, 4]
+    # free module of rank 3 in 2 variables: 3 * (d + 1) in degree d
     free3 = oracle.TruncatedModel(LocalRing(PolyRing(["u", "v"], P), []), 3, [], 4)
-    vals = graded_dims(free3, range(3))
-    assert vals[0] == (3, 3) and vals[1][1] == 0
+    assert free3.layer_dims[:3] == [3, 6, 9]
     # finite length quotient: Hilbert function (1,3,3,1)
     sq = build_model(squares_module, 6)
     assert sq.layer_dims[:5] == [1, 3, 3, 1, 0]
-
-
-def test_graded_dims_range_check(semigroup_ring):
-    model = build_model(semigroup_ring, 4)
-    with pytest.raises(OracleWindowError):
-        graded_dims(model, range(5))
 
 
 def test_stability_under_t_increase(semigroup_ring):

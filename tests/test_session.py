@@ -165,7 +165,61 @@ def test_characteristic_at_or_above_two_to_the_31_rejected():
 
 
 def test_deep_semigroup_report_matches_benchmark_golden():
+    # also every bundled session at its own options: their report bytes are gated
     goldens = json.loads((SESSIONS.parent / "perfbench" / "goldens.json").read_text())
-    report, _ = execute(parse_session(SEMIGROUP), max_homdeg=8)
-    digest = hashlib.sha256(render_report(report).encode()).hexdigest()
-    assert digest == goldens["deep_resolution"]["semigroup@max_homdeg=8"]
+    runs = [("semigroup", {"max_homdeg": 8}, goldens["deep_resolution"]["semigroup@max_homdeg=8"])]
+    runs += [(name, {}, digest) for name, digest in sorted(goldens["sessions"].items())]
+    for name, overrides, golden in runs:
+        report, _ = execute(parse_session((SESSIONS / f"{name}.session").read_text()), **overrides)
+        digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+        assert digest == golden, (name, overrides)
+
+
+@pytest.mark.parametrize("line", ["option max_homdeg -1", "option truncation 0"])
+def test_out_of_range_cutoff_rejected_at_parse(line):
+    with pytest.raises(SessionError, match="line 2: option .* must be at least"):
+        parse_session(f"vars x\n{line}\n")
+
+
+@pytest.mark.parametrize("overrides", [{"max_homdeg": -1}, {"truncation": 0}])
+def test_out_of_range_cutoff_override_rejected(overrides):
+    report, status = execute(parse_session(SQUARES), **overrides)
+    assert status == 1 and not report["results"]
+    assert "must be at least" in report["provenance"]["error"]
+
+
+def _single_command(text):
+    report, status = execute(parse_session(text))
+    assert status == 1 and len(report["results"]) == 1
+    entry = report["results"][0]
+    assert "result" not in entry
+    return entry["error"]
+
+
+def test_zero_in_quotient_becomes_an_error_entry():
+    text = "vars x y\nfree F : rank 1\nmodule M = F / 0\nanalyze M : equigen\n"
+    assert "N = 0" in _single_command(text)
+
+
+def test_model_size_becomes_an_error_entry():
+    text = ("vars a b c d e f g\nfree F : rank 1\nsubmodule N in F : [a]\n"
+            "module M = F / N\noption truncation 12\nanalyze M : equigen\n")
+    assert "31824" in _single_command(text)
+
+
+def test_engine_error_becomes_an_error_entry(monkeypatch):
+    import aggraded.engine as engine
+
+    monkeypatch.setattr(engine, "MAX_REDUCTION_STEPS", 0)
+    text = "vars x y\nfree F : rank 1\nsubmodule N in F : [x^2]\nmodule M = F / N\nanalyze M : betti\n"
+    assert "reduction step limit" in _single_command(text)
+
+
+def test_bridge_error_becomes_an_internal_disagreement_entry(monkeypatch):
+    import aggraded.graded as graded
+
+    monkeypatch.setattr(graded, "pdim_over_cover", lambda gm: -1)
+    text = SQUARES.replace("analyze M : purity, betti, hilbert, fstar, hk, equigen",
+                           "analyze M : invariants")
+    error = _single_command(text)
+    assert error.startswith("internal disagreement") and "depth" in error
