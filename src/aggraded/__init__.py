@@ -12,8 +12,8 @@ truncated linear-algebra oracle cross-checking the delicate bridges.
 __version__ = "0.1.0"
 
 from .field import PrimeField, DEFAULT_CHARACTERISTIC
-from .orders import OrderSpec, GLOBAL, LOCAL, GREVLEX, DS, compare
-from .poly import (FreeLayout, Monomial, PolyRing, Polynomial, Vector,
+from .orders import OrderSpec, GLOBAL, LOCAL, GREVLEX, DS
+from .poly import (FreeLayout, PolyRing, Polynomial, Vector,
                    order_and_initial_form)
 from .engine import StandardBasis, SyzygyMatrix, normal_form, standard_basis, syzygies
 from .complexes import FreeComplex, Matrix, minimalize, resolve_bounded

@@ -47,9 +47,6 @@ class Matrix:
     def ring(self):
         return self.columns[0].ring if self.columns else None
 
-    def entry(self, r, c) -> Polynomial:
-        return self.columns[c].component(r)
-
     def compose(self, other: "Matrix") -> "Matrix":
         """self o other, as a matrix source(other) -> target(self)."""
         cols = []
@@ -265,8 +262,11 @@ def resolve_bounded(gens, layout, ctx, cutoff, graded=False):
 
     Over the graded flavor the source twists are the column degrees; over
     the local flavor all twists are zero.  ``ctx`` supplies cover ring,
-    order, ideal_sb, nf_vector and is_unit.
+    order, ideal_sb, nf_vector and is_unit.  A free cokernel (no generator
+    survives normal form) is FINITE of pdim 0 at every cutoff.
     """
+    if not any(ctx.nf_vector(v) for v in gens):
+        return ResolutionResult([], FINITE, 0, cutoff)
     cand = list(gens)
     cur_layout = layout
     mats = []
@@ -298,7 +298,6 @@ def resolve_cached(cache: dict, gens, layout, ctx, cutoff, graded=False) -> Reso
     if kept is None or not (kept.finite or cutoff <= kept.cutoff):
         cache["resolution"] = res = resolve_bounded(gens, layout, ctx, cutoff, graded)
         return res
-    # resolve_bounded needs one step to see that a free cokernel is finite
-    if kept.finite and cutoff >= max(kept.pdim, 1):
+    if kept.finite and cutoff >= kept.pdim:
         return kept
     return ResolutionResult(kept.mats[:cutoff], TRUNCATED, -1, cutoff)

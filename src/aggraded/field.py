@@ -56,26 +56,8 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p

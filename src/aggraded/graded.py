@@ -335,14 +335,11 @@ def numeric_invariants(gmod: GradedModule, cutoff: int = 8) -> NumericInvariants
     dim = hs.dim
     cmd = dim - depth
     codim = ring_hs.dim - dim
-    if not gmod.relations:
-        status = (PDIM_FINITE, 0)
+    _, table = minimal_graded_resolution(gmod, cutoff)
+    if table.complete:
+        status = (PDIM_FINITE, table.pdim)
     else:
-        _, table = minimal_graded_resolution(gmod, cutoff)
-        if table.complete:
-            status = (PDIM_FINITE, table.pdim)
-        else:
-            status = (PDIM_AT_LEAST, cutoff + 1)
+        status = (PDIM_AT_LEAST, cutoff + 1)
     if cmd < 0 or depth > dim:
         raise BridgeError(f"depth {depth} exceeds dimension {dim}")
     return NumericInvariants(dim, depth, codim, cmd, hs.multiplicity, status)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .complexes import FINITE, Matrix, ResolutionResult, min_gens_with_syz, resolve_cached
+from .complexes import Matrix, ResolutionResult, min_gens_with_syz, resolve_cached
 from .complexes import resolve_bounded  # noqa: F401  (public name; perfbench binds it)
 from .engine import standard_basis
 from .orders import DS, GREVLEX
@@ -170,8 +170,6 @@ def local_minimal_resolution(mpres: LocalModule, cutoff: int) -> LocalResolution
 
     A free module is its own resolution (pdim 0) at every cutoff, 0 included.
     """
-    if mpres.is_free:
-        return LocalResolution([], FINITE, 0, cutoff, mpres)
     raw = resolve_cached(mpres._cache, mpres.gens, mpres.layout, mpres.ring, cutoff)
     return LocalResolution(raw.mats, raw.status, raw.pdim, raw.cutoff, mpres)
 

@@ -11,9 +11,13 @@ degree, component-ascending last), so echelon pivots are exactly the
 leading monomials of initial forms: the non-pivot monomials of the quotient
 model are the standard monomials of the tangent cone, per component.
 
-Filtration intersections N | m^i F suffer Artin-Rees truncation effects;
-they require the validity window ``i + max generator degree + 2 <= t`` and
-callers double-check stability under t -> t+1.
+So a pivot's column gives the degree of its row's initial form, and every
+filtration query is read off one echelon form W = RREF(Rel + N) of a
+submodule, Rel being the relations: N | m^i F is Rel plus the rows of W with
+pivot degree >= i, of dimension #pivots(W, deg >= i) + #pivots(Rel, deg < i).
+These intersections suffer Artin-Rees truncation effects; they require the
+validity window ``i + max generator degree + 2 <= t`` and callers
+double-check stability under t -> t+1.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ from .poly import Vector, mon_deg
 
 SIZE_BOUND = 20000
 WINDOW_SLACK = 2
+
+# rref_modp eliminates in int64: a product of two residues must stay below
+# 2^63, which holds for every p below this bound.
+MAX_CHARACTERISTIC = 2**31
 
 
 class OracleWindowError(ValueError):
@@ -94,25 +102,6 @@ class Subspace:
     def contains(self, vec):
         return not self.reduce(vec).any()
 
-    def __add__(self, other):
-        if other.rank == 0:
-            return self
-        if self.rank == 0:
-            return other
-        return Subspace(self.n, self.p, np.vstack([self.mat, other.mat]))
-
-    def intersect(self, other):
-        """Zassenhaus: rows with vanishing left half of rref([U U; V 0])."""
-        if self.rank == 0 or other.rank == 0:
-            return Subspace(self.n, self.p)
-        top = np.hstack([self.mat, self.mat])
-        bot = np.hstack([other.mat, np.zeros_like(other.mat)])
-        R, _ = rref_modp(np.vstack([top, bot]), self.p)
-        left = R[:, : self.n]
-        keep = ~left.any(axis=1)
-        rows = R[keep, self.n:]
-        return Subspace(self.n, self.p, rows if rows.size else None)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -157,6 +146,10 @@ class FreeModel:
         self.rank = rank
         self.t = t
         cover = ring.cover
+        if cover.p >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {cover.p} is too large: the oracle's int64 arithmetic needs p < 2^31"
+            )
         self.p = cover.p
         mons = monomials_below(cover.nvars, t)
         coords = [(c, e) for e in mons for c in range(rank)]
@@ -168,7 +161,6 @@ class FreeModel:
         self.coord_degs = np.array([mon_deg(e) for (_, e) in coords], dtype=np.int64)
         self.n = len(coords)
         self._rel = None
-        self._deg_cache = {}
         self._sub_cache = {}
 
     # -- rows ---------------------------------------------------------------
@@ -218,17 +210,6 @@ class FreeModel:
             self._rel = Subspace(self.n, self.p, self._multiple_rows(cols) or None)
         return self._rel
 
-    def degree_part(self, i) -> Subspace:
-        """relations + span of module monomials of degree >= i."""
-        if i not in self._deg_cache:
-            sel = np.nonzero(self.coord_degs >= i)[0]
-            rows = np.zeros((len(sel), self.n), dtype=np.int64)
-            rows[np.arange(len(sel)), sel] = 1
-            base = self.relations
-            stack = np.vstack([base.mat, rows]) if base.rank else rows
-            self._deg_cache[i] = Subspace(self.n, self.p, stack if stack.size else None)
-        return self._deg_cache[i]
-
     def submodule(self, cols, min_mult_deg=0) -> Subspace:
         """relations + image of the R-span of cols (through m^min_mult_deg)."""
         key = (
@@ -243,14 +224,25 @@ class FreeModel:
             self._sub_cache[key] = Subspace(self.n, self.p, rows or None)
         return self._sub_cache[key]
 
+    def pivot_counts(self, space: Subspace):
+        """#pivots(space, deg d) for each d < t."""
+        return np.bincount(self.coord_degs[space.pivots], minlength=self.t)
+
     def dims_by_degree(self, space: Subspace):
         """#coords(deg d) - #pivots(deg d), for d < t: layer dims mod ``space``."""
-        pivot_degs = [int(self.coord_degs[c]) for c in space.pivots]
-        out = []
-        for d in range(self.t):
-            total = int((self.coord_degs == d).sum())
-            out.append(total - sum(1 for x in pivot_degs if x == d))
-        return out
+        return (np.bincount(self.coord_degs, minlength=self.t) - self.pivot_counts(space)).tolist()
+
+    def times_variables(self, rows):
+        """The rows x * row for every variable x, truncated at degree t."""
+        # coordinates are sorted by degree: the first ``low`` have degree < t - 1
+        low = int(np.searchsorted(self.coord_degs, self.t - 1))
+        blocks = []
+        for v in range(self.ring.cover.nvars):
+            dst = [self.index[(c, e[:v] + (e[v] + 1,) + e[v + 1:])] for c, e in self.coords[:low]]
+            block = np.zeros_like(rows)
+            block[:, dst] = rows[:, :low]
+            blocks.append(block)
+        return np.vstack(blocks)
 
 
 class TruncatedModel:
@@ -323,63 +315,45 @@ def _window_check(gens, i, t):
         )
 
 
-def filtration_intersection(model: FreeModel, gens, i, checked=True) -> Subspace:
-    """Image of N | m^i F in F/m^t F (window-validated)."""
-    if checked:
-        _window_check(gens, i, model.t)
-    return model.submodule(gens).intersect(model.degree_part(i))
+def filtration_intersection(model: FreeModel, gens, i) -> Subspace:
+    """Image of N | m^i F in F/m^t F (window-validated): the relations plus
+    the rows of RREF(relations + N) whose pivot degree is >= i."""
+    _window_check(gens, i, model.t)
+    space = model.submodule(gens)
+    rows = space.mat[model.coord_degs[space.pivots] >= i]
+    return Subspace(model.n, model.p, np.vstack([model.relations.mat, rows]))
 
 
-def submodule_layer_data(model: FreeModel, gens, jmax, checked=True):
+def submodule_layer_data(model: FreeModel, gens, jmax):
     """Layer dims and minimal-generator counts of the initial submodule of
     <gens> in the associated graded of F, for degrees 0..jmax.
 
-    layer_j = ((N | m^j F) + m^{j+1} F) / m^{j+1} F and the generator count
-    in degree j is dim layer_j - dim (m * (N | m^{j-1} F) + m^{j+1} F)/...
+    With W = RREF(relations + N), layer j has dimension #pivots(W, deg j) -
+    #pivots(relations, deg j).  Its part generated in lower degrees is
+    m * (N | m^{j-1} F), counted the same way on Y = relations + x * (rows of
+    W with pivot degree >= j - 1) for every variable x.
     """
-    if checked:
-        _window_check(gens, jmax + 1, model.t)
-    dims = {}
-    mus = {}
-    inter = {j: filtration_intersection(model, gens, j, checked=False) for j in range(jmax + 2)}
-    for j in range(jmax + 1):
-        above = model.degree_part(j + 1)
-        layer = (inter[j] + above).rank - above.rank
-        dims[j] = layer
-        if j == 0:
-            mus[0] = layer
-            continue
-        prev = inter[j - 1]
-        cover = model.ring.cover
-        rows = []
-        for row in prev.mat:
-            vec_terms = {}
-            for idx in np.nonzero(row)[0]:
-                c, e = model.coords[int(idx)]
-                vec_terms[(c, e)] = int(row[idx])
-            if not vec_terms:
-                continue
-            v = Vector(cover, model.rank, vec_terms)
-            for x in range(cover.nvars):
-                w = cover.gen(x) * v
-                r = model.row_of(w)
-                if r.any():
-                    rows.append(r)
-        times_m = Subspace(model.n, model.p, rows or None)
-        below = (times_m + above).rank - above.rank
-        mus[j] = layer - below
+    _window_check(gens, jmax + 1, model.t)
+    rel = model.relations
+    space = model.submodule(gens)
+    rel_counts = model.pivot_counts(rel)
+    layer = model.pivot_counts(space) - rel_counts
+    row_degs = model.coord_degs[space.pivots]
+    dims = {j: int(layer[j]) for j in range(jmax + 1)}
+    mus = {0: dims[0]}
+    for j in range(1, jmax + 1):
+        shifted = model.times_variables(space.mat[row_degs >= j - 1])
+        below = model.pivot_counts(Subspace(model.n, model.p, np.vstack([rel.mat, shifted])))
+        mus[j] = dims[j] - int(below[j] - rel_counts[j])
     return dims, mus
 
 
 def element_order(model: FreeModel, vec: Vector):
-    """Largest i with vec in (relations + degree >= i), i.e. the m-adic order
-    of the class, or None when the class vanishes below the truncation."""
-    row = model.row_of(vec)
-    if model.relations.contains(row):
+    """The m-adic order of the class of vec: the degree of the first nonzero
+    entry of its reduction modulo the relations, or None when the class
+    vanishes below degree t - 1."""
+    nonzero = np.flatnonzero(model.relations.reduce(model.row_of(vec)))
+    if nonzero.size == 0:
         return None
-    i = 0
-    while i + 1 < model.t and model.degree_part(i + 1).contains(row):
-        i += 1
-    if i + 1 >= model.t:
-        return None
-    return i
+    d = int(model.coord_degs[nonzero[0]])
+    return d if d < model.t - 1 else None

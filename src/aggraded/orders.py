@@ -24,8 +24,6 @@ from dataclasses import dataclass
 GLOBAL = "global"
 LOCAL = "local"
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 def _negrev(exps):
     return tuple(-e for e in reversed(exps))
@@ -57,22 +55,3 @@ class OrderSpec:
 GREVLEX = OrderSpec(GLOBAL)
 DS = OrderSpec(LOCAL)
 
-
-def compare(a, b, order: OrderSpec, shifts=None) -> int:
-    """Compare two monomials (tuples) or module monomials ((comp, exps)).
-
-    Returns -1, 0 or 1.  Raises on mismatched variable counts.
-    """
-    module = len(a) == 2 and isinstance(a[1], tuple)
-    if module:
-        ca, ea = a
-        cb, eb = b
-        if len(ea) != len(eb):
-            raise ValueError("mismatched variable counts")
-        ka = order.term_key(ca, ea, shifts)
-        kb = order.term_key(cb, eb, shifts)
-    else:
-        if len(a) != len(b):
-            raise ValueError("mismatched variable counts")
-        ka, kb = order.mon_key(a), order.mon_key(b)
-    return LESS if ka < kb else GREATER if ka > kb else EQUAL

@@ -39,24 +39,6 @@ def mon_deg(a):
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """A monomial with its cached total degree."""
-
-    exponents: tuple
-    total_degree: int
-
-    @classmethod
-    def of(cls, exponents):
-        exponents = tuple(exponents)
-        if any(e < 0 for e in exponents):
-            raise ValueError("negative exponent")
-        return cls(exponents, sum(exponents))
-
-    def __post_init__(self):
-        assert self.total_degree == sum(self.exponents)
-
-
-@dataclass(frozen=True)
 class FreeLayout:
     """Rank and per-basis-vector degree twists of a free module."""
 

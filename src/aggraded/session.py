@@ -36,7 +36,7 @@ from .graded import (GradedModule, betti_analysis, hilbert_series,
 from .herzog_kuhl import PreconditionError, cmd_equivalence_report, ring_local_invariants
 from .modules import (BridgeError, LocalModule, SubmoduleNotInMaximalIdeal, assoc_graded_module,
                       equigenerated_check, local_minimal_resolution)
-from .oracle import ModelSizeError, OracleWindowError
+from .oracle import MAX_CHARACTERISTIC, ModelSizeError, OracleWindowError
 from .poly import FreeLayout, PolyRing, Vector
 from .purity import (INCONCLUSIVE, NOT_PURE, PURE, initial_complex, koszul_fibre_check,
                      purity_verdict, verify_initial_complex)
@@ -51,11 +51,6 @@ KNOWN_COMMANDS = (
 RING_COMMANDS = ("hilbert", "invariants", "tangentcone", "betti")
 GRADED_MODULE_COMMANDS = ("betti", "hilbert", "invariants", "purity")
 LOCAL_MODULE_COMMANDS = tuple(c for c in KNOWN_COMMANDS if c != "tangentcone")
-
-
-# The oracle eliminates over GF(p) in int64: a product of two residues must
-# stay below 2^63, which holds for every p below this bound.
-MAX_CHARACTERISTIC = 2**31
 
 
 class SessionError(ValueError):
@@ -229,6 +224,8 @@ def parse_session(text: str) -> Session:
                     raise SessionError(line_no, f"unknown command {c!r}")
                 if target == "ring" and c not in RING_COMMANDS:
                     raise SessionError(line_no, f"command {c!r} needs a module target")
+                if target != "ring" and c not in LOCAL_MODULE_COMMANDS:
+                    raise SessionError(line_no, f"command {c!r} needs the ring target")
                 ses.commands.append((target, c))
             if target != "ring" and target not in ses.modules:
                 raise SessionError(line_no, f"unknown module {target!r}")
@@ -438,7 +435,7 @@ def _run_command(ws: _Workspace, target: str, command: str):
     if target == "ring":
         allowed, message = RING_COMMANDS, "command {!r} not available on the ring"
     elif ws.local:
-        allowed, message = LOCAL_MODULE_COMMANDS, "unhandled command {!r}"
+        allowed, message = LOCAL_MODULE_COMMANDS, "command {!r} needs the ring target"
     else:
         allowed, message = GRADED_MODULE_COMMANDS, "command {!r} needs the local flavor"
     if command not in allowed:

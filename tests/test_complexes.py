@@ -24,7 +24,7 @@ def test_minimalize_mixed_diagonal():
     mat = Matrix(FreeLayout(2), FreeLayout(2), [col("1", "0"), col("0", "x")])
     out = minimalize(FreeComplex([FreeLayout(2), FreeLayout(2)], [mat]), S_LOC)
     assert [l.rank for l in out.layouts] == [1, 1]
-    assert out.mats[0].entry(0, 0) == P.gen(0)
+    assert out.mats[0].columns[0].component(0) == P.gen(0)
 
 
 def test_minimalize_keeps_koszul():
@@ -43,7 +43,7 @@ def test_minimalize_polynomial_unit():
     assert [l.rank for l in out.layouts] == [1, 1]
     # (1+x) * xy - y z must be the remaining entry up to the forced unit scaling
     expected = P.from_string("x*y + x^2*y - y*z")
-    assert out.mats[0].entry(0, 0) == expected
+    assert out.mats[0].columns[0].component(0) == expected
 
 
 def test_minimalize_requires_complex():

@@ -1,13 +1,46 @@
+import random
+
 import numpy as np
 import pytest
 
-from aggraded import oracle
+from aggraded import oracle, randomized
 from aggraded.oracle import (FreeModel, OracleWindowError, Subspace, build_model,
-                             filtration_intersection, submodule_layer_data)
+                             filtration_intersection, rref_modp, submodule_layer_data)
 from aggraded.poly import PolyRing, Vector
 from aggraded.rings import LocalRing
 
 P = 32003
+
+
+def degree_part(model, i):
+    """relations + span of the unit rows of degree >= i."""
+    units = np.eye(model.n, dtype=np.int64)[model.coord_degs >= i]
+    return Subspace(model.n, model.p, np.vstack([model.relations.mat, units]))
+
+
+def zassenhaus(U, V):
+    """U | V as the rows with vanishing left half of rref([U U; V 0])."""
+    n = U.n
+    top = np.hstack([U.mat, U.mat])
+    bot = np.hstack([V.mat, np.zeros_like(V.mat)])
+    R, _ = rref_modp(np.vstack([top, bot]), U.p)
+    return Subspace(n, U.p, R[~R[:, :n].any(axis=1), n:])
+
+
+def agreement_modules(count, seed=randomized.DEFAULT_SEED):
+    """The first ``count`` nontrivial modules the agreement suite draws."""
+    rng = random.Random(seed)
+    pool = randomized.ring_pool()
+    out = []
+    while len(out) < count:
+        ring, truncation = pool[rng.randrange(len(pool))]
+        try:
+            mod = randomized.random_module(rng, ring)
+        except ValueError:
+            continue
+        if not mod.is_free:
+            out.append((mod, truncation))
+    return out
 
 
 def test_rref_and_subspace_algebra():
@@ -16,10 +49,6 @@ def test_rref_and_subspace_algebra():
     assert U.rank == 2
     assert U.contains([3, 6, 1])
     assert not U.contains([0, 1, 0])
-    V = Subspace(3, P, [[0, 1, 0]])
-    assert (U + V).rank == 3
-    W = U.intersect(Subspace(3, P, [[1, 2, 0], [0, 0, 5]]))
-    assert W.rank == 2
 
 
 def test_build_model_examples(semigroup_ring):
@@ -68,7 +97,18 @@ def test_filtration_intersection_examples(semigroup_ring):
     plane = LocalRing(PolyRing(["x", "y"], P), [])
     fm2 = FreeModel(plane, 1, 8)
     mf = [Vector.from_polys([plane.cover.gen(0)]), Vector.from_polys([plane.cover.gen(1)])]
-    assert filtration_intersection(fm2, mf, 2) == fm2.degree_part(2)
+    units = np.eye(fm2.n, dtype=np.int64)[fm2.coord_degs >= 2]
+    assert filtration_intersection(fm2, mf, 2) == Subspace(fm2.n, P, units)
+
+
+def test_filtration_intersection_matches_zassenhaus():
+    for mod, t in agreement_modules(10):
+        fm = FreeModel(mod.ring, mod.layout.rank, t)
+        maxdeg = max(sum(e) for g in mod.gens for (_, e) in g.terms)
+        span = fm.submodule(mod.gens)
+        for i in range(t - maxdeg - oracle.WINDOW_SLACK + 1):
+            expected = zassenhaus(span, degree_part(fm, i))
+            assert filtration_intersection(fm, mod.gens, i) == expected
 
 
 def test_window_violation_raises(semigroup_ring):
@@ -113,3 +153,25 @@ def test_element_order(semigroup_ring):
     assert oracle.element_order(fm, Vector.from_polys([cover.from_string("X*Z")])) == 3
     assert oracle.element_order(fm, Vector.from_polys([cover.from_string("X")])) == 1
     assert oracle.element_order(fm, Vector.from_polys([cover.from_string("1+X")])) == 0
+
+
+def test_element_order_matches_degree_part_search():
+    def searched_order(model, vec):
+        row = model.row_of(vec)
+        if model.relations.contains(row):
+            return None
+        i = 0
+        while i + 1 < model.t and degree_part(model, i + 1).contains(row):
+            i += 1
+        return None if i + 1 >= model.t else i
+
+    for mod, t in agreement_modules(10):
+        fm = FreeModel(mod.ring, mod.layout.rank, t)
+        for col in mod.gens:
+            assert oracle.element_order(fm, col) == searched_order(fm, col)
+
+
+def test_characteristic_at_or_above_two_to_the_31_rejected():
+    ring = LocalRing(PolyRing(["x", "y"], 4294967311), [])
+    with pytest.raises(ValueError, match="too large"):
+        FreeModel(ring, 1, 4)

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggraded.orders import DS, GREVLEX
-from aggraded.poly import (FreeLayout, Monomial, PolyRing, Vector,
-                           order_and_initial_form)
+from aggraded.poly import FreeLayout, PolyRing, Vector, order_and_initial_form
 
 R = PolyRing(["X", "Y", "Z"], 32003)
 
@@ -30,13 +29,6 @@ def test_parser_roundtrip():
     assert R.from_string("-X + X").is_zero()
     with pytest.raises(ValueError):
         R.from_string("X + W")
-
-
-def test_monomial_cached_degree():
-    m = Monomial.of((2, 0, 3))
-    assert m.total_degree == 5
-    with pytest.raises(ValueError):
-        Monomial.of((-1, 0, 0))
 
 
 @settings(max_examples=60)

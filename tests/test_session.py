@@ -155,6 +155,27 @@ def test_free_module_session():
     assert by["hilbert"]["result"]["multiplicity"] == 2
 
 
+def test_free_module_is_finite_at_cutoff_zero():
+    text = (
+        "vars x y\nflavor local\nideal I :\nfree F : rank 1\nsubmodule N in F :\n"
+        "module M = F / N\noption max_homdeg 0\n"
+        "analyze M : betti, invariants\nanalyze ring : betti\n"
+    )
+    report, status = execute(parse_session(text))
+    assert status == 0
+    by = {(e["target"], e["command"]): e["result"] for e in report["results"]}
+    for key in (("M", "betti"), ("ring", "betti")):
+        assert by[key]["complete"] is True and by[key]["pdim"] == 0
+    assert by[("M", "invariants")]["pdim_status_local"] == ["finite", 0]
+    assert by[("M", "invariants")]["pdim_status_graded"] == ["finite", 0]
+
+
+def test_tangentcone_on_a_module_rejected_at_parse():
+    text = "vars x y\nfree F : rank 1\nmodule M = F / 0\nanalyze M : tangentcone\n"
+    with pytest.raises(SessionError, match="line 4: command 'tangentcone' needs the ring target"):
+        parse_session(text)
+
+
 def test_characteristic_at_or_above_two_to_the_31_rejected():
     # 4294967311 is prime, and the oracle's int64 elimination overflows there
     with pytest.raises(SessionError, match="2\\^31"):
