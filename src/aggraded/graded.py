@@ -275,7 +275,7 @@ def resolution_over_cover(gmod: GradedModule):
         n = gmod.ring.nvars
         raw = resolve_bounded(sm.relations, sm.layout, sm.ring, n + 1, graded=True)
         if not raw.finite:
-            raise RuntimeError("resolution over the polynomial cover must be finite")
+            raise BridgeError("resolution over the polynomial cover must be finite")
         gmod._cache["cover_res"] = raw
     return gmod._cache["cover_res"]
 
@@ -307,7 +307,7 @@ def hilbert_series(gmod: GradedModule) -> HilbertSeries:
         hs = HilbertSeries((), -1)
     else:
         if sum(numer) <= 0:
-            raise RuntimeError("Hilbert numerator must be positive at z=1 for a nonzero module")
+            raise BridgeError("Hilbert numerator must be positive at z=1 for a nonzero module")
         hs = HilbertSeries(tuple(numer), d, shift)
     gmod._cache["hilbert"] = hs
     return hs
@@ -373,12 +373,12 @@ def poincare_from_hilbert(gmod: GradedModule, cutoff: int) -> PoincareSeries:
     for i in range(cutoff + 1):
         val = q[i] * (-1) ** i
         if val.denominator != 1 or val < 0:
-            raise RuntimeError("Poincare extraction produced a non-Betti coefficient")
+            raise BridgeError("Poincare extraction produced a non-Betti coefficient")
         coeffs.append(int(val))
     known = min(table.max_i, cutoff) if table.entries else -1
     for i in range(known + 1):
         if coeffs[i] != table.total(i):
-            raise RuntimeError("Poincare coefficients disagree with computed Betti numbers")
+            raise BridgeError("Poincare coefficients disagree with computed Betti numbers")
     if table.complete:
         coeffs = coeffs[: table.pdim + 1] + [0] * (cutoff - table.pdim)
     closed = f"H_M(-z) / ((-z)^{d0} * H_A(-z))" if d0 else "H_M(-z) / H_A(-z)"

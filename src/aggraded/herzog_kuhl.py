@@ -67,7 +67,7 @@ def ring_pdim_over_cover(ring: LocalRing) -> int:
             mod = LocalModule(base, FreeLayout(1), list(ring.ideal))
             res = local_minimal_resolution(mod, ring.nvars + 1)
             if not res.finite:
-                raise RuntimeError("resolution over a regular cover must be finite")
+                raise BridgeError("resolution over a regular cover must be finite")
             ring.cache["pdim_cover"] = res.pdim
     return ring.cache["pdim_cover"]
 

@@ -22,7 +22,8 @@ from .rings import LocalRing, ZeroInQuotientError
 
 
 class BridgeError(RuntimeError):
-    """Engine and oracle (or two equivalent criteria) disagree: a bug, not data."""
+    """Engine and oracle (or two equivalent criteria) disagree, or an internal
+    invariant fails: a bug, not data."""
 
 
 class SubmoduleNotInMaximalIdeal(ValueError):
@@ -212,7 +213,7 @@ class EquigenReport:
 
 
 def _oracle_equigen(mpres: LocalModule, s: int, jmax: int, t: int):
-    fmodel = oracle.FreeModel(mpres.ring, mpres.layout.rank, t)
+    fmodel = oracle.free_model(mpres.ring, mpres.layout.rank, t)
     gens = mpres.gens
     inter = oracle.filtration_intersection(fmodel, gens, s + 1)
     msub = fmodel.submodule(gens, min_mult_deg=1)

@@ -18,9 +18,28 @@ pivot degree >= i, of dimension #pivots(W, deg >= i) + #pivots(Rel, deg < i).
 These intersections suffer Artin-Rees truncation effects; they require the
 validity window ``i + max generator degree + 2 <= t`` and callers
 double-check stability under t -> t+1.
+
+The coordinates of one degree form a contiguous block, and the number of
+pivots among the first k columns is the rank of those columns.  So the
+degree-j pivots of Y = Rel + x * (rows of W with pivot degree >= j - 1), for
+every variable x, number
+
+    #pivots(Y, deg j) = rank(block j of [Rel rows of pivot degree j ;
+                                         x * (W rows of pivot degree j - 1)]):
+
+an element of Y of order j is a relation of order >= j plus x-multiples of
+W rows, and a W row of pivot degree >= j has no entry in block j - 1, so its
+x-multiple none in block j.  Minimal generator counts of the initial
+submodule are read from these small blocks, never from a full-width stack.
+
+``free_model`` shares one model per (ring, rank, t), with its relations and
+submodule echelon forms, among the queries of a check.
 """
 
 from __future__ import annotations
+
+import bisect
+import functools
 
 import numpy as np
 
@@ -47,6 +66,8 @@ class ModelSizeError(ValueError):
 
 def rref_modp(rows, p):
     """Reduced row echelon form over GF(p); returns (matrix, pivot columns)."""
+    if p >= MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic {p} is too large: int64 elimination needs p < 2^31")
     A = np.asarray(rows, dtype=np.int64) % p
     if A.ndim == 1:
         A = A.reshape(1, -1)
@@ -78,10 +99,13 @@ class Subspace:
 
     __slots__ = ("n", "p", "mat", "pivots")
 
-    def __init__(self, n, p, rows=None):
+    def __init__(self, n, p, rows=None, pivots=None):
+        """``pivots`` is given only when ``rows`` is already in RREF."""
         self.n = n
         self.p = p
-        if rows is None or (hasattr(rows, "__len__") and len(rows) == 0):
+        if pivots is not None:
+            self.mat, self.pivots = rows, pivots
+        elif rows is None or (hasattr(rows, "__len__") and len(rows) == 0):
             self.mat = np.zeros((0, n), dtype=np.int64)
             self.pivots = []
         else:
@@ -139,7 +163,7 @@ def monomials_below(nvars, t):
 class FreeModel:
     """Model of F / m^t F over R = Loc(k[x])/I, rank ``rank``."""
 
-    def __init__(self, ring, rank, t, size_bound=SIZE_BOUND):
+    def __init__(self, ring, rank, t):
         if t < 1:
             raise ValueError("truncation must be >= 1")
         self.ring = ring
@@ -151,17 +175,21 @@ class FreeModel:
                 f"characteristic {cover.p} is too large: the oracle's int64 arithmetic needs p < 2^31"
             )
         self.p = cover.p
-        mons = monomials_below(cover.nvars, t)
-        coords = [(c, e) for e in mons for c in range(rank)]
+        # degree-ascending, so the multipliers of a column are one slice of it
+        self.monomials = monomials_below(cover.nvars, t)
+        self._mon_degs = [mon_deg(e) for e in self.monomials]
+        coords = [(c, e) for e in self.monomials for c in range(rank)]
         coords.sort(key=lambda ce: (mon_deg(ce[1]), tuple(x for x in reversed(ce[1])), ce[0]))
-        if len(coords) > size_bound:
-            raise ModelSizeError(f"model needs {len(coords)} coordinates (bound {size_bound})")
+        if len(coords) > SIZE_BOUND:
+            raise ModelSizeError(f"model needs {len(coords)} coordinates (bound {SIZE_BOUND})")
         self.coords = coords
         self.index = {ce: i for i, ce in enumerate(coords)}
         self.coord_degs = np.array([mon_deg(e) for (_, e) in coords], dtype=np.int64)
+        self._block_starts = np.searchsorted(self.coord_degs, np.arange(t + 1)).tolist()
         self.n = len(coords)
         self._rel = None
         self._sub_cache = {}
+        self._raise_maps = {}
 
     # -- rows ---------------------------------------------------------------
 
@@ -175,15 +203,14 @@ class FreeModel:
 
     def _multiple_rows(self, cols, min_mult_deg=0):
         """Rows of x^a * col for all monomials with deg(x^a) >= min_mult_deg."""
-        cover = self.ring.cover
         rows = []
+        start = bisect.bisect_left(self._mon_degs, min_mult_deg)
         for col in cols:
             if not col.terms:
                 continue
             low = min(mon_deg(e) for (_, e) in col.terms)
-            for a in monomials_below(cover.nvars, max(self.t - low, 1)):
-                if mon_deg(a) < min_mult_deg:
-                    continue
+            stop = bisect.bisect_left(self._mon_degs, max(self.t - low, 1))
+            for a in self.monomials[start:stop]:
                 row = np.zeros(self.n, dtype=np.int64)
                 hit = False
                 for (c, e), v in col.terms.items():
@@ -232,24 +259,45 @@ class FreeModel:
         """#coords(deg d) - #pivots(deg d), for d < t: layer dims mod ``space``."""
         return (np.bincount(self.coord_degs, minlength=self.t) - self.pivot_counts(space)).tolist()
 
-    def times_variables(self, rows):
-        """The rows x * row for every variable x, truncated at degree t."""
-        # coordinates are sorted by degree: the first ``low`` have degree < t - 1
-        low = int(np.searchsorted(self.coord_degs, self.t - 1))
+    def block(self, d):
+        """The coordinates of degree d, a contiguous range."""
+        return slice(self._block_starts[d], self._block_starts[d + 1])
+
+    def raise_degree(self, rows, j):
+        """The rows x * row for every variable x, from rows on the degree
+        j - 1 block to rows on the degree j block (0 < j < t)."""
+        if j not in self._raise_maps:
+            # per variable: where x * (coordinate of degree j - 1) sits in block j
+            start = self._block_starts[j]
+            self._raise_maps[j] = [
+                [self.index[(c, e[:v] + (e[v] + 1,) + e[v + 1:])] - start
+                 for c, e in self.coords[self.block(j - 1)]]
+                for v in range(self.ring.cover.nvars)
+            ]
+        width = self._block_starts[j + 1] - self._block_starts[j]
         blocks = []
-        for v in range(self.ring.cover.nvars):
-            dst = [self.index[(c, e[:v] + (e[v] + 1,) + e[v + 1:])] for c, e in self.coords[:low]]
-            block = np.zeros_like(rows)
-            block[:, dst] = rows[:, :low]
+        for dst in self._raise_maps[j]:
+            block = np.zeros((len(rows), width), dtype=np.int64)
+            block[:, dst] = rows
             blocks.append(block)
         return np.vstack(blocks)
+
+
+@functools.lru_cache(maxsize=2)
+def free_model(ring, rank, t) -> FreeModel:
+    """The FreeModel of (ring, rank, t), shared with its echelon forms.  Two
+    entries hold the t and t + 1 models of a stability check; keeping more
+    would keep every echelon form of a run alive."""
+    return FreeModel(ring, rank, t)
 
 
 class TruncatedModel:
     """Quotient model of (F/N)/m^t with standard-monomial basis and maps."""
 
     def __init__(self, ring, rank, relation_cols, t, size_bound=SIZE_BOUND):
-        self.free = FreeModel(ring, rank, t, size_bound)
+        self.free = free_model(ring, rank, t)
+        if self.free.n > size_bound:
+            raise ModelSizeError(f"model needs {self.free.n} coordinates (bound {size_bound})")
         self.t = t
         self.relation_cols = list(relation_cols)
         self.space = self.free.submodule(self.relation_cols) if relation_cols else self.free.relations
@@ -317,11 +365,25 @@ def _window_check(gens, i, t):
 
 def filtration_intersection(model: FreeModel, gens, i) -> Subspace:
     """Image of N | m^i F in F/m^t F (window-validated): the relations plus
-    the rows of RREF(relations + N) whose pivot degree is >= i."""
+    the rows of W = RREF(relations + N) whose pivot degree is >= i.
+
+    Its echelon form takes no elimination.  Those rows of W vanish below
+    degree i, so they are its rows of pivot degree >= i; the relation rows of
+    pivot degree < i, cleared at the pivot columns of those rows, are the rest.
+    """
     _window_check(gens, i, model.t)
-    space = model.submodule(gens)
-    rows = space.mat[model.coord_degs[space.pivots] >= i]
-    return Subspace(model.n, model.p, np.vstack([model.relations.mat, rows]))
+    rel, space = model.relations, model.submodule(gens)
+    high = model.coord_degs[space.pivots] >= i
+    low = model.coord_degs[rel.pivots] < i
+    upper = space.mat[high]
+    upper_pivots = [c for c, keep in zip(space.pivots, high) if keep]
+    lower = rel.mat[low]
+    for row, c in zip(upper, upper_pivots):
+        f = lower[:, c]
+        if f.any():
+            lower = (lower - np.outer(f, row)) % model.p
+    pivots = [c for c, keep in zip(rel.pivots, low) if keep] + upper_pivots
+    return Subspace(model.n, model.p, np.vstack([lower, upper]), pivots)
 
 
 def submodule_layer_data(model: FreeModel, gens, jmax):
@@ -330,21 +392,27 @@ def submodule_layer_data(model: FreeModel, gens, jmax):
 
     With W = RREF(relations + N), layer j has dimension #pivots(W, deg j) -
     #pivots(relations, deg j).  Its part generated in lower degrees is
-    m * (N | m^{j-1} F), counted the same way on Y = relations + x * (rows of
-    W with pivot degree >= j - 1) for every variable x.
+    m * (N | m^{j-1} F), of dimension rank(B_j) - #pivots(relations, deg j),
+    B_j being the degree-j block of [relation rows of pivot degree j ;
+    x * (W rows of pivot degree j - 1)] (see the module docstring).
     """
     _window_check(gens, jmax + 1, model.t)
     rel = model.relations
     space = model.submodule(gens)
     rel_counts = model.pivot_counts(rel)
     layer = model.pivot_counts(space) - rel_counts
+    rel_degs = model.coord_degs[rel.pivots]
     row_degs = model.coord_degs[space.pivots]
     dims = {j: int(layer[j]) for j in range(jmax + 1)}
     mus = {0: dims[0]}
     for j in range(1, jmax + 1):
-        shifted = model.times_variables(space.mat[row_degs >= j - 1])
-        below = model.pivot_counts(Subspace(model.n, model.p, np.vstack([rel.mat, shifted])))
-        mus[j] = dims[j] - int(below[j] - rel_counts[j])
+        below = rel_counts[j]
+        lower = space.mat[row_degs == j - 1, model.block(j - 1)]
+        if len(lower):
+            shifted = model.raise_degree(lower, j)
+            stack = np.vstack([rel.mat[rel_degs == j, model.block(j)], shifted])
+            below = len(rref_modp(stack, model.p)[1])
+        mus[j] = dims[j] - int(below - rel_counts[j])
     return dims, mus
 
 

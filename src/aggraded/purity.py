@@ -225,7 +225,7 @@ def syzygy_filtration_check(mpres: LocalModule, i: int, j_range=None,
             raise ValueError("j below the syzygy order")
         answers = []
         for t in (truncation, truncation + 1):
-            model = oracle.FreeModel(mpres.ring, mat.target.rank, t)
+            model = oracle.free_model(mpres.ring, mat.target.rank, t)
             inter = oracle.filtration_intersection(model, gens, j)
             power = model.submodule(gens, min_mult_deg=j - s_i)
             answers.append(inter.rank == power.rank)

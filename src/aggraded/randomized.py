@@ -81,7 +81,7 @@ class AgreementStats:
 def run_agreement_case(mod: LocalModule, truncation: int):
     """All cross-checks for one module; raises on any disagreement."""
     ring = mod.ring
-    fmodel = oracle.FreeModel(ring, mod.layout.rank, truncation)
+    fmodel = oracle.free_model(ring, mod.layout.rank, truncation)
     for col in mod.gens:
         if ring.vector_order(col) != oracle.element_order(fmodel, col):
             raise BridgeError("generator column order differs from the oracle's element order")

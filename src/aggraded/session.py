@@ -19,7 +19,8 @@ Reports are deterministic JSON documents; identical sessions and options
 produce byte-identical output.  Exit status: 0 all conclusive, 2 some
 result inconclusive at its cutoff, 1 error.  A command that fails with one
 of the package's errors gets an ``error`` entry in place of its result; an
-engine-vs-oracle or route-vs-route disagreement is labelled an internal
+engine-vs-oracle or route-vs-route disagreement, a broken internal invariant
+or a differential that is not a complex is labelled an internal
 disagreement, never a verdict.
 """
 
@@ -29,6 +30,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
+from .complexes import NotAComplexError
 from .field import is_prime
 from .engine import EngineError
 from .graded import (GradedModule, betti_analysis, hilbert_series,
@@ -461,7 +463,7 @@ def execute(ses: Session, char_override=None, truncation=None, max_homdeg=None):
             entry["conclusive"] = conclusive
             if not conclusive and status == 0:
                 status = 2
-        except BridgeError as exc:
+        except (BridgeError, NotAComplexError) as exc:
             entry["error"] = f"internal disagreement (a bug, not a verdict): {exc}"
             status = 1
         except (PreconditionError, OracleWindowError, ModelSizeError, ZeroInQuotientError,

@@ -27,6 +27,35 @@ def zassenhaus(U, V):
     return Subspace(n, U.p, R[~R[:, :n].any(axis=1), n:])
 
 
+def times_variables(model, rows):
+    """The rows x * row for every variable x, truncated at degree t."""
+    # coordinates are sorted by degree: the first ``low`` have degree < t - 1
+    low = int(np.searchsorted(model.coord_degs, model.t - 1))
+    blocks = []
+    for v in range(model.ring.cover.nvars):
+        dst = [model.index[(c, e[:v] + (e[v] + 1,) + e[v + 1:])] for c, e in model.coords[:low]]
+        block = np.zeros_like(rows)
+        block[:, dst] = rows[:, :low]
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def full_width_mus(model, gens, jmax):
+    """Generator counts from relations + x * (rows of W with pivot degree
+    >= j - 1), eliminated across every coordinate."""
+    rel = model.relations
+    space = model.submodule(gens)
+    rel_counts = model.pivot_counts(rel)
+    layer = model.pivot_counts(space) - rel_counts
+    row_degs = model.coord_degs[space.pivots]
+    mus = {0: int(layer[0])}
+    for j in range(1, jmax + 1):
+        shifted = times_variables(model, space.mat[row_degs >= j - 1])
+        below = model.pivot_counts(Subspace(model.n, model.p, np.vstack([rel.mat, shifted])))
+        mus[j] = int(layer[j]) - int(below[j] - rel_counts[j])
+    return mus
+
+
 def agreement_modules(count, seed=randomized.DEFAULT_SEED):
     """The first ``count`` nontrivial modules the agreement suite draws."""
     rng = random.Random(seed)
@@ -111,6 +140,23 @@ def test_filtration_intersection_matches_zassenhaus():
             assert filtration_intersection(fm, mod.gens, i) == expected
 
 
+def test_block_generator_counts_match_full_width_stack(semigroup_module):
+    cases = agreement_modules(10) + [(semigroup_module, 12)]
+    for mod, t in cases:
+        fm = FreeModel(mod.ring, mod.layout.rank, t)
+        maxdeg = max(sum(e) for g in mod.gens for (_, e) in g.terms)
+        jmax = t - maxdeg - oracle.WINDOW_SLACK - 1
+        _, mus = submodule_layer_data(fm, mod.gens, jmax)
+        assert mus == full_width_mus(fm, mod.gens, jmax)
+
+
+def test_free_model_is_shared_per_ring_rank_and_truncation(semigroup_ring):
+    model = oracle.free_model(semigroup_ring, 1, 9)
+    assert oracle.free_model(semigroup_ring, 1, 9) is model
+    assert oracle.free_model(semigroup_ring, 1, 10) is not model
+    assert oracle.free_model(semigroup_ring, 1, 10).t == 10
+
+
 def test_window_violation_raises(semigroup_ring):
     fm = FreeModel(semigroup_ring, 1, 5)
     xcol = Vector.from_polys([semigroup_ring.cover.from_string("X")])
@@ -175,3 +221,9 @@ def test_characteristic_at_or_above_two_to_the_31_rejected():
     ring = LocalRing(PolyRing(["x", "y"], 4294967311), [])
     with pytest.raises(ValueError, match="too large"):
         FreeModel(ring, 1, 4)
+
+
+def test_rref_rejects_characteristic_at_or_above_two_to_the_31():
+    # int64 products of residues overflow above ~3.04e9: refused, not wrong ranks
+    with pytest.raises(ValueError, match="too large"):
+        rref_modp([[1, 2], [3, 4]], 4294967311)

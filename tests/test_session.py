@@ -217,6 +217,11 @@ def _single_command(text):
     return entry["error"]
 
 
+def _squares_with(command):
+    return SQUARES.replace("analyze M : purity, betti, hilbert, fstar, hk, equigen",
+                           f"analyze M : {command}")
+
+
 def test_zero_in_quotient_becomes_an_error_entry():
     text = "vars x y\nfree F : rank 1\nmodule M = F / 0\nanalyze M : equigen\n"
     assert "N = 0" in _single_command(text)
@@ -240,7 +245,40 @@ def test_bridge_error_becomes_an_internal_disagreement_entry(monkeypatch):
     import aggraded.graded as graded
 
     monkeypatch.setattr(graded, "pdim_over_cover", lambda gm: -1)
-    text = SQUARES.replace("analyze M : purity, betti, hilbert, fstar, hk, equigen",
-                           "analyze M : invariants")
-    error = _single_command(text)
+    error = _single_command(_squares_with("invariants"))
     assert error.startswith("internal disagreement") and "depth" in error
+
+
+def test_not_a_complex_becomes_an_internal_disagreement_entry(monkeypatch):
+    import aggraded.complexes as complexes
+
+    monkeypatch.setattr(complexes.Matrix, "is_zero_mod", lambda self, nf_vector: False)
+    error = _single_command(_squares_with("purity"))
+    assert error.startswith("internal disagreement") and "composition" in error
+
+
+def test_infinite_cover_resolution_becomes_an_internal_disagreement_entry(monkeypatch):
+    import dataclasses
+
+    import aggraded.complexes as complexes
+    import aggraded.graded as graded
+
+    def truncated(*args, **kwargs):
+        return dataclasses.replace(complexes.resolve_bounded(*args, **kwargs),
+                                   status=complexes.TRUNCATED)
+
+    monkeypatch.setattr(graded, "resolve_bounded", truncated)
+    error = _single_command(_squares_with("hilbert"))
+    assert error.startswith("internal disagreement") and "must be finite" in error
+
+
+def test_nonpositive_hilbert_numerator_becomes_an_internal_disagreement_entry(monkeypatch):
+    from types import SimpleNamespace
+
+    import aggraded.graded as graded
+
+    # F_1 = R(0)^2 over F_0 = R(0): numerator 1 - 2z^0 = -1
+    fake = SimpleNamespace(mats=[SimpleNamespace(source=SimpleNamespace(twists=(0, 0)))])
+    monkeypatch.setattr(graded, "resolution_over_cover", lambda gmod: fake)
+    error = _single_command(_squares_with("hilbert"))
+    assert error.startswith("internal disagreement") and "numerator" in error
