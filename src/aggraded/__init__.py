@@ -17,18 +17,17 @@ from .poly import (FreeLayout, PolyRing, Polynomial, Vector,
                    order_and_initial_form)
 from .engine import StandardBasis, SyzygyMatrix, normal_form, standard_basis, syzygies
 from .complexes import FreeComplex, Matrix, minimalize, resolve_bounded
-from .rings import GradedRing, LocalRing, tangent_cone, ideals_equal
+from .rings import GradedRing, LocalRing, ideals_equal
 from .modules import (BridgeError, EquigenReport, InitialData, LocalModule,
                       LocalResolution, assoc_graded_module, equigenerated_check,
-                      initial_matrix, local_minimal_resolution, minimal_generators,
-                      order_in_quotient, submodule_initial)
+                      initial_matrix, local_minimal_resolution, submodule_initial)
 from .graded import (BettiTable, GradedModule, HilbertSeries, NumericInvariants,
                      PoincareSeries, PurityReport, betti_analysis, hilbert_series,
                      minimal_graded_resolution, numeric_invariants,
                      poincare_from_hilbert, ring_as_module)
 from .purity import (InitialComplex, InitialComplexVerdict, KoszulFibreReport,
                      PurityVerdict, fiber_product, initial_complex,
-                     koszul_fibre_check, purity_verdict, syzygy_filtration_check,
+                     initial_complex_verdict, koszul_fibre_check, purity_verdict, syzygy_filtration_check,
                      verify_initial_complex, PURE, NOT_PURE, INCONCLUSIVE)
 from .herzog_kuhl import (CMPurityReport, FinitePdimReport, HKCoefficients,
                           HKReport, PreconditionError, cmd_equivalence_report,

@@ -196,29 +196,6 @@ class StandardBasis:
         rem, _ = self.reduce(v)
         return rem.is_zero()
 
-    def leading_terms(self):
-        return [r.lt for r in self._reds]
-
-    def verify_certificate(self):
-        """Re-reduce every s-vector to zero; returns True or raises."""
-        p = self.ring.p
-        for i, a in enumerate(self._reds):
-            for j in range(i):
-                b = self._reds[j]
-                if a.lt[0] != b.lt[0]:
-                    continue
-                L = mon_lcm(a.lt[1], b.lt[1])
-                h = {}
-                _sub_scaled(h, a.terms, mon_div(L, a.lt[1]), p - 1, p)
-                _sub_scaled(h, b.terms, mon_div(L, b.lt[1]), 1, p)
-                if not h:
-                    continue
-                h, _ = _weak_nf(h, self._index, self._key, self._wdeg, p,
-                                mora=self.order.is_local, tail=False)
-                if h:
-                    raise EngineError(f"certificate violated by pair ({j}, {i})")
-        return True
-
 
 class NormalFormResult:
     __slots__ = ("remainder", "is_weak")
@@ -415,24 +392,6 @@ class SyzygyMatrix:
     def __init__(self, columns, target):
         self.columns = columns
         self.target = target
-
-    def check_annihilates(self, modulus=None):
-        """Exact symbolic check: target-matrix times each column is zero
-        (modulo the defining ideal, when a certified ``modulus`` is given)."""
-        tgt = self.target
-        for col in self.columns:
-            acc = None
-            for j, f in col.components().items():
-                w = f * tgt[j]
-                acc = w if acc is None else acc + w
-            if acc is None or acc.is_zero():
-                continue
-            if not isinstance(modulus, StandardBasis):
-                return False
-            # the modulus is a basis of the ideal: reduce each component
-            if not all(modulus.contains(Vector.from_polys([f])) for f in acc.components().values()):
-                return False
-        return True
 
 
 def syzygies(cols, order: OrderSpec, layout: FreeLayout = None, modulus=None):

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 DEFAULT_CHARACTERISTIC = 32003
 
+# the oracle eliminates in int64: a product of two residues must stay below
+# 2^63, which holds for every p below this bound
+MAX_CHARACTERISTIC = 2**31
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -43,6 +47,10 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_CHARACTERISTIC):
+        if p >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {p} is too large: the oracle's int64 arithmetic needs p < 2^31"
+            )
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p

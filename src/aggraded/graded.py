@@ -1,11 +1,15 @@
 """Graded analysis: resolutions, Betti tables, Hilbert series, invariants.
 
+``betti_table`` is the one reader of a graded resolution: it turns the
+twists of a resolution's free modules into a ``BettiTable``, and a graded
+resolution reaches callers only as that table.
+
 Hilbert series, dimension and depth are computed through the polynomial
-cover S (always a finite resolution there, by Hilbert's syzygy theorem):
-H = sum_i (-1)^i sum_j beta_{i,j} z^j / (1-z)^n, cancelled to lowest terms;
-depth = n - pdim_S by Auslander-Buchsbaum.  Projective dimension over the
-quotient ring itself may be infinite and is only ever reported with its
-cutoff status.
+cover S (always a finite resolution there, by Hilbert's syzygy theorem),
+whose Betti table is kept per module: H = sum_i (-1)^i sum_j beta_{i,j} z^j
+/ (1-z)^n, cancelled to lowest terms; depth = n - pdim_S by
+Auslander-Buchsbaum.  Projective dimension over the quotient ring itself may
+be infinite and is only ever reported with its cutoff status.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FreeComplex, resolve_bounded, resolve_cached
+from .complexes import ResolutionResult, resolve_bounded, resolve_cached
 from .modules import BridgeError
 from .poly import FreeLayout, Polynomial, Vector
 from .rings import GradedRing
@@ -23,26 +27,6 @@ PDIM_AT_LEAST = "at_least"
 
 
 # --------------------------------------------------- small Z[z] helpers
-
-
-def zpoly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def zpoly_scale(a, c):
-    return [c * x for x in a]
-
-
-def zpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def zpoly_trim(a):
@@ -84,9 +68,6 @@ class BettiTable:
 
     def degrees(self, i):
         return sorted(j for (k, j) in self.entries if k == i)
-
-    def totals(self):
-        return [self.total(i) for i in range(self.max_i + 1)]
 
     def render(self):
         """Rows j - i, columns i, right-aligned counts, '.' for zero."""
@@ -191,7 +172,7 @@ class PoincareSeries:
 class GradedModule:
     """coker of homogeneous relation columns in a twisted free module."""
 
-    def __init__(self, ring: GradedRing, layout: FreeLayout, relations, minimal=True):
+    def __init__(self, ring: GradedRing, layout: FreeLayout, relations):
         self.ring = ring
         self.layout = layout
         cleaned = []
@@ -203,11 +184,10 @@ class GradedModule:
                 continue
             if not v.is_homogeneous(layout):
                 raise ValueError("relations must be homogeneous for the layout")
-            if minimal and any(ring.is_unit(f) for f in v.components().values()):
+            if any(ring.is_unit(f) for f in v.components().values()):
                 raise ValueError("minimal presentation needs relations inside the irrelevant ideal")
             cleaned.append(v)
         self.relations = cleaned
-        self.minimal = minimal
         self._cache = {}
 
     @property
@@ -218,19 +198,20 @@ class GradedModule:
         return f"GradedModule(rank {self.layout.rank} / {len(self.relations)} relations)"
 
 
-def minimal_graded_resolution(gmod: GradedModule, cutoff: int):
-    """(complex, BettiTable) of a minimal resolution over the quotient ring."""
-    raw = resolve_cached(gmod._cache, gmod.relations, gmod.layout, gmod.ring, cutoff, graded=True)
+def betti_table(layout: FreeLayout, res: ResolutionResult, cutoff: int) -> BettiTable:
+    """beta_{i,j} of a resolution of coker(F_1 -> F_0), F_0 = ``layout``:
+    the number of twists j of its i-th free module."""
     entries = {}
-    for j in gmod.layout.twists:
-        entries[(0, j)] = entries.get((0, j), 0) + 1
-    for i, m in enumerate(raw.mats, start=1):
-        for j in m.source.twists:
+    for i, twists in enumerate([layout.twists] + [m.source.twists for m in res.mats]):
+        for j in twists:
             entries[(i, j)] = entries.get((i, j), 0) + 1
-    table = BettiTable(entries, cutoff, raw.finite, raw.pdim if raw.finite else -1)
-    layouts = [gmod.layout] + [m.source for m in raw.mats]
-    cx = FreeComplex(layouts, raw.mats)
-    return cx, table
+    return BettiTable(entries, cutoff, res.finite, res.pdim if res.finite else -1)
+
+
+def minimal_graded_resolution(gmod: GradedModule, cutoff: int) -> BettiTable:
+    """The Betti table of a minimal resolution over the quotient ring."""
+    res = resolve_cached(gmod._cache, gmod.relations, gmod.layout, gmod.ring, cutoff, graded=True)
+    return betti_table(gmod.layout, res, cutoff)
 
 
 def betti_analysis(table: BettiTable) -> PurityReport:
@@ -260,28 +241,29 @@ def _presentation_over_cover(gmod: GradedModule):
     ring = gmod.ring
     S = ring.polynomial_cover
     if ring is S or not ring.ideal:
-        return GradedModule(S, gmod.layout, gmod.relations, minimal=gmod.minimal)
+        return GradedModule(S, gmod.layout, gmod.relations)
     rels = list(gmod.relations)
     cover = ring.cover
     for g in ring.ideal:
         for c in range(gmod.layout.rank):
             rels.append(Vector(cover, gmod.layout.rank, {(c, e): a for e, a in g.terms.items()}))
-    return GradedModule(S, gmod.layout, rels, minimal=gmod.minimal)
+    return GradedModule(S, gmod.layout, rels)
 
 
-def resolution_over_cover(gmod: GradedModule):
-    if "cover_res" not in gmod._cache:
+def cover_betti_table(gmod: GradedModule) -> BettiTable:
+    """The Betti table of the module over the polynomial cover S."""
+    if "cover_betti" not in gmod._cache:
         sm = _presentation_over_cover(gmod)
         n = gmod.ring.nvars
-        raw = resolve_bounded(sm.relations, sm.layout, sm.ring, n + 1, graded=True)
-        if not raw.finite:
+        res = resolve_bounded(sm.relations, sm.layout, sm.ring, n + 1, graded=True)
+        if not res.finite:
             raise BridgeError("resolution over the polynomial cover must be finite")
-        gmod._cache["cover_res"] = raw
-    return gmod._cache["cover_res"]
+        gmod._cache["cover_betti"] = betti_table(sm.layout, res, n + 1)
+    return gmod._cache["cover_betti"]
 
 
 def hilbert_series(gmod: GradedModule) -> HilbertSeries:
-    """Cancelled Hilbert series via a finite resolution over the cover."""
+    """Cancelled Hilbert series, read off the Betti table over the cover."""
     if "hilbert" in gmod._cache:
         return gmod._cache["hilbert"]
     n = gmod.ring.nvars
@@ -289,15 +271,11 @@ def hilbert_series(gmod: GradedModule) -> HilbertSeries:
         hs = HilbertSeries((), -1)
         gmod._cache["hilbert"] = hs
         return hs
-    raw = resolution_over_cover(gmod)
-    twist_lists = [list(gmod.layout.twists)] + [list(m.source.twists) for m in raw.mats]
-    shift = min(min(tw) for tw in twist_lists if tw)
-    numer = []
-    for i, tw in enumerate(twist_lists):
-        contrib = [0] * (max(tw) - shift + 1) if tw else []
-        for j in tw:
-            contrib[j - shift] += (-1) ** i
-        numer = zpoly_add(numer, contrib)
+    entries = cover_betti_table(gmod).entries
+    shift = min(j for (_, j) in entries)
+    numer = [0] * (max(j for (_, j) in entries) - shift + 1)
+    for (i, j), c in entries.items():
+        numer[j - shift] += (-1) ** i * c
     numer = zpoly_trim(numer)
     d = n
     while numer and sum(numer) == 0:
@@ -314,7 +292,7 @@ def hilbert_series(gmod: GradedModule) -> HilbertSeries:
 
 
 def pdim_over_cover(gmod: GradedModule) -> int:
-    return len(resolution_over_cover(gmod).mats)
+    return cover_betti_table(gmod).pdim
 
 
 def ring_as_module(gring: GradedRing) -> GradedModule:
@@ -335,7 +313,7 @@ def numeric_invariants(gmod: GradedModule, cutoff: int = 8) -> NumericInvariants
     dim = hs.dim
     cmd = dim - depth
     codim = ring_hs.dim - dim
-    _, table = minimal_graded_resolution(gmod, cutoff)
+    table = minimal_graded_resolution(gmod, cutoff)
     if table.complete:
         status = (PDIM_FINITE, table.pdim)
     else:
@@ -351,7 +329,7 @@ def poincare_from_hilbert(gmod: GradedModule, cutoff: int) -> PoincareSeries:
     Requires a linear resolution up to the cutoff; the extracted
     coefficients are checked against the directly computed Betti numbers.
     """
-    _, table = minimal_graded_resolution(gmod, cutoff)
+    table = minimal_graded_resolution(gmod, cutoff)
     rep = betti_analysis(table)
     if not (rep.is_pure and rep.is_linear):
         raise ValueError("module does not have a linear resolution within the cutoff")

@@ -3,6 +3,8 @@
 All identities here are exact: coefficients are Fractions, multiplicities
 integers.  The three-way equivalences are asserted, not merely reported; a
 violation on an input passing the preconditions is a build-failing bug.
+``hk_identities`` evaluates the Herzog-Kuhl equations and the multiplicity
+identity of a finite resolution for every theorem that reads them.
 
 Local depths are routed through Auslander-Buchsbaum: depth(R) is n minus
 the projective dimension of R over the localized polynomial cover, and
@@ -16,10 +18,10 @@ from fractions import Fraction
 from math import factorial
 
 from .graded import hilbert_series, numeric_invariants, ring_as_module
-from .modules import (BridgeError, LocalModule, assoc_graded_module,
+from .modules import (BridgeError, LocalModule, LocalResolution, assoc_graded_module,
                       local_minimal_resolution)
 from .poly import FreeLayout
-from .purity import NOT_PURE, PURE, purity_verdict, verify_initial_complex, initial_complex
+from .purity import NOT_PURE, PURE, purity_verdict
 from .rings import LocalRing
 
 
@@ -34,10 +36,10 @@ class HKCoefficients:
 
 
 def hk_coefficients(delta) -> HKCoefficients:
-    """b_i = (-1)^(i-1) prod_{j != i} delta_j / (delta_j - delta_i)."""
+    """b_i = (-1)^(i-1) prod_{j != i} delta_j / (delta_j - delta_i); none when p = 0."""
     delta = tuple(delta)
-    if len(delta) < 2 or delta[0] != 0:
-        raise ValueError("degree type must start at 0 and have p >= 1")
+    if not delta or delta[0] != 0:
+        raise ValueError("degree type must start at 0")
     if any(a >= b for a, b in zip(delta, delta[1:])):
         raise ValueError("degree type must be strictly increasing")
     p = len(delta) - 1
@@ -95,6 +97,31 @@ def multiplicity_of_module(mpres: LocalModule) -> int:
     return hilbert_series(assoc_graded_module(mpres)).multiplicity
 
 
+@dataclass
+class HKIdentities:
+    hk: HKCoefficients
+    betti_holds: bool                # beta_i = b_i * beta_0 for all i
+    multiplicity_sides: tuple        # (e(M), e(R) * beta_0 / p! * prod delta_i)
+
+    @property
+    def multiplicity_holds(self):
+        return Fraction(self.multiplicity_sides[0]) == self.multiplicity_sides[1]
+
+
+def hk_identities(res: LocalResolution, e_ring: int) -> HKIdentities:
+    """The Herzog-Kuhl equations and the multiplicity identity of a finite
+    resolution, e(R) = ``e_ring``.  At p = 0 there is no b_i and the right
+    side is e(R) * beta_0 (0! = 1, empty product)."""
+    p = res.pdim
+    betti = res.ranks
+    hk = hk_coefficients(res.delta)
+    holds = all(Fraction(betti[i]) == hk.b[i - 1] * betti[0] for i in range(1, p + 1))
+    rhs = Fraction(e_ring * betti[0], factorial(p))
+    for d in hk.delta[1:]:
+        rhs *= d
+    return HKIdentities(hk, holds, (multiplicity_of_module(res.module), rhs))
+
+
 def _finite_resolution(mpres: LocalModule, cutoff: int):
     res = local_minimal_resolution(mpres, cutoff)
     if not res.finite:
@@ -129,31 +156,24 @@ def cmd_equivalence_report(mpres: LocalModule, cutoff: int = 8) -> HKReport:
         raise PreconditionError("purity inconclusive at this cutoff")
     res = _finite_resolution(mpres, cutoff)
     p = res.pdim
-    delta = res.delta
-    betti = tuple(res.ranks)
     if p == 0:
         raise PreconditionError("free module: the degree type is empty")
-    hk = hk_coefficients(delta)
-    dim_m, depth_m, cmd_m = module_local_invariants(mpres, p)
-    dim_r, depth_r, cmd_r, e_r = ring_local_invariants(mpres.ring)
+    _, _, cmd_m = module_local_invariants(mpres, p)
+    _, _, cmd_r, e_r = ring_local_invariants(mpres.ring)
+    ident = hk_identities(res, e_r)
     gm = assoc_graded_module(mpres)
     inv_gm = numeric_invariants(gm, cutoff)
     inv_a = numeric_invariants(ring_as_module(mpres.ring.graded_cover), cutoff)
     cond1 = cmd_m == cmd_r
-    cond2 = all(Fraction(betti[i]) == hk.b[i - 1] * betti[0] for i in range(1, p + 1))
+    cond2 = ident.betti_holds
     cond3 = inv_gm.cmd == inv_a.cmd
     if not (cond1 == cond2 == cond3):
         raise BridgeError("Herzog-Kuhl equivalence violated on a pure module")
-    e_m = multiplicity_of_module(mpres)
-    rhs = Fraction(e_r * betti[0], factorial(p))
-    for d in delta[1:]:
-        rhs *= d
-    identity = Fraction(e_m) == rhs
-    if cond1 and not identity:
+    if cond1 and not ident.multiplicity_holds:
         raise BridgeError("multiplicity identity fails although the cmd conditions hold")
     return HKReport(
         cond1, cond2, cond3, cmd_m, cmd_r, inv_gm.cmd, inv_a.cmd,
-        betti, hk, identity, (e_m, rhs),
+        tuple(res.ranks), ident.hk, ident.multiplicity_holds, ident.multiplicity_sides,
     )
 
 
@@ -170,38 +190,21 @@ class CMPurityReport:
 
 def cm_purity_report(mpres: LocalModule, cutoff: int = 8) -> CMPurityReport:
     res = _finite_resolution(mpres, cutoff)
-    p = res.pdim
     pv = purity_verdict(mpres, cutoff)
     gm = assoc_graded_module(mpres)
     inv_gm = numeric_invariants(gm, cutoff)
     inv_a = numeric_invariants(ring_as_module(mpres.ring.graded_cover), cutoff)
-    _, _, cmd_m = module_local_invariants(mpres, p)
+    _, _, cmd_m = module_local_invariants(mpres, res.pdim)
     a_cm = inv_a.cmd == 0
     m_cm = cmd_m == 0
     gm_cm = inv_gm.cmd == 0
 
     pure = {PURE: True, NOT_PURE: False}.get(pv.verdict)
     cond_i = None if pure is None and gm_cm else (bool(pure) and gm_cm)
-    # (ii): acyclicity of the initial complex is fully decidable (p finite)
-    fs = initial_complex(res)
-    vr = verify_initial_complex(fs, cutoff)
-    acyclic = vr.homology_witness is None and vr.fully_checked if res.finite else None
-    if vr.homology_witness is not None:
-        acyclic = False
-    betti = tuple(res.ranks)
-    if p >= 1:
-        hk = hk_coefficients(res.delta)
-        hk_holds = all(Fraction(betti[i]) == hk.b[i - 1] * betti[0] for i in range(1, p + 1))
-        rhs = Fraction(ring_local_invariants(mpres.ring)[3] * betti[0], factorial(p))
-        for d in res.delta[1:]:
-            rhs *= d
-        mult_holds = Fraction(multiplicity_of_module(mpres)) == rhs
-    else:
-        hk_holds = True
-        mult_holds = Fraction(multiplicity_of_module(mpres)) == Fraction(
-            ring_local_invariants(mpres.ring)[3] * betti[0]
-        )
-    cond_ii = None if acyclic is None else (a_cm and acyclic and hk_holds and mult_holds)
+    # (ii): the resolution is finite, so route B checked every position
+    acyclic = pv.route_b.homology_witness is None
+    ident = hk_identities(res, ring_local_invariants(mpres.ring)[3])
+    cond_ii = a_cm and acyclic and ident.betti_holds and ident.multiplicity_holds
     cond_iii = None if pure is None and (a_cm and m_cm) else (bool(pure) and a_cm and m_cm)
     concl = [c for c in (cond_i, cond_ii, cond_iii) if c is not None]
     if len(set(concl)) > 1:
@@ -212,8 +215,8 @@ def cm_purity_report(mpres: LocalModule, cutoff: int = 8) -> CMPurityReport:
         "graded_ring_cm": a_cm,
         "module_cm": m_cm,
         "acyclic": acyclic,
-        "hk_equations": hk_holds,
-        "multiplicity_identity": mult_holds,
+        "hk_equations": ident.betti_holds,
+        "multiplicity_identity": ident.multiplicity_holds,
     }
     return CMPurityReport(cond_i, cond_ii, cond_iii, detail)
 

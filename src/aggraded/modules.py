@@ -121,19 +121,6 @@ def assoc_graded_module(mpres: LocalModule):
     return gmod
 
 
-def order_in_quotient(f: Polynomial, ring: LocalRing):
-    """(nu, initial form class in A); error on elements of the ideal."""
-    return ring.order_of(f)
-
-
-def minimal_generators(mpres: LocalModule):
-    """A minimal generating set of N (Nakayama unit-stripping)."""
-    if "mingens" not in mpres._cache:
-        cols, _ = min_gens_with_syz(mpres.gens, mpres.layout, mpres.ring)
-        mpres._cache["mingens"] = cols
-    return mpres._cache["mingens"]
-
-
 # ------------------------------------------------------------- resolutions
 
 

@@ -43,14 +43,11 @@ import functools
 
 import numpy as np
 
+from .field import MAX_CHARACTERISTIC
 from .poly import Vector, mon_deg
 
 SIZE_BOUND = 20000
 WINDOW_SLACK = 2
-
-# rref_modp eliminates in int64: a product of two residues must stay below
-# 2^63, which holds for every p below this bound.
-MAX_CHARACTERISTIC = 2**31
 
 
 class OracleWindowError(ValueError):
@@ -170,10 +167,6 @@ class FreeModel:
         self.rank = rank
         self.t = t
         cover = ring.cover
-        if cover.p >= MAX_CHARACTERISTIC:
-            raise ValueError(
-                f"characteristic {cover.p} is too large: the oracle's int64 arithmetic needs p < 2^31"
-            )
         self.p = cover.p
         # degree-ascending, so the multipliers of a column are one slice of it
         self.monomials = monomials_below(cover.nvars, t)
@@ -292,7 +285,7 @@ def free_model(ring, rank, t) -> FreeModel:
 
 
 class TruncatedModel:
-    """Quotient model of (F/N)/m^t with standard-monomial basis and maps."""
+    """Quotient model of (F/N)/m^t with its standard-monomial basis."""
 
     def __init__(self, ring, rank, relation_cols, t, size_bound=SIZE_BOUND):
         self.free = free_model(ring, rank, t)
@@ -304,8 +297,6 @@ class TruncatedModel:
         self.layer_dims = self.free.dims_by_degree(self.space)
         pivset = set(self.space.pivots)
         self.basis = [ce for i, ce in enumerate(self.free.coords) if i not in pivset]
-        self.basis_index = {ce: i for i, ce in enumerate(self.basis)}
-        self._varmaps = None
 
     @property
     def dim(self):
@@ -314,33 +305,6 @@ class TruncatedModel:
     def contains(self, vec: Vector):
         """Membership of a lift in N + m^t F (+ I F)."""
         return self.space.contains(self.free.row_of(vec))
-
-    def coords_of(self, vec: Vector):
-        red = self.space.reduce(self.free.row_of(vec))
-        out = np.zeros(len(self.basis), dtype=np.int64)
-        for i in np.nonzero(red)[0]:
-            out[self.basis_index[self.free.coords[int(i)]]] = red[i]
-        return out
-
-    @property
-    def variable_maps(self):
-        """One truncated multiplication map per variable, on the basis."""
-        if self._varmaps is None:
-            cover = self.free.ring.cover
-            maps = []
-            for v in range(cover.nvars):
-                M = np.zeros((len(self.basis), len(self.basis)), dtype=np.int64)
-                for j, (c, e) in enumerate(self.basis):
-                    ee = list(e)
-                    ee[v] += 1
-                    ee = tuple(ee)
-                    if mon_deg(ee) >= self.t:
-                        continue
-                    col = self.coords_of(Vector(cover, self.free.rank, {(c, ee): 1}))
-                    M[:, j] = col
-                maps.append(M)
-            self._varmaps = maps
-        return self._varmaps
 
 
 def build_model(presentation, t, size_bound=SIZE_BOUND) -> TruncatedModel:

@@ -9,6 +9,9 @@ directly computed graded Betti table (route A) or by verifying the complex
 (route B): the two must agree wherever both are conclusive, and a
 disagreement is a build-failing error, not a result.
 
+``initial_complex_verdict`` is route B's one entry point: it resolves M one
+step past the cutoff, builds the complex and verifies it up to the cutoff.
+
 Fibre products of local rings and the Koszul/fibre-product necessary
 conditions live here as well.
 """
@@ -68,13 +71,14 @@ def initial_complex(res: LocalResolution) -> InitialComplex:
 
 @dataclass
 class InitialComplexVerdict:
-    is_complex: bool
+    """Route B's checks; the complex property itself is certified by
+    ``initial_complex``, which raises when it fails."""
+
     acyclic_up_to: int
     homology_witness: tuple = None        # (position, Vector)
     coker_matches: bool = True            # image of the first differential is the initial submodule
     is_minimal: bool = True
     purity_conclusion: str = INCONCLUSIVE
-    checked_positions: int = 0
     fully_checked: bool = False
     acyclic_without_coker_match: bool = False
 
@@ -140,9 +144,18 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
         conclusion = INCONCLUSIVE
     noteworthy = (witness is None and maxpos > 0) and not coker
     return InitialComplexVerdict(
-        True, acyclic_up_to, witness, coker, minimal, conclusion,
-        maxpos, fully, noteworthy,
+        acyclic_up_to, witness, coker, minimal, conclusion, fully, noteworthy,
     )
+
+
+def initial_complex_verdict(mpres: LocalModule, cutoff: int):
+    """(InitialComplex, InitialComplexVerdict) of route B at the cutoff.
+
+    The resolution goes one step further than the checks, so that homology
+    at the cutoff position is compared with the image of the next map.
+    """
+    fs = initial_complex(local_minimal_resolution(mpres, cutoff + 1))
+    return fs, verify_initial_complex(fs, cutoff)
 
 
 @dataclass
@@ -152,8 +165,6 @@ class PurityVerdict:
     route_b: InitialComplexVerdict
     betti_transfer: dict = field(default_factory=dict)
     delta: tuple = ()
-    cutoff: int = 0
-    noteworthy: bool = False
 
     @property
     def conclusive(self):
@@ -162,11 +173,9 @@ class PurityVerdict:
 
 def purity_verdict(mpres: LocalModule, cutoff: int) -> PurityVerdict:
     """Theorem-grade purity decision with mandatory route agreement."""
-    res = local_minimal_resolution(mpres, cutoff + 1)
-    fs = initial_complex(res)
-    route_b = verify_initial_complex(fs, cutoff)
+    fs, route_b = initial_complex_verdict(mpres, cutoff)
     gm = assoc_graded_module(mpres)
-    _, table = minimal_graded_resolution(gm, cutoff)
+    table = minimal_graded_resolution(gm, cutoff)
     route_a = betti_analysis(table)
     if route_a.is_pure:
         a_verdict = PURE if route_a.complete else INCONCLUSIVE
@@ -184,17 +193,14 @@ def purity_verdict(mpres: LocalModule, cutoff: int) -> PurityVerdict:
     transfer = {}
     if verdict == PURE:
         delta = fs.delta
-        for i, br in enumerate(res.ranks):
+        for i, br in enumerate(fs.resolution.ranks):
             a_count = table.entries.get((i, delta[i]), 0)
             transfer[i] = (br, a_count)
             if br != a_count:
                 raise BridgeError("Betti transfer failed on a pure module")
             if table.degrees(i) != ([delta[i]] if br else []):
                 raise BridgeError("pure degree placement differs from delta")
-    return PurityVerdict(
-        verdict, route_a, route_b, transfer, fs.delta, cutoff,
-        noteworthy=route_b.acyclic_without_coker_match,
-    )
+    return PurityVerdict(verdict, route_a, route_b, transfer, fs.delta)
 
 
 # ------------------------------------------------------ filtration checks
@@ -305,7 +311,7 @@ def koszul_fibre_check(mpres: LocalModule, cutoff: int, force: bool = False) -> 
     if mpres.ring.fibre_factors is None and not force:
         raise ValueError("ring was not constructed as a fibre product (pass force=True to override)")
     gm = assoc_graded_module(mpres)
-    _, table = minimal_graded_resolution(gm, max(cutoff, 3))
+    table = minimal_graded_resolution(gm, max(cutoff, 3))
     degs2 = tuple(table.degrees(2))
     equi = len(degs2) <= 1
     linear = equi

@@ -186,14 +186,6 @@ class GradedRing(_QuotientOps):
         return hash((self.cover, tuple(frozenset(g.terms.items()) for g in self.ideal)))
 
 
-def tangent_cone(ideal_gens, ring: PolyRing = None):
-    """in(I) for an ideal proper at the origin; accepts gens or a LocalRing."""
-    if isinstance(ideal_gens, LocalRing):
-        return ideal_gens.tangent_cone()
-    ring = ring or ideal_gens[0].ring
-    return LocalRing(ring, ideal_gens).tangent_cone()
-
-
 def ideals_equal(gens_a, gens_b, order: OrderSpec = GREVLEX):
     """Ideal equality by mutual normal forms against certified bases."""
     gens_a = [g for g in gens_a if g]

@@ -31,17 +31,17 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .complexes import NotAComplexError
-from .field import is_prime
+from .field import MAX_CHARACTERISTIC, is_prime
 from .engine import EngineError
 from .graded import (GradedModule, betti_analysis, hilbert_series,
                      minimal_graded_resolution, numeric_invariants, ring_as_module)
 from .herzog_kuhl import PreconditionError, cmd_equivalence_report, ring_local_invariants
 from .modules import (BridgeError, LocalModule, SubmoduleNotInMaximalIdeal, assoc_graded_module,
                       equigenerated_check, local_minimal_resolution)
-from .oracle import MAX_CHARACTERISTIC, ModelSizeError, OracleWindowError
+from .oracle import ModelSizeError, OracleWindowError
 from .poly import FreeLayout, PolyRing, Vector
-from .purity import (INCONCLUSIVE, NOT_PURE, PURE, initial_complex, koszul_fibre_check,
-                     purity_verdict, verify_initial_complex)
+from .purity import (INCONCLUSIVE, NOT_PURE, PURE, initial_complex_verdict, koszul_fibre_check,
+                     purity_verdict)
 from .rings import GradedRing, LocalRing, ZeroInQuotientError
 
 DEFAULT_OPTIONS = {"truncation": 12, "max_homdeg": 8, "regbound": 10}
@@ -296,7 +296,7 @@ def _hilbert(ws, target):
 
 
 def _betti(ws, target):
-    _, table = minimal_graded_resolution(ws.graded_module(target), ws.cutoff)
+    table = minimal_graded_resolution(ws.graded_module(target), ws.cutoff)
     return {
         "entries": [[i, j, c] for (i, j), c in sorted(table.entries.items())],
         "complete": table.complete,
@@ -325,7 +325,7 @@ def _invariants(ws, target):
 
 def _purity(ws, target):
     if not ws.local:
-        _, table = minimal_graded_resolution(ws.graded_module(target), ws.cutoff)
+        table = minimal_graded_resolution(ws.graded_module(target), ws.cutoff)
         rep = betti_analysis(table)
         verdict = (PURE if rep.complete else INCONCLUSIVE) if rep.is_pure else NOT_PURE
         return {"verdict": verdict, "is_pure": rep.is_pure, "type": list(rep.delta),
@@ -355,19 +355,18 @@ def _purity(ws, target):
         },
         "betti_transfer": {str(k): list(v) for k, v in sorted(pv.betti_transfer.items())},
         "delta": list(pv.delta),
-        "noteworthy_acyclic_without_coker": pv.noteworthy,
+        "noteworthy_acyclic_without_coker": pv.route_b.acyclic_without_coker_match,
     }, pv.conclusive
 
 
 def _fstar(ws, target):
-    res = local_minimal_resolution(ws.modules[target], ws.cutoff + 1)
-    fs = initial_complex(res)
-    vr = verify_initial_complex(fs, ws.cutoff)
+    fs, vr = initial_complex_verdict(ws.modules[target], ws.cutoff)
+    res = fs.resolution
     wb = None
     if vr.homology_witness:
         wb = {"position": vr.homology_witness[0], "class": str(vr.homology_witness[1])}
     return {
-        "is_complex": vr.is_complex,
+        "is_complex": True,           # initial_complex raises otherwise
         "delta": list(fs.delta),
         "column_orders": [res.column_orders(i) for i in range(1, len(res.mats) + 1)],
         "acyclic_up_to": vr.acyclic_up_to,

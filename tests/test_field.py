@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aggraded.field import PrimeField, is_prime
+from aggraded.field import MAX_CHARACTERISTIC, PrimeField, is_prime
+from aggraded.poly import PolyRing
 
 F = PrimeField(32003)
 
@@ -16,6 +17,14 @@ def test_default_modulus_is_prime():
 def test_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(32004)
+
+
+def test_rejects_characteristic_at_or_above_two_to_the_31():
+    # 4294967311 is prime, but int64 products of its residues overflow
+    assert is_prime(4294967311) and is_prime(2147483647)
+    with pytest.raises(ValueError, match="too large"):
+        PolyRing(["x"], 4294967311)
+    assert PrimeField(2147483647).p == MAX_CHARACTERISTIC - 1
 
 
 @given(st.integers(min_value=1, max_value=32002))

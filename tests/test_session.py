@@ -273,12 +273,27 @@ def test_infinite_cover_resolution_becomes_an_internal_disagreement_entry(monkey
 
 
 def test_nonpositive_hilbert_numerator_becomes_an_internal_disagreement_entry(monkeypatch):
-    from types import SimpleNamespace
-
     import aggraded.graded as graded
 
-    # F_1 = R(0)^2 over F_0 = R(0): numerator 1 - 2z^0 = -1
-    fake = SimpleNamespace(mats=[SimpleNamespace(source=SimpleNamespace(twists=(0, 0)))])
-    monkeypatch.setattr(graded, "resolution_over_cover", lambda gmod: fake)
+    # beta_{0,0} = 1 and beta_{1,0} = 2 over the cover: numerator 1 - 2z^0 = -1
+    fake = graded.BettiTable({(0, 0): 1, (1, 0): 2}, 4, True, 1)
+    monkeypatch.setattr(graded, "cover_betti_table", lambda gmod: fake)
     error = _single_command(_squares_with("hilbert"))
     assert error.startswith("internal disagreement") and "numerator" in error
+
+
+def test_unit_in_the_defining_ideal_is_a_setup_error():
+    report, status = execute(parse_session(SQUARES.replace("ideal I :", "ideal I : 1 + x1")))
+    assert status == 1 and not report["results"]
+    assert report["provenance"]["error"] == "defining ideal contains a unit"
+
+
+def test_oracle_window_becomes_an_error_entry():
+    text = _squares_with("equigen").replace("option max_homdeg 8", "option truncation 3")
+    assert _single_command(text).startswith("oracle window violated")
+
+
+def test_hk_on_a_module_that_is_not_pure_becomes_an_error_entry():
+    text = SEMIGROUP.replace("analyze ring : tangentcone, hilbert, invariants\n", "")
+    text = text.replace("analyze M : purity, betti, hilbert, fstar, equigen", "analyze M : hk")
+    assert _single_command(text).endswith("does not have a pure resolution")
