@@ -27,8 +27,9 @@ from .graded import (BettiTable, GradedModule, HilbertSeries, NumericInvariants,
                      poincare_from_hilbert, ring_as_module)
 from .purity import (InitialComplex, InitialComplexVerdict, KoszulFibreReport,
                      PurityVerdict, fiber_product, initial_complex,
-                     initial_complex_verdict, koszul_fibre_check, purity_verdict, syzygy_filtration_check,
-                     verify_initial_complex, PURE, NOT_PURE, INCONCLUSIVE)
+                     initial_complex_verdict, koszul_fibre_check, purity_verdict,
+                     syzygy_filtration_check, verify_initial_complex,
+                     PURE, NOT_PURE, INCONCLUSIVE)
 from .herzog_kuhl import (CMPurityReport, FinitePdimReport, HKCoefficients,
                           HKReport, PreconditionError, cmd_equivalence_report,
                           cm_purity_report, finite_pdim_consequences,
