@@ -42,14 +42,15 @@ def main(argv=None) -> int:
     report, status = execute(
         ses, char_override=args.char, truncation=args.truncation, max_homdeg=args.max_homdeg
     )
-    if report["results"]:
-        print(summarize(report))
-    if "error" in report.get("provenance", {}):
-        print(f"error: {report['provenance']['error']}", file=sys.stderr)
+    # the report is written first: it stands even if the summary fails
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(render_report(report))
             fh.write("\n")
+    if report["results"]:
+        print(summarize(report))
+    if "error" in report.get("provenance", {}):
+        print(f"error: {report['provenance']['error']}", file=sys.stderr)
     return status
 
 

@@ -12,6 +12,14 @@ localization).  Scalar units are divided out exactly.
 generators of a minimal generating set are unit-stripped (Nakayama) and the
 stripped syzygy matrix doubles as the next level's candidate generators.
 
+The normal-form contract: a stored column is in normal form.  A column is
+reduced by its ring's ``nf_vector`` once, where it is made -- the
+``LocalModule`` and ``GradedModule`` constructors, the entry of
+``resolve_bounded``, and each syzygy or stripped column that
+``min_gens_with_syz`` creates -- and never again.  The Mora and the global
+normal forms are idempotent, so a second reduction would return its input;
+orders, twists and initial matrices are read off the stored columns.
+
 ``resolve_cached`` is the one resolution cache of the local and the graded
 flavor.  A FINITE result serves every cutoff, a truncated result serves
 every cutoff up to its own, and the deepest result is kept; a result served
@@ -207,12 +215,13 @@ class ResolutionResult:
 def min_gens_with_syz(cand, layout, ctx):
     """Minimal generating subset of <cand> and generators of its syzygies.
 
+    ``cand`` holds nonzero columns in normal form and is left unchanged.
     Unit entries in the syzygy matrix witness redundant generators
     (Nakayama); they are stripped with denominator-free column operations,
     which keeps the remaining columns generating over the localization.
     """
     ring = ctx.cover
-    cand = [v for v in (ctx.nf_vector(v) for v in cand) if v]
+    cand = list(cand)
     if not cand:
         return [], []
     syz = syzygies(cand, ctx.order, layout, modulus=ctx.ideal_sb)
@@ -239,35 +248,33 @@ def min_gens_with_syz(cand, layout, ctx):
                 continue
             a = col.component(j)
             if a:
-                col = u * col - a * pivot
+                # a new column: component j cancels, the rest is reduced
+                col = ctx.nf_vector(u * col - a * pivot)
+                if not col:
+                    continue
             out.append(col)
         # drop generator j, reindex components
         del cand[j]
-        cols = []
-        for col in out:
-            terms = {}
-            for (comp, e), val in col.terms.items():
-                if comp == j:
-                    continue
-                terms[(comp - 1 if comp > j else comp, e)] = val
-            v = Vector(ring, len(cand), terms)
-            v = ctx.nf_vector(v)
-            if v:
-                cols.append(v)
+        cols = [
+            Vector(ring, len(cand), {(comp - 1 if comp > j else comp, e): val
+                                     for (comp, e), val in col.terms.items()})
+            for col in out
+        ]
     return cand, cols
 
 
-def resolve_bounded(gens, layout, ctx, cutoff, graded=False):
+def resolve_bounded(gens, layout, ctx, cutoff):
     """Minimal free resolution of coker(gens in F) up to homological cutoff.
 
-    Over the graded flavor the source twists are the column degrees; over
-    the local flavor all twists are zero.  ``ctx`` supplies cover ring,
-    order, ideal_sb, nf_vector and is_unit.  A free cokernel (no generator
-    survives normal form) is FINITE of pdim 0 at every cutoff.
+    Over the graded flavor (a global order) the source twists are the column
+    degrees; over the local flavor all twists are zero.  ``ctx`` supplies
+    cover ring, order, ideal_sb, nf_vector and is_unit.  The generators are
+    normal-formed here, once; a free cokernel (none survives) is FINITE of
+    pdim 0 at every cutoff.
     """
-    if not any(ctx.nf_vector(v) for v in gens):
+    cand = [w for w in (ctx.nf_vector(v) for v in gens) if w]
+    if not cand:
         return ResolutionResult([], FINITE, 0, cutoff)
-    cand = list(gens)
     cur_layout = layout
     mats = []
     status, pdim = TRUNCATED, None
@@ -276,10 +283,10 @@ def resolve_bounded(gens, layout, ctx, cutoff, graded=False):
         if not cols:
             status, pdim = FINITE, step - 1
             break
-        if graded:
-            twists = tuple(v.degree_in(cur_layout) for v in cols)
-        else:
+        if ctx.order.is_local:
             twists = (0,) * len(cols)
+        else:
+            twists = tuple(v.degree_in(cur_layout) for v in cols)
         src = FreeLayout(len(cols), twists)
         mats.append(Matrix(cur_layout, src, cols))
         if not syz:
@@ -289,14 +296,14 @@ def resolve_bounded(gens, layout, ctx, cutoff, graded=False):
     return ResolutionResult(mats, status, pdim if pdim is not None else -1, cutoff)
 
 
-def resolve_cached(cache: dict, gens, layout, ctx, cutoff, graded=False) -> ResolutionResult:
+def resolve_cached(cache: dict, gens, layout, ctx, cutoff) -> ResolutionResult:
     """``resolve_bounded`` of the same module, reusing the result kept in
     ``cache`` under the rule stated in the module docstring."""
     if cutoff < 0:
         raise ValueError("the homological cutoff must be nonnegative")
     kept = cache.get("resolution")
     if kept is None or not (kept.finite or cutoff <= kept.cutoff):
-        cache["resolution"] = res = resolve_bounded(gens, layout, ctx, cutoff, graded)
+        cache["resolution"] = res = resolve_bounded(gens, layout, ctx, cutoff)
         return res
     if kept.finite and cutoff >= kept.pdim:
         return kept

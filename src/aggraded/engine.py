@@ -118,7 +118,7 @@ def _index(reds):
 
 def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
     """Reduce dict h against the reducers of ``index`` (see ``_index``);
-    returns (dict, weak_flag).
+    returns the remainder dict.
 
     mora=True: Mora weak normal form (intermediates may serve as reducers,
     so the result is valid up to a unit); lead-irreducible remainder, tail
@@ -126,7 +126,6 @@ def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
     the remainder's tail is fully reduced as well.
     """
     inter = {}
-    weak = False
     rem = {}
     steps = 0
     while h:
@@ -147,7 +146,6 @@ def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
             if best.ecart > h_ecart:
                 inter.setdefault(comp, []).append(
                     _Red(_scale(dict(h), pow(h[lt], -1, p), p), key, wdeg))
-                weak = True
         shift = mon_div(lt[1], best.lt[1])
         _sub_scaled(h, best.terms, shift, h[lt], p)
         steps += 1
@@ -155,7 +153,7 @@ def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
             raise EngineError("reduction step limit exceeded")
     if rem:
         h.update(rem)
-    return h, weak
+    return h
 
 
 # ------------------------------------------------------------ public types
@@ -169,56 +167,38 @@ class StandardBasis:
     reduction in the quotient ring.
     """
 
-    __slots__ = ("ring", "layout", "order", "gens", "certified", "modulus", "_key", "_wdeg",
-                 "_reds", "_index")
+    __slots__ = ("ring", "layout", "order", "gens", "_key", "_wdeg", "_reds", "_index")
 
-    def __init__(self, ring, layout, order, gens, modulus=None, certified=False):
+    def __init__(self, ring, layout, order, gens):
         self.ring = ring
         self.layout = layout
         self.order = order
         self.gens = gens
-        self.modulus = modulus
-        self.certified = certified
         self._key, self._wdeg = _make_keys(order, layout.twists)
         self._reds = [_Red(g.terms, self._key, self._wdeg) for g in gens]
         self._index = _index(self._reds)
 
     def reduce(self, v):
-        """Weak normal form of v; returns (remainder, weak_flag)."""
-        h = dict(v.terms)
-        h, weak = _weak_nf(
-            h, self._index, self._key, self._wdeg, self.ring.p,
+        """The (weak, under a local order) normal form of the Vector v."""
+        h = _weak_nf(
+            dict(v.terms), self._index, self._key, self._wdeg, self.ring.p,
             mora=self.order.is_local, tail=not self.order.is_local,
         )
-        return Vector(self.ring, self.layout.rank, h), weak
+        return Vector(self.ring, self.layout.rank, h)
 
     def contains(self, v):
-        rem, _ = self.reduce(v)
-        return rem.is_zero()
+        return self.reduce(v).is_zero()
 
 
-class NormalFormResult:
-    __slots__ = ("remainder", "is_weak")
-
-    def __init__(self, remainder, is_weak):
-        self.remainder = remainder
-        self.is_weak = is_weak
-
-
-def normal_form(v, basis: StandardBasis) -> NormalFormResult:
+def normal_form(v, basis: StandardBasis):
     """Normal form of a Vector or Polynomial against a certified basis.
 
     Global flavor: honest remainder.  Local flavor: Mora weak normal form,
-    valid up to a unit multiplier; flagged via ``is_weak``.
+    valid up to a unit multiplier.
     """
-    wrapped = False
     if isinstance(v, Polynomial):
-        v = Vector.from_polys([v])
-        wrapped = True
-    rem, weak = basis.reduce(v)
-    if wrapped:
-        rem = rem.component(0)
-    return NormalFormResult(rem, weak and basis.order.is_local)
+        return basis.reduce(Vector.from_polys([v])).component(0)
+    return basis.reduce(v)
 
 
 # ----------------------------------------------------------- the algorithm
@@ -325,7 +305,7 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
         _sub_scaled(h, reds[j].terms, mon_div(L, reds[j].lt[1]), 1, p)
         if not h:
             continue
-        h, _ = _weak_nf(h, index, key, wdeg, p, mora=mora, tail=False)
+        h = _weak_nf(h, index, key, wdeg, p, mora=mora, tail=False)
         if h:
             lt = _lt(h, key)
             append(_scale(h, pow(h[lt], -1, p), p), sug)
@@ -352,7 +332,7 @@ def _interreduce(dicts, key, wdeg, p, mora):
             # reduce against every other kept element
             same = index[red.lt[0]]
             index[red.lt[0]] = [r for r in same if r is not red]
-            h, _ = _weak_nf(dict(red.terms), index, key, wdeg, p, mora=False, tail=True)
+            h = _weak_nf(dict(red.terms), index, key, wdeg, p, mora=False, tail=True)
             index[red.lt[0]] = same
             lt = _lt(h, key)
             out.append(_scale(h, pow(h[lt], -1, p), p))
@@ -381,7 +361,7 @@ def standard_basis(gens, order: OrderSpec, layout: FreeLayout = None, modulus=No
     dicts = _buchberger(ring, layout.rank, order, key, wdeg, seed, n_frozen=len(qcols))
     dicts = _interreduce(dicts, key, wdeg, ring.p, order.is_local)
     vecs = [Vector(ring, layout.rank, d) for d in dicts]
-    return StandardBasis(ring, layout, order, vecs, modulus=modulus, certified=True)
+    return StandardBasis(ring, layout, order, vecs)
 
 
 class SyzygyMatrix:

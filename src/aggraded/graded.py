@@ -210,7 +210,7 @@ def betti_table(layout: FreeLayout, res: ResolutionResult, cutoff: int) -> Betti
 
 def minimal_graded_resolution(gmod: GradedModule, cutoff: int) -> BettiTable:
     """The Betti table of a minimal resolution over the quotient ring."""
-    res = resolve_cached(gmod._cache, gmod.relations, gmod.layout, gmod.ring, cutoff, graded=True)
+    res = resolve_cached(gmod._cache, gmod.relations, gmod.layout, gmod.ring, cutoff)
     return betti_table(gmod.layout, res, cutoff)
 
 
@@ -255,7 +255,7 @@ def cover_betti_table(gmod: GradedModule) -> BettiTable:
     if "cover_betti" not in gmod._cache:
         sm = _presentation_over_cover(gmod)
         n = gmod.ring.nvars
-        res = resolve_bounded(sm.relations, sm.layout, sm.ring, n + 1, graded=True)
+        res = resolve_bounded(sm.relations, sm.layout, sm.ring, n + 1)
         if not res.finite:
             raise BridgeError("resolution over the polynomial cover must be finite")
         gmod._cache["cover_betti"] = betti_table(sm.layout, res, n + 1)

@@ -11,11 +11,12 @@ a verdict depends on them, and disagreements raise BridgeError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import oracle
 from .complexes import Matrix, ResolutionResult, min_gens_with_syz, resolve_cached
 from .complexes import resolve_bounded  # noqa: F401  (public name; perfbench binds it)
-from .engine import standard_basis
+from .engine import StandardBasis, standard_basis
 from .orders import DS, GREVLEX
 from .poly import FreeLayout, Polynomial, Vector
 from .rings import LocalRing, ZeroInQuotientError
@@ -61,7 +62,7 @@ class LocalModule:
         """nu(N): minimal column order (undefined for N = 0)."""
         if not self.gens:
             raise ZeroInQuotientError("N = 0 has no order")
-        return min(self.ring.vector_order(g) for g in self.gens)
+        return min(g.order() for g in self.gens)
 
     def __repr__(self):
         return f"LocalModule(rank {self.layout.rank} / {len(self.gens)} relations)"
@@ -75,6 +76,7 @@ class InitialData:
     generators: list                # minimal homogeneous generators, over A
     input_is_standard_basis: bool
     generator_degrees: tuple        # sorted multiset of minimal generator degrees
+    basis: StandardBasis            # GREVLEX standard basis of the generators, over A
 
 
 def submodule_initial(mpres: LocalModule) -> InitialData:
@@ -103,7 +105,7 @@ def submodule_initial(mpres: LocalModule) -> InitialData:
     basis_full = standard_basis(min_gens, GREVLEX, mpres.layout, modulus=A.ideal_sb)
     if not all(basis_full.contains(v) for v in given):
         raise BridgeError("initial forms of generators escape the initial submodule")
-    data = InitialData(s, min_gens, flag, degrees)
+    data = InitialData(s, min_gens, flag, degrees, basis_full)
     mpres._cache["initial"] = data
     return data
 
@@ -135,9 +137,9 @@ class LocalResolution(ResolutionResult):
         return [self.module.layout.rank] + self.betti
 
     def column_orders(self, i):
-        """Orders of the columns of phi_i (1-based)."""
-        ring = self.module.ring
-        return [ring.vector_order(v) for v in self.mats[i - 1].columns]
+        """Orders of the columns of phi_i (1-based), read off the stored
+        columns, which are in normal form."""
+        return [v.order() for v in self.mats[i - 1].columns]
 
     @property
     def s(self):
@@ -147,10 +149,7 @@ class LocalResolution(ResolutionResult):
     @property
     def delta(self):
         """delta_i = s_1 + ... + s_i with delta_0 = 0."""
-        out = [0]
-        for si in self.s:
-            out.append(out[-1] + si)
-        return out
+        return list(accumulate(self.s, initial=0))
 
 
 def local_minimal_resolution(mpres: LocalModule, cutoff: int) -> LocalResolution:
@@ -164,9 +163,10 @@ def local_minimal_resolution(mpres: LocalModule, cutoff: int) -> LocalResolution
 
 def initial_matrix(mat: Matrix, ring: LocalRing):
     """(s, initial matrix over A): entries of order s survive as initial
-    forms, strictly deeper entries become zero."""
+    forms, strictly deeper entries become zero.  The columns of ``mat`` are
+    in normal form, as every stored column is."""
     A = ring.graded_cover
-    entries = [ring.nf_vector(v).components() for v in mat.columns]
+    entries = [v.components() for v in mat.columns]
     orders = [e.order() for col in entries for e in col.values()]
     if not orders:
         raise ZeroInQuotientError("initial form of the zero matrix")

@@ -287,10 +287,8 @@ def free_model(ring, rank, t) -> FreeModel:
 class TruncatedModel:
     """Quotient model of (F/N)/m^t with its standard-monomial basis."""
 
-    def __init__(self, ring, rank, relation_cols, t, size_bound=SIZE_BOUND):
+    def __init__(self, ring, rank, relation_cols, t):
         self.free = free_model(ring, rank, t)
-        if self.free.n > size_bound:
-            raise ModelSizeError(f"model needs {self.free.n} coordinates (bound {size_bound})")
         self.t = t
         self.relation_cols = list(relation_cols)
         self.space = self.free.submodule(self.relation_cols) if relation_cols else self.free.relations
@@ -307,13 +305,11 @@ class TruncatedModel:
         return self.space.contains(self.free.row_of(vec))
 
 
-def build_model(presentation, t, size_bound=SIZE_BOUND) -> TruncatedModel:
+def build_model(presentation, t) -> TruncatedModel:
     """Model of R/m^t (for a ring presentation) or M/m^t M (for a module)."""
     if hasattr(presentation, "layout") and hasattr(presentation, "gens"):
-        return TruncatedModel(
-            presentation.ring, presentation.layout.rank, presentation.gens, t, size_bound
-        )
-    return TruncatedModel(presentation, 1, [], t, size_bound)
+        return TruncatedModel(presentation.ring, presentation.layout.rank, presentation.gens, t)
+    return TruncatedModel(presentation, 1, [], t)
 
 
 # ----------------------------------------------------- filtration queries

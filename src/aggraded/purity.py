@@ -41,7 +41,6 @@ class InitialComplex:
 
     complex: FreeComplex          # over A; layouts twisted by -delta_i
     delta: tuple
-    s: tuple
     resolution: LocalResolution
 
     @property
@@ -53,20 +52,17 @@ def initial_complex(res: LocalResolution) -> InitialComplex:
     """Initial matrices with twists delta_i; the complex property is asserted."""
     ring = res.module.ring
     A = ring.graded_cover
+    delta = tuple(res.delta)
     layouts = [FreeLayout(res.module.layout.rank)]
     mats = []
-    s_list = []
-    delta = [0]
-    for mat in res.mats:
-        s, cols = initial_matrix(mat, ring)
-        s_list.append(s)
-        delta.append(delta[-1] + s)
-        src = FreeLayout(mat.source.rank, (delta[-1],) * mat.source.rank)
+    for mat, d in zip(res.mats, delta[1:]):
+        _, cols = initial_matrix(mat, ring)
+        src = FreeLayout(mat.source.rank, (d,) * mat.source.rank)
         mats.append(Matrix(layouts[-1], src, cols))
         layouts.append(src)
     cx = FreeComplex(layouts, mats)
     cx.check_complex(A.nf_vector)
-    return InitialComplex(cx, tuple(delta), tuple(s_list), res)
+    return InitialComplex(cx, delta, res)
 
 
 @dataclass
@@ -105,9 +101,7 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
         next_cols = [v for v in mats[i].columns if v] if i < n else []
         if next_cols:
             basis = standard_basis(next_cols, GREVLEX, mats[i].target, modulus=A.ideal_sb)
-            bad = next(
-                (v for v in kernel_gens if not basis.reduce(v)[0].is_zero()), None
-            )
+            bad = next((v for v in kernel_gens if not basis.contains(v)), None)
         else:
             bad = kernel_gens[0] if kernel_gens else None
         if bad is not None:
@@ -122,12 +116,11 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
         first_cols = [v for v in mats[0].columns if v] if mats else []
         if first_cols:
             b1 = standard_basis(first_cols, GREVLEX, mats[0].target, modulus=A.ideal_sb)
-            coker = all(b1.reduce(v)[0].is_zero() for v in init.generators)
+            coker = all(b1.contains(v) for v in init.generators)
         else:
             coker = not init.generators
         # the reverse containment is a theorem; violation is a bug
-        bfull = standard_basis(init.generators, GREVLEX, res.module.layout, modulus=A.ideal_sb)
-        if not all(bfull.reduce(v)[0].is_zero() for v in first_cols):
+        if not all(init.basis.contains(v) for v in first_cols):
             raise BridgeError("initial matrix columns escape the initial submodule")
     minimal = all(
         not A.is_unit(f)
@@ -171,16 +164,21 @@ class PurityVerdict:
         return self.verdict != INCONCLUSIVE
 
 
+def route_a_verdict(report: PurityReport) -> str:
+    """Route A's verdict, read off a graded Betti table: one degree per
+    homological position is pure once the resolution is complete."""
+    if not report.is_pure:
+        return NOT_PURE
+    return PURE if report.complete else INCONCLUSIVE
+
+
 def purity_verdict(mpres: LocalModule, cutoff: int) -> PurityVerdict:
     """Theorem-grade purity decision with mandatory route agreement."""
     fs, route_b = initial_complex_verdict(mpres, cutoff)
     gm = assoc_graded_module(mpres)
     table = minimal_graded_resolution(gm, cutoff)
     route_a = betti_analysis(table)
-    if route_a.is_pure:
-        a_verdict = PURE if route_a.complete else INCONCLUSIVE
-    else:
-        a_verdict = NOT_PURE
+    a_verdict = route_a_verdict(route_a)
     b_verdict = route_b.purity_conclusion
     if PURE in (a_verdict, b_verdict) and NOT_PURE in (a_verdict, b_verdict):
         raise BridgeError("purity routes disagree: graded table vs initial complex")
@@ -222,7 +220,7 @@ def syzygy_filtration_check(mpres: LocalModule, i: int, j_range=None,
         return {}
     mat = res.mats[i - 1]
     gens = mat.columns
-    s_i = min(mpres.ring.vector_order(v) for v in gens)
+    s_i = res.s[i - 1]
     if j_range is None:
         j_range = range(s_i, regbound + i - res.delta[i - 1] + 1)
     out = {}

@@ -83,7 +83,7 @@ def run_agreement_case(mod: LocalModule, truncation: int):
     ring = mod.ring
     fmodel = oracle.free_model(ring, mod.layout.rank, truncation)
     for col in mod.gens:
-        if ring.vector_order(col) != oracle.element_order(fmodel, col):
+        if col.order() != oracle.element_order(fmodel, col):
             raise BridgeError("generator column order differs from the oracle's element order")
     rep = equigenerated_check(mod, truncation=truncation)
     gm = assoc_graded_module(mod)

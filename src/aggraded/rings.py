@@ -36,7 +36,7 @@ class _QuotientOps:
         sb = self.ideal_sb
         if sb is None:
             return f
-        return normal_form(f, sb).remainder
+        return normal_form(f, sb)
 
     def nf_vector(self, v: Vector) -> Vector:
         """The column normal form: each nonzero component reduced by ``nf``."""
@@ -126,13 +126,6 @@ class LocalRing(_QuotientOps):
         init = self.graded_cover.nf(h.initial_form())
         return nu, init
 
-    def vector_order(self, v: Vector):
-        """Minimal entry order of a column over the quotient ring."""
-        w = self.nf_vector(v)
-        if not w:
-            raise ZeroInQuotientError("zero column: order undefined")
-        return w.order()
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal) or "0"
         return f"LocalRing({','.join(self.cover.names)}; I=<{gens}>; p={self.cover.p})"
@@ -194,6 +187,6 @@ def ideals_equal(gens_a, gens_b, order: OrderSpec = GREVLEX):
         return not gens_a and not gens_b
     sb_a = standard_basis(gens_a, order)
     sb_b = standard_basis(gens_b, order)
-    return all(normal_form(g, sb_a).remainder.is_zero() for g in gens_b) and all(
-        normal_form(g, sb_b).remainder.is_zero() for g in gens_a
+    return all(normal_form(g, sb_a).is_zero() for g in gens_b) and all(
+        normal_form(g, sb_b).is_zero() for g in gens_a
     )

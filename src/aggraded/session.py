@@ -40,8 +40,8 @@ from .modules import (BridgeError, LocalModule, SubmoduleNotInMaximalIdeal, asso
                       equigenerated_check, local_minimal_resolution)
 from .oracle import ModelSizeError, OracleWindowError
 from .poly import FreeLayout, PolyRing, Vector
-from .purity import (INCONCLUSIVE, NOT_PURE, PURE, initial_complex_verdict, koszul_fibre_check,
-                     purity_verdict)
+from .purity import (INCONCLUSIVE, initial_complex_verdict, koszul_fibre_check, purity_verdict,
+                     route_a_verdict)
 from .rings import GradedRing, LocalRing, ZeroInQuotientError
 
 DEFAULT_OPTIONS = {"truncation": 12, "max_homdeg": 8, "regbound": 10}
@@ -327,7 +327,7 @@ def _purity(ws, target):
     if not ws.local:
         table = minimal_graded_resolution(ws.graded_module(target), ws.cutoff)
         rep = betti_analysis(table)
-        verdict = (PURE if rep.complete else INCONCLUSIVE) if rep.is_pure else NOT_PURE
+        verdict = route_a_verdict(rep)
         return {"verdict": verdict, "is_pure": rep.is_pure, "type": list(rep.delta),
                 "witness": list(rep.witness) if rep.witness else None}, verdict != INCONCLUSIVE
     pv = purity_verdict(ws.modules[target], ws.cutoff)
@@ -500,8 +500,13 @@ def summarize(report) -> str:
             continue
         r = entry["result"]
         if entry["command"] == "purity":
+            # a local payload carries both routes and delta; a graded one
+            # carries the Betti table's type and witness only
             v = r["verdict"]
-            if v == "not-pure":
+            if v == "not-pure" and "route_a" not in r:
+                i, degrees = r["witness"]
+                lines.append(f"{head} -> NOT PURE -- witness: beta_{i} degrees {set(degrees)}")
+            elif v == "not-pure":
                 bits = []
                 if r["route_a"]["witness"]:
                     w = r["route_a"]["witness"]
@@ -513,7 +518,8 @@ def summarize(report) -> str:
                     bits.append("cokernel differs from the associated graded module")
                 lines.append(f"{head} -> NOT PURE -- witness: " + "; ".join(bits))
             elif v == "pure":
-                lines.append(f"{head} -> PURE of type {tuple(r['delta'])}")
+                degrees = r["delta"] if "delta" in r else r["type"]
+                lines.append(f"{head} -> PURE of type {tuple(degrees)}")
             else:
                 lines.append(f"{head} -> INCONCLUSIVE at cutoff")
         elif entry["command"] == "hilbert":

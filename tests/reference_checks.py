@@ -27,8 +27,8 @@ def verify_certificate(sb: StandardBasis):
             _sub_scaled(h, b.terms, mon_div(L, b.lt[1]), 1, p)
             if not h:
                 continue
-            h, _ = _weak_nf(h, sb._index, sb._key, sb._wdeg, p,
-                            mora=sb.order.is_local, tail=False)
+            h = _weak_nf(h, sb._index, sb._key, sb._wdeg, p,
+                         mora=sb.order.is_local, tail=False)
             if h:
                 raise EngineError(f"certificate violated by pair ({j}, {i})")
     return True

@@ -80,7 +80,7 @@ def test_resolution_betti_match_nakayama_counts(squares_module):
 def test_graded_resolution_of_residue_field_one_var():
     P1 = PolyRing(["x"], 32003)
     S1 = GradedRing(P1, [])
-    res = resolve_bounded([Vector.from_polys([P1.gen(0)])], FreeLayout(1), S1, 4, graded=True)
+    res = resolve_bounded([Vector.from_polys([P1.gen(0)])], FreeLayout(1), S1, 4)
     assert res.status == FINITE and res.pdim == 1
     assert res.mats[0].source.twists == (1,)
 
@@ -94,12 +94,12 @@ def _cache_cases(squares_module):
     from aggraded.modules import assoc_graded_module
 
     gm = assoc_graded_module(squares_module)
-    sq = (squares_module.gens, squares_module.layout, squares_module.ring, False)
+    sq = (squares_module.gens, squares_module.layout, squares_module.ring)
     return [
-        (sq, (2, 3, 5)),                                         # pdim 3
-        ((gm.relations, gm.layout, gm.ring, True), (2, 3, 5)),   # pdim 3
-        (([], FreeLayout(2), S_LOC, False), (0, 2)),             # pdim 0
-        (([], FreeLayout(2), S_GR, True), (0, 2)),
+        (sq, (2, 3, 5)),                                   # pdim 3
+        ((gm.relations, gm.layout, gm.ring), (2, 3, 5)),   # pdim 3
+        (([], FreeLayout(2), S_LOC), (0, 2)),              # pdim 0
+        (([], FreeLayout(2), S_GR), (0, 2)),
     ]
 
 
@@ -108,22 +108,22 @@ def test_resolution_cache_serves_every_cutoff_like_a_fresh_resolution(squares_mo
     from aggraded.complexes import resolve_cached
 
     fresh = {}
-    for (gens, layout, ctx, graded), cutoffs in _cache_cases(squares_module):
+    for (gens, layout, ctx), cutoffs in _cache_cases(squares_module):
         for c in cutoffs:
-            fresh[id(ctx), graded, c] = _shape(resolve_bounded(gens, layout, ctx, c, graded))
+            fresh[id(ctx), c] = _shape(resolve_bounded(gens, layout, ctx, c))
     misses = []
     real = complexes.resolve_bounded
     monkeypatch.setattr(complexes, "resolve_bounded",
                         lambda *args: misses.append(args[3]) or real(*args))
-    for (gens, layout, ctx, graded), cutoffs in _cache_cases(squares_module):
+    for (gens, layout, ctx), cutoffs in _cache_cases(squares_module):
         for order in (cutoffs[::-1], cutoffs):
             cache, misses[:] = {}, []
             for c in order:
-                got = resolve_cached(cache, gens, layout, ctx, c, graded)
-                assert _shape(got) == fresh[id(ctx), graded, c], (graded, order, c)
+                got = resolve_cached(cache, gens, layout, ctx, c)
+                assert _shape(got) == fresh[id(ctx), c], (ctx, order, c)
             # deep first: one miss (the deepest result is finite here);
             # shallow first: a miss per cutoff until the first finite result
-            first_finite = next(c for c in cutoffs if fresh[id(ctx), graded, c][1] == FINITE)
+            first_finite = next(c for c in cutoffs if fresh[id(ctx), c][1] == FINITE)
             assert misses == ([order[0]] if order[0] == max(order)
                               else [c for c in order if c <= first_finite])
             assert cache["resolution"].cutoff == misses[-1]
@@ -143,3 +143,68 @@ def test_free_local_module_is_finite_at_every_cutoff(regular3):
     for c in (3, 0, 1):
         res = local_minimal_resolution(free, c)
         assert (res.mats, res.status, res.pdim, res.ranks) == ([], FINITE, 0, [2])
+
+
+def _bundled_modules():
+    """(module, generators) of every module of every bundled session; a local
+    module comes with its associated graded module."""
+    import pathlib
+
+    from aggraded.modules import LocalModule, assoc_graded_module
+    from aggraded.session import _Workspace, parse_session
+
+    sessions = pathlib.Path(__file__).resolve().parent.parent / "sessions"
+    for path in sorted(sessions.glob("*.session")):
+        for mod in _Workspace(parse_session(path.read_text())).modules.values():
+            if isinstance(mod, LocalModule):
+                yield mod, mod.gens
+                mod = assoc_graded_module(mod)
+            yield mod, mod.relations
+
+
+def test_stored_columns_are_in_normal_form_and_never_reduced_again(monkeypatch):
+    """The normal-form contract of ``complexes`` on the bundled sessions."""
+    import aggraded.complexes as complexes
+    import aggraded.modules as modules
+    from aggraded.modules import LocalModule, initial_matrix, local_minimal_resolution
+    from aggraded.rings import _QuotientOps
+
+    assert not hasattr(LocalRing, "vector_order")
+    reduced, checked = [], []
+    real_nf, real_min_gens = _QuotientOps.nf_vector, complexes.min_gens_with_syz
+
+    def nf_vector(ctx, v):
+        reduced.append(v)
+        return real_nf(ctx, v)
+
+    def min_gens(cand, layout, ctx):
+        start = len(reduced)
+        out = real_min_gens(cand, layout, ctx)
+        # none of its candidates went through nf_vector inside it
+        assert not {id(v) for v in cand} & {id(v) for v in reduced[start:]}
+        checked.append(len(cand))
+        return out
+
+    monkeypatch.setattr(_QuotientOps, "nf_vector", nf_vector)
+    for owner in (complexes, modules):
+        monkeypatch.setattr(owner, "min_gens_with_syz", min_gens)
+    resolutions = []
+    for mod, gens in _bundled_modules():
+        if isinstance(mod, LocalModule):
+            res = local_minimal_resolution(mod, 3)
+            resolutions.append(res)
+        else:
+            res = resolve_bounded(gens, mod.layout, mod.ring, 3)
+        for v in gens + [v for mat in res.mats for v in mat.columns]:
+            assert real_nf(mod.ring, v) == v
+    assert checked
+
+    def refuse(ctx, v):
+        raise AssertionError("a stored column was normal-formed again")
+
+    monkeypatch.setattr(_QuotientOps, "nf_vector", refuse)
+    for res in resolutions:
+        ring = res.module.ring
+        assert len(res.delta) == len(res.mats) + 1
+        for i, mat in enumerate(res.mats, start=1):
+            assert initial_matrix(mat, ring)[0] == res.s[i - 1] == min(res.column_orders(i))

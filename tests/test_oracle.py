@@ -94,9 +94,12 @@ def test_build_model_examples(semigroup_ring):
     assert m1.dim == 1
 
 
-def test_model_size_bound(semigroup_ring):
+def test_model_size_bound(semigroup_ring, monkeypatch):
+    # a cached model would not be built again, so the bound could not fire
+    oracle.free_model.cache_clear()
+    monkeypatch.setattr(oracle, "SIZE_BOUND", 10)
     with pytest.raises(oracle.ModelSizeError):
-        build_model(semigroup_ring, 5, size_bound=10)
+        build_model(semigroup_ring, 5)
 
 
 def test_variable_maps_raise_layer(semigroup_ring):

@@ -81,7 +81,7 @@ def test_image_of_first_differential_inside_initial_submodule(semigroup_module, 
         basis = standard_basis(init.generators, GREVLEX, mod.layout, modulus=A.ideal_sb)
         for col in fs.complex.mats[0].columns:
             if col:
-                assert basis.reduce(col)[0].is_zero()
+                assert basis.contains(col)
 
 
 # ------------------------------------------------------------------ verdicts

@@ -105,6 +105,33 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert data["provenance"]["characteristic"] == 32003
 
 
+@pytest.mark.parametrize("vars_, ideal, columns, verdict, summary", [
+    ("x y", "", "[x], [y]", "pure", "PURE of type (0, 1, 2)"),
+    ("x y z", "x*y, z^2", "[x], [y^2]", "not-pure", "NOT PURE -- witness: beta_1 degrees {1, 2}"),
+])
+def test_cli_graded_purity_writes_report_and_summary(tmp_path, capsys, vars_, ideal, columns,
+                                                     verdict, summary):
+    session = tmp_path / "graded.session"
+    session.write_text(
+        f"vars {vars_}\nflavor graded\nideal J : {ideal}\nfree F : rank 1\n"
+        f"submodule N in F : {columns}\nmodule K = F / N\nanalyze K : purity\n"
+    )
+    out = tmp_path / "report.json"
+    assert main(["run", str(session), "--out", str(out)]) == 0
+    assert f"K : purity -> {summary}" in capsys.readouterr().out
+    assert json.loads(out.read_text())["results"][0]["result"]["verdict"] == verdict
+
+
+def test_cli_runs_the_bundled_graded_session(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", str(SESSIONS / "graded.session"), "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert "P : purity -> PURE of type (0, 1)" in printed
+    assert "Q : purity -> NOT PURE" in printed
+    results = json.loads(out.read_text())["results"]
+    assert all("error" not in e for e in results)
+
+
 def test_cli_reports_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.session"
     bad.write_text("vars x\nfree F : rank\n")
