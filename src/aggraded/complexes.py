@@ -14,9 +14,10 @@ stripped syzygy matrix doubles as the next level's candidate generators.
 
 The normal-form contract: a stored column is in normal form.  A column is
 reduced by its ring's ``nf_vector`` once, where it is made -- the
-``LocalModule`` and ``GradedModule`` constructors, the entry of
-``resolve_bounded``, and each syzygy or stripped column that
-``min_gens_with_syz`` creates -- and never again.  The Mora and the global
+``LocalModule`` and ``GradedModule`` constructors, and each syzygy or
+stripped column that ``min_gens_with_syz`` creates -- and never again.  So
+``resolve_bounded`` takes stored columns (a module's ``gens`` or
+``relations``) and reduces none of them.  The Mora and the global
 normal forms are idempotent, so a second reduction would return its input;
 orders, twists and initial matrices are read off the stored columns.
 
@@ -269,10 +270,10 @@ def resolve_bounded(gens, layout, ctx, cutoff):
     Over the graded flavor (a global order) the source twists are the column
     degrees; over the local flavor all twists are zero.  ``ctx`` supplies
     cover ring, order, ideal_sb, nf_vector and is_unit.  The generators are
-    normal-formed here, once; a free cokernel (none survives) is FINITE of
-    pdim 0 at every cutoff.
+    in normal form (stored columns); zero ones are dropped, and a free
+    cokernel (none left) is FINITE of pdim 0 at every cutoff.
     """
-    cand = [w for w in (ctx.nf_vector(v) for v in gens) if w]
+    cand = [v for v in gens if v]
     if not cand:
         return ResolutionResult([], FINITE, 0, cutoff)
     cur_layout = layout

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 DEFAULT_CHARACTERISTIC = 32003
 
-# the oracle eliminates in int64: a product of two residues must stay below
-# 2^63, which holds for every p below this bound
+# the oracle reads its echelon forms in int64: a product of two residues must
+# stay below 2^63, which holds for every p below this bound
 MAX_CHARACTERISTIC = 2**31
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

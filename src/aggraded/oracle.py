@@ -1,10 +1,18 @@
 """Independent verification backend: truncated linear-algebra models.
 
-Everything here is plain dense row reduction over GF(p) on the raw input
+Everything here is plain row reduction over GF(p) on the raw input
 presentations (no standard bases, no normal forms): the model of F/m^t F is
 the coordinate space of module monomials of degree < t modulo the row space
 spanned by all monomial multiples of the defining-ideal generators, and a
 submodule is the row space of all monomial multiples of its generators.
+
+A monomial multiple touches a handful of coordinates, so those matrices are
+almost empty: ``_multiple_rows`` builds sparse rows {coordinate: value}, and
+``rref_modp`` reduces them by incremental Gauss-Jordan in Python ints, exact
+for every characteristic of the prime field.  The relations are eliminated
+once per model; a submodule's elimination starts from their echelon rows as
+ready pivots and reduces only the multiples of its generators.  Echelon
+forms are stored dense (``Subspace``), as the unique RREF.
 
 Coordinates are sorted degree-ascending (grevlex-descending inside a
 degree, component-ascending last), so echelon pivots are exactly the
@@ -61,34 +69,81 @@ class ModelSizeError(ValueError):
 # ------------------------------------------------------------ linear algebra
 
 
-def rref_modp(rows, p):
-    """Reduced row echelon form over GF(p); returns (matrix, pivot columns)."""
-    if p >= MAX_CHARACTERISTIC:
-        raise ValueError(f"characteristic {p} is too large: int64 elimination needs p < 2^31")
+def _sparse_rows(rows, p):
+    """A dense matrix (or one row) as sparse rows, and its width."""
     A = np.asarray(rows, dtype=np.int64) % p
     if A.ndim == 1:
         A = A.reshape(1, -1)
-    m, n = A.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+    out = [{} for _ in range(A.shape[0])]
+    r, c = np.nonzero(A)
+    for i, j, v in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
+        out[i][j] = v
+    return out, A.shape[1]
+
+
+def rref_modp(rows, p, n=None, pivot_rows=None):
+    """Reduced row echelon form over GF(p); returns (matrix, pivot columns).
+
+    ``rows`` is a dense matrix (or one row), or, when the width ``n`` is
+    given, a list of sparse rows {column: nonzero residue}.  ``pivot_rows``
+    maps the pivot columns of rows already in reduced echelon form to those
+    rows, sparse; they join as pivots and are not changed.
+
+    Gauss-Jordan, one row at a time, in Python ints: a row is reduced at the
+    pivots so far, its lead becomes a pivot, and the pivot rows that hold
+    that column, found by an index from column to pivot rows, are cleared.
+    The result is the unique RREF, whatever the order of the rows.
+    """
+    if p >= MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic {p} is too large: the prime field needs p < 2^31")
+    if n is None:
+        rows, n = _sparse_rows(rows, p)
+    piv = {c: dict(row) for c, row in (pivot_rows or {}).items()}
+    holders = {}            # non-pivot column -> the pivot columns whose rows hold it
+    for c, row in piv.items():
+        for j in row:
+            if j != c:
+                holders.setdefault(j, set()).add(c)
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in piv]:
+            a = row.pop(c)
+            for j, v in piv[c].items():
+                if j != c:
+                    w = (row.get(j, 0) - a * v) % p
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+        if not row:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
-        f = A[:, c].copy()
-        f[r] = 0
-        mask = f != 0
-        if mask.any():
-            A[mask] = (A[mask] - np.outer(f[mask], A[r])) % p
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        if inv != 1:
+            row = {j: v * inv % p for j, v in row.items()}
+        for q in holders.pop(lead, ()):
+            other = piv[q]
+            a = other.pop(lead)
+            for j, v in row.items():
+                if j != lead:
+                    w = (other.get(j, 0) - a * v) % p
+                    if w:
+                        other[j] = w
+                        holders.setdefault(j, set()).add(q)
+                    else:
+                        del other[j]
+                        holders[j].discard(q)
+        piv[lead] = row
+        for j in row:
+            if j != lead:
+                holders.setdefault(j, set()).add(lead)
+    pivots = sorted(piv)
+    A = np.zeros((len(pivots), n), dtype=np.int64)
+    at = [(i, j, v) for i, c in enumerate(pivots) for j, v in piv[c].items()]
+    if at:
+        i, j, v = zip(*at)
+        A[list(i), list(j)] = v
+    return A, pivots
 
 
 class Subspace:
@@ -136,22 +191,15 @@ class Subspace:
 
 
 def monomials_below(nvars, t):
-    """All exponent tuples of total degree < t."""
-    out = []
+    """All exponent tuples of total degree < t, degree-ascending and
+    lexicographic inside a degree."""
 
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
+    def of_degree(k, d):
+        if k == 0:
+            return [()] if d == 0 else []
+        return [(e,) + rest for e in range(d + 1) for rest in of_degree(k - 1, d - e)]
 
-    for d in range(t):
-        start = len(out)
-        rec([], nvars, d)
-        # keep only the exact degree d block
-        out[start:] = [m for m in out[start:] if sum(m) == d]
-    return out
+    return [m for d in range(t) for m in of_degree(nvars, d)]
 
 
 # ------------------------------------------------------------------- models
@@ -181,8 +229,10 @@ class FreeModel:
         self._block_starts = np.searchsorted(self.coord_degs, np.arange(t + 1)).tolist()
         self.n = len(coords)
         self._rel = None
+        self._rel_rows = {}     # the relations' echelon rows, sparse, by pivot
         self._sub_cache = {}
         self._raise_maps = {}
+        self._shifts = {}
 
     # -- rows ---------------------------------------------------------------
 
@@ -194,26 +244,28 @@ class FreeModel:
                 row[i] = a % self.p
         return row
 
+    def _shifted(self, c, e):
+        """The coordinates of x^a * x^e e_c, for the multipliers x^a in order
+        while the product has degree < t."""
+        if (c, e) not in self._shifts:
+            stop = bisect.bisect_left(self._mon_degs, self.t - mon_deg(e))
+            self._shifts[c, e] = [self.index[(c, tuple(x + y for x, y in zip(a, e)))]
+                                  for a in self.monomials[:stop]]
+        return self._shifts[c, e]
+
     def _multiple_rows(self, cols, min_mult_deg=0):
-        """Rows of x^a * col for all monomials with deg(x^a) >= min_mult_deg."""
+        """Sparse rows {coordinate: value} of x^a * col for all monomials
+        with deg(x^a) >= min_mult_deg."""
         rows = []
         start = bisect.bisect_left(self._mon_degs, min_mult_deg)
         for col in cols:
-            if not col.terms:
+            terms = [(self._shifted(c, e), v % self.p)
+                     for (c, e), v in col.terms.items() if v % self.p]
+            if not terms:
                 continue
-            low = min(mon_deg(e) for (_, e) in col.terms)
-            stop = bisect.bisect_left(self._mon_degs, max(self.t - low, 1))
-            for a in self.monomials[start:stop]:
-                row = np.zeros(self.n, dtype=np.int64)
-                hit = False
-                for (c, e), v in col.terms.items():
-                    ee = tuple(x + y for x, y in zip(a, e))
-                    i = self.index.get((c, ee))
-                    if i is not None:
-                        row[i] = (row[i] + v) % self.p
-                        hit = True
-                if hit and row.any():
-                    rows.append(row)
+            stop = max(len(shifted) for shifted, _ in terms)
+            for k in range(start, stop):
+                rows.append({shifted[k]: v for shifted, v in terms if k < len(shifted)})
         return rows
 
     # -- canonical subspaces --------------------------------------------------
@@ -227,21 +279,26 @@ class FreeModel:
                 for g in self.ring.ideal
                 for c in range(self.rank)
             ]
-            self._rel = Subspace(self.n, self.p, self._multiple_rows(cols) or None)
+            rows = self._multiple_rows(cols)
+            self._rel = Subspace(self.n, self.p)
+            if rows:
+                self._rel = Subspace(self.n, self.p, *rref_modp(rows, self.p, self.n))
+            self._rel_rows = dict(zip(self._rel.pivots, _sparse_rows(self._rel.mat, self.p)[0]))
         return self._rel
 
     def submodule(self, cols, min_mult_deg=0) -> Subspace:
-        """relations + image of the R-span of cols (through m^min_mult_deg)."""
+        """relations + image of the R-span of cols (through m^min_mult_deg);
+        the relations enter the elimination as ready pivot rows."""
         key = (
             tuple(tuple(sorted(c.terms.items())) for c in cols),
             min_mult_deg,
         )
         if key not in self._sub_cache:
+            space = self.relations          # made with its sparse rows, _rel_rows
             rows = self._multiple_rows(cols, min_mult_deg)
-            base = self.relations
-            if base.rank:
-                rows = list(base.mat) + rows
-            self._sub_cache[key] = Subspace(self.n, self.p, rows or None)
+            if rows:
+                space = Subspace(self.n, self.p, *rref_modp(rows, self.p, self.n, self._rel_rows))
+            self._sub_cache[key] = space
         return self._sub_cache[key]
 
     def pivot_counts(self, space: Subspace):
@@ -291,7 +348,7 @@ class TruncatedModel:
         self.free = free_model(ring, rank, t)
         self.t = t
         self.relation_cols = list(relation_cols)
-        self.space = self.free.submodule(self.relation_cols) if relation_cols else self.free.relations
+        self.space = self.free.submodule(self.relation_cols)
         self.layer_dims = self.free.dims_by_degree(self.space)
         pivset = set(self.space.pivots)
         self.basis = [ce for i, ce in enumerate(self.free.coords) if i not in pivset]

@@ -50,9 +50,6 @@ class _QuotientOps:
         # the constant term is well defined modulo a proper ideal
         return f.constant_term() != 0
 
-    def is_zero(self, f: Polynomial) -> bool:
-        return self.nf(f).is_zero()
-
 
 class LocalRing(_QuotientOps):
     """Localization of a polynomial ring at the origin modulo a proper ideal."""

@@ -3,7 +3,9 @@ and oracle output that no computation in the package needs.
 
 - ``verify_certificate``: every s-vector of a standard basis reduces to zero;
 - ``check_annihilates``: the target matrix times each syzygy column is zero;
-- ``variable_maps``: the truncated multiplication maps of a quotient model.
+- ``variable_maps``: the truncated multiplication maps of a quotient model;
+- ``dense_rref_modp``: dense GF(p) row reduction, the reference for the
+  oracle's sparse ``rref_modp``.
 """
 
 import numpy as np
@@ -81,3 +83,33 @@ def variable_maps(model):
             M[:, j] = _coords_of(model, index, Vector(cover, model.free.rank, {(c, ee): 1}))
         maps.append(M)
     return maps
+
+
+def dense_rref_modp(rows, p):
+    """Reduced row echelon form over GF(p) by a dense int64 loop, one pivot
+    column at a time; returns (matrix, pivot columns).  Products of residues
+    stay below 2^62 for p < 2^31."""
+    A = np.asarray(rows, dtype=np.int64) % p
+    if A.ndim == 1:
+        A = A.reshape(1, -1)
+    m, n = A.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        f = A[:, c].copy()
+        f[r] = 0
+        mask = f != 0
+        if mask.any():
+            A[mask] = (A[mask] - np.outer(f[mask], A[r])) % p
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots

@@ -170,8 +170,9 @@ def test_stored_columns_are_in_normal_form_and_never_reduced_again(monkeypatch):
     from aggraded.rings import _QuotientOps
 
     assert not hasattr(LocalRing, "vector_order")
-    reduced, checked = [], []
+    reduced, checked, entered = [], [], []
     real_nf, real_min_gens = _QuotientOps.nf_vector, complexes.min_gens_with_syz
+    real_resolve = complexes.resolve_bounded
 
     def nf_vector(ctx, v):
         reduced.append(v)
@@ -185,19 +186,28 @@ def test_stored_columns_are_in_normal_form_and_never_reduced_again(monkeypatch):
         checked.append(len(cand))
         return out
 
+    def resolve(gens, layout, ctx, cutoff):
+        start = len(reduced)
+        out = real_resolve(gens, layout, ctx, cutoff)
+        # its inputs are stored columns: none went through nf_vector inside it
+        assert not {id(v) for v in gens} & {id(v) for v in reduced[start:]}
+        entered.append(len(gens))
+        return out
+
     monkeypatch.setattr(_QuotientOps, "nf_vector", nf_vector)
     for owner in (complexes, modules):
         monkeypatch.setattr(owner, "min_gens_with_syz", min_gens)
+    monkeypatch.setattr(complexes, "resolve_bounded", resolve)
     resolutions = []
     for mod, gens in _bundled_modules():
         if isinstance(mod, LocalModule):
             res = local_minimal_resolution(mod, 3)
             resolutions.append(res)
         else:
-            res = resolve_bounded(gens, mod.layout, mod.ring, 3)
+            res = complexes.resolve_bounded(gens, mod.layout, mod.ring, 3)
         for v in gens + [v for mat in res.mats for v in mat.columns]:
             assert real_nf(mod.ring, v) == v
-    assert checked
+    assert checked and entered
 
     def refuse(ctx, v):
         raise AssertionError("a stored column was normal-formed again")

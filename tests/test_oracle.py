@@ -8,7 +8,7 @@ from aggraded.oracle import (FreeModel, OracleWindowError, Subspace, build_model
                              filtration_intersection, rref_modp, submodule_layer_data)
 from aggraded.poly import PolyRing, Vector
 from aggraded.rings import LocalRing
-from reference_checks import variable_maps
+from reference_checks import dense_rref_modp, variable_maps
 
 P = 32003
 
@@ -57,10 +57,10 @@ def full_width_mus(model, gens, jmax):
     return mus
 
 
-def agreement_modules(count, seed=randomized.DEFAULT_SEED):
+def agreement_modules(count, seed=randomized.DEFAULT_SEED, p=P):
     """The first ``count`` nontrivial modules the agreement suite draws."""
     rng = random.Random(seed)
-    pool = randomized.ring_pool()
+    pool = randomized.ring_pool(p)
     out = []
     while len(out) < count:
         ring, truncation = pool[rng.randrange(len(pool))]
@@ -79,6 +79,93 @@ def test_rref_and_subspace_algebra():
     assert U.rank == 2
     assert U.contains([3, 6, 1])
     assert not U.contains([0, 1, 0])
+
+
+def _sparse_matrices(p, seed):
+    """Random sparse matrices over GF(p), with the shapes an elimination must
+    get right: zero and duplicate rows, one row, no nonzero entry, full rank."""
+    rng = np.random.default_rng(seed)
+
+    def sparse(m, n, density):
+        vals = rng.integers(1, p, size=(m, n), dtype=np.int64)
+        return np.where(rng.random((m, n)) < density, vals, 0)
+
+    out = [sparse(m, n, d) for m, n, d in ((40, 60, 0.05), (120, 90, 0.02), (30, 30, 0.3))]
+    with_zero_and_duplicate = sparse(25, 40, 0.1)
+    with_zero_and_duplicate[[3, 11]] = 0
+    with_zero_and_duplicate[[7, 19]] = with_zero_and_duplicate[5]
+    out.append(with_zero_and_duplicate)
+    out.append(sparse(1, 50, 0.1))
+    out.append(np.zeros((6, 20), dtype=np.int64))
+    square = sparse(12, 12, 0.2)
+    square[np.arange(12), np.arange(12)[::-1]] = rng.integers(1, p, size=12)
+    out.append(square)                       # full rank, pivots read off an antidiagonal
+    return out
+
+
+def _as_sparse(rows):
+    return [{int(j): int(row[j]) for j in np.flatnonzero(row)} for row in rows]
+
+
+def _assert_same_echelon(got, want):
+    (mat, pivots), (ref, ref_pivots) = got, want
+    assert pivots == ref_pivots
+    assert mat.dtype == ref.dtype and mat.shape == ref.shape
+    assert (mat == ref).all()
+
+
+@pytest.mark.parametrize("p", [P, 2147483647])
+def test_sparse_rref_matches_dense_reference(p):
+    for seed in range(3):
+        for A in _sparse_matrices(p, seed):
+            want = dense_rref_modp(A, p)
+            _assert_same_echelon(rref_modp(A, p), want)
+            # the same rows in sparse form, and split into ready pivot rows
+            # (an echelon form of the first half) plus the rest
+            sparse = _as_sparse(A)
+            _assert_same_echelon(rref_modp(sparse, p, A.shape[1]), want)
+            top, top_pivots = dense_rref_modp(A[: len(A) // 2], p)
+            ready = dict(zip(top_pivots, _as_sparse(top)))
+            kept = {c: dict(row) for c, row in ready.items()}
+            _assert_same_echelon(rref_modp(sparse[len(A) // 2:], p, A.shape[1], ready), want)
+            assert ready == kept
+    assert (rref_modp([[1, 2, 0], [2, 4, 1]], p)[0] == [[1, 2, 0], [0, 0, 1]]).all()
+
+
+def test_every_agreement_elimination_matches_dense_reference(monkeypatch):
+    calls = []
+    real = oracle.rref_modp
+
+    def capture(rows, p, n=None, pivot_rows=None):
+        out = real(rows, p, n, pivot_rows)
+        if n is None:
+            dense = np.asarray(rows, dtype=np.int64).reshape(-1, out[0].shape[1])
+        else:
+            dense = np.zeros((len(pivot_rows or ()) + len(rows), n), dtype=np.int64)
+            for i, row in enumerate(list((pivot_rows or {}).values()) + rows):
+                dense[i, list(row)] = list(row.values())
+        calls.append((dense, p, out))
+        return out
+
+    monkeypatch.setattr(oracle, "rref_modp", capture)
+    oracle.free_model.cache_clear()
+    for mod, t in agreement_modules(10):
+        try:
+            randomized.run_agreement_case(mod, t)
+        except OracleWindowError:
+            continue
+    oracle.free_model.cache_clear()
+    assert len(calls) > 50
+    assert any(len(dense) > 100 for dense, _, _ in calls)
+    for dense, p, out in calls:
+        _assert_same_echelon(out, dense_rref_modp(dense, p))
+
+
+def test_agreement_at_the_largest_characteristic():
+    # p = 2^31 - 1: every product of residues in the oracle's elimination is
+    # exact, and the engine agrees with it
+    for mod, t in agreement_modules(12, p=2147483647):
+        randomized.run_agreement_case(mod, t)
 
 
 def test_build_model_examples(semigroup_ring):
