@@ -10,8 +10,9 @@ from __future__ import annotations
 
 DEFAULT_CHARACTERISTIC = 32003
 
-# the oracle reads its echelon forms in int64: a product of two residues must
-# stay below 2^63, which holds for every p below this bound
+# the characteristics the package accepts lie below this bound: a product of
+# two residues stays below 2^62, and the engine-vs-oracle agreement is tested
+# at the largest prime below it, 2^31 - 1
 MAX_CHARACTERISTIC = 2**31
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,7 +50,7 @@ class PrimeField:
     def __init__(self, p: int = DEFAULT_CHARACTERISTIC):
         if p >= MAX_CHARACTERISTIC:
             raise ValueError(
-                f"characteristic {p} is too large: the oracle's int64 arithmetic needs p < 2^31"
+                f"characteristic {p} is too large: the prime field needs p < 2^31"
             )
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")

@@ -237,28 +237,27 @@ def betti_analysis(table: BettiTable) -> PurityReport:
 
 
 def _presentation_over_cover(gmod: GradedModule):
-    """The same module presented over the polynomial cover S."""
-    ring = gmod.ring
-    S = ring.polynomial_cover
-    if ring is S or not ring.ideal:
-        return GradedModule(S, gmod.layout, gmod.relations)
+    """The relation columns of the same module over the polynomial cover S:
+    its relations and the ideal generators times each basis vector.  S has
+    no ideal, so they are in normal form there, and ``GradedModule`` and
+    ``GradedRing`` have checked that they are homogeneous and not units."""
     rels = list(gmod.relations)
-    cover = ring.cover
-    for g in ring.ideal:
-        for c in range(gmod.layout.rank):
-            rels.append(Vector(cover, gmod.layout.rank, {(c, e): a for e, a in g.terms.items()}))
-    return GradedModule(S, gmod.layout, rels)
+    rank = gmod.layout.rank
+    for g in gmod.ring.ideal:
+        for c in range(rank):
+            rels.append(Vector(gmod.ring.cover, rank, {(c, e): a for e, a in g.terms.items()}))
+    return rels
 
 
 def cover_betti_table(gmod: GradedModule) -> BettiTable:
     """The Betti table of the module over the polynomial cover S."""
     if "cover_betti" not in gmod._cache:
-        sm = _presentation_over_cover(gmod)
         n = gmod.ring.nvars
-        res = resolve_bounded(sm.relations, sm.layout, sm.ring, n + 1)
+        res = resolve_bounded(_presentation_over_cover(gmod), gmod.layout,
+                              gmod.ring.polynomial_cover, n + 1)
         if not res.finite:
             raise BridgeError("resolution over the polynomial cover must be finite")
-        gmod._cache["cover_betti"] = betti_table(sm.layout, res, n + 1)
+        gmod._cache["cover_betti"] = betti_table(gmod.layout, res, n + 1)
     return gmod._cache["cover_betti"]
 
 

@@ -11,8 +11,9 @@ almost empty: ``_multiple_rows`` builds sparse rows {coordinate: value}, and
 ``rref_modp`` reduces them by incremental Gauss-Jordan in Python ints, exact
 for every characteristic of the prime field.  The relations are eliminated
 once per model; a submodule's elimination starts from their echelon rows as
-ready pivots and reduces only the multiples of its generators.  Echelon
-forms are stored dense (``Subspace``), as the unique RREF.
+ready pivots and reduces only the multiples of its generators.  An echelon
+form (``Subspace``) is the unique RREF, kept as its sparse rows by pivot
+column, and every reader works on those rows.
 
 Coordinates are sorted degree-ascending (grevlex-descending inside a
 degree, component-ascending last), so echelon pivots are exactly the
@@ -49,8 +50,6 @@ from __future__ import annotations
 import bisect
 import functools
 
-import numpy as np
-
 from .field import MAX_CHARACTERISTIC
 from .poly import Vector, mon_deg
 
@@ -69,25 +68,29 @@ class ModelSizeError(ValueError):
 # ------------------------------------------------------------ linear algebra
 
 
-def _sparse_rows(rows, p):
-    """A dense matrix (or one row) as sparse rows, and its width."""
-    A = np.asarray(rows, dtype=np.int64) % p
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    out = [{} for _ in range(A.shape[0])]
-    r, c = np.nonzero(A)
-    for i, j, v in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
-        out[i][j] = v
-    return out, A.shape[1]
+def _reduce(row, pivot_rows, p):
+    """A copy of the sparse ``row`` reduced at the pivots of ``pivot_rows``
+    ({pivot column: sparse row}, in reduced echelon form)."""
+    row = dict(row)
+    for c in [c for c in row if c in pivot_rows]:
+        a = row.pop(c)
+        for j, v in pivot_rows[c].items():
+            if j != c:
+                w = (row.get(j, 0) - a * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return row
 
 
 def rref_modp(rows, p, n=None, pivot_rows=None):
-    """Reduced row echelon form over GF(p); returns (matrix, pivot columns).
+    """Reduced row echelon form over GF(p); returns (Subspace, pivot columns).
 
-    ``rows`` is a dense matrix (or one row), or, when the width ``n`` is
-    given, a list of sparse rows {column: nonzero residue}.  ``pivot_rows``
-    maps the pivot columns of rows already in reduced echelon form to those
-    rows, sparse; they join as pivots and are not changed.
+    ``rows`` is a dense matrix, or, when the width ``n`` is given, a list of
+    sparse rows {column: nonzero residue}.  ``pivot_rows`` maps the pivot
+    columns of rows already in reduced echelon form to those rows, sparse;
+    they join as pivots and are not changed.
 
     Gauss-Jordan, one row at a time, in Python ints: a row is reduced at the
     pivots so far, its lead becomes a pivot, and the pivot rows that hold
@@ -97,7 +100,8 @@ def rref_modp(rows, p, n=None, pivot_rows=None):
     if p >= MAX_CHARACTERISTIC:
         raise ValueError(f"characteristic {p} is too large: the prime field needs p < 2^31")
     if n is None:
-        rows, n = _sparse_rows(rows, p)
+        n = len(rows[0]) if len(rows) else 0
+        rows = [{j: a for j, a in enumerate(int(v) % p for v in row) if a} for row in rows]
     piv = {c: dict(row) for c, row in (pivot_rows or {}).items()}
     holders = {}            # non-pivot column -> the pivot columns whose rows hold it
     for c, row in piv.items():
@@ -105,16 +109,7 @@ def rref_modp(rows, p, n=None, pivot_rows=None):
             if j != c:
                 holders.setdefault(j, set()).add(c)
     for row in rows:
-        row = dict(row)
-        for c in [c for c in row if c in piv]:
-            a = row.pop(c)
-            for j, v in piv[c].items():
-                if j != c:
-                    w = (row.get(j, 0) - a * v) % p
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
+        row = _reduce(row, piv, p)
         if not row:
             continue
         lead = min(row)
@@ -137,54 +132,43 @@ def rref_modp(rows, p, n=None, pivot_rows=None):
         for j in row:
             if j != lead:
                 holders.setdefault(j, set()).add(lead)
-    pivots = sorted(piv)
-    A = np.zeros((len(pivots), n), dtype=np.int64)
-    at = [(i, j, v) for i, c in enumerate(pivots) for j, v in piv[c].items()]
-    if at:
-        i, j, v = zip(*at)
-        A[list(i), list(j)] = v
-    return A, pivots
+    space = Subspace(n, p, piv)
+    return space, space.pivots
 
 
 class Subspace:
-    """A row space over GF(p) in canonical (RREF) form."""
+    """A row space of GF(p)^n in canonical form: its RREF, as the sparse row
+    {column: residue} of each pivot column, keyed by that column."""
 
-    __slots__ = ("n", "p", "mat", "pivots")
+    __slots__ = ("n", "p", "rows")
 
-    def __init__(self, n, p, rows=None, pivots=None):
-        """``pivots`` is given only when ``rows`` is already in RREF."""
+    def __init__(self, n, p, rows):
         self.n = n
         self.p = p
-        if pivots is not None:
-            self.mat, self.pivots = rows, pivots
-        elif rows is None or (hasattr(rows, "__len__") and len(rows) == 0):
-            self.mat = np.zeros((0, n), dtype=np.int64)
-            self.pivots = []
-        else:
-            self.mat, self.pivots = rref_modp(rows, p)
+        self.rows = rows
+
+    @property
+    def pivots(self):
+        return sorted(self.rows)
 
     @property
     def rank(self):
-        return self.mat.shape[0]
+        return len(self.rows)
 
-    def reduce(self, vec):
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        for row, c in zip(self.mat, self.pivots):
-            a = int(v[c])
-            if a:
-                v = (v - a * row) % self.p
-        return v
+    @property
+    def shape(self):
+        return self.rank, self.n
 
-    def contains(self, vec):
-        return not self.reduce(vec).any()
+    def reduce(self, row):
+        """The sparse ``row`` reduced at the pivots: zero iff it lies in the space."""
+        return _reduce(row, self.rows, self.p)
+
+    def contains(self, row):
+        return not self.reduce(row)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.pivots == other.pivots
-            and self.mat.shape == other.mat.shape
-            and bool((self.mat == other.mat).all())
-        )
+        # the RREF of a row space is unique
+        return isinstance(other, Subspace) and self.rows == other.rows
 
 
 # -------------------------------------------------------------- enumeration
@@ -225,11 +209,10 @@ class FreeModel:
             raise ModelSizeError(f"model needs {len(coords)} coordinates (bound {SIZE_BOUND})")
         self.coords = coords
         self.index = {ce: i for i, ce in enumerate(coords)}
-        self.coord_degs = np.array([mon_deg(e) for (_, e) in coords], dtype=np.int64)
-        self._block_starts = np.searchsorted(self.coord_degs, np.arange(t + 1)).tolist()
+        self.coord_degs = [mon_deg(e) for (_, e) in coords]
+        self._block_starts = [bisect.bisect_left(self.coord_degs, d) for d in range(t + 1)]
         self.n = len(coords)
         self._rel = None
-        self._rel_rows = {}     # the relations' echelon rows, sparse, by pivot
         self._sub_cache = {}
         self._raise_maps = {}
         self._shifts = {}
@@ -237,10 +220,11 @@ class FreeModel:
     # -- rows ---------------------------------------------------------------
 
     def row_of(self, vec: Vector):
-        row = np.zeros(self.n, dtype=np.int64)
-        for (c, e), a in vec.terms.items():
-            i = self.index.get((c, e))
-            if i is not None:
+        """The sparse row of ``vec``, cut at degree t."""
+        row = {}
+        for ce, a in vec.terms.items():
+            i = self.index.get(ce)
+            if i is not None and a % self.p:
                 row[i] = a % self.p
         return row
 
@@ -280,10 +264,7 @@ class FreeModel:
                 for c in range(self.rank)
             ]
             rows = self._multiple_rows(cols)
-            self._rel = Subspace(self.n, self.p)
-            if rows:
-                self._rel = Subspace(self.n, self.p, *rref_modp(rows, self.p, self.n))
-            self._rel_rows = dict(zip(self._rel.pivots, _sparse_rows(self._rel.mat, self.p)[0]))
+            self._rel = rref_modp(rows, self.p, self.n)[0] if rows else Subspace(self.n, self.p, {})
         return self._rel
 
     def submodule(self, cols, min_mult_deg=0) -> Subspace:
@@ -294,24 +275,34 @@ class FreeModel:
             min_mult_deg,
         )
         if key not in self._sub_cache:
-            space = self.relations          # made with its sparse rows, _rel_rows
+            space = self.relations
             rows = self._multiple_rows(cols, min_mult_deg)
             if rows:
-                space = Subspace(self.n, self.p, *rref_modp(rows, self.p, self.n, self._rel_rows))
+                space = rref_modp(rows, self.p, self.n, space.rows)[0]
             self._sub_cache[key] = space
         return self._sub_cache[key]
 
     def pivot_counts(self, space: Subspace):
         """#pivots(space, deg d) for each d < t."""
-        return np.bincount(self.coord_degs[space.pivots], minlength=self.t)
+        counts = [0] * self.t
+        for c in space.rows:
+            counts[self.coord_degs[c]] += 1
+        return counts
+
+    def block_width(self, d):
+        """The number of coordinates of degree d."""
+        return self._block_starts[d + 1] - self._block_starts[d]
 
     def dims_by_degree(self, space: Subspace):
         """#coords(deg d) - #pivots(deg d), for d < t: layer dims mod ``space``."""
-        return (np.bincount(self.coord_degs, minlength=self.t) - self.pivot_counts(space)).tolist()
+        return [self.block_width(d) - k for d, k in enumerate(self.pivot_counts(space))]
 
-    def block(self, d):
-        """The coordinates of degree d, a contiguous range."""
-        return slice(self._block_starts[d], self._block_starts[d + 1])
+    def block_rows(self, space: Subspace, d):
+        """The rows of ``space`` of pivot degree d, cut to the coordinates of
+        degree d (a contiguous block) and indexed from the block's start."""
+        start, stop = self._block_starts[d], self._block_starts[d + 1]
+        return [{j - start: v for j, v in space.rows[c].items() if j < stop}
+                for c in range(start, stop) if c in space.rows]
 
     def raise_degree(self, rows, j):
         """The rows x * row for every variable x, from rows on the degree
@@ -321,16 +312,10 @@ class FreeModel:
             start = self._block_starts[j]
             self._raise_maps[j] = [
                 [self.index[(c, e[:v] + (e[v] + 1,) + e[v + 1:])] - start
-                 for c, e in self.coords[self.block(j - 1)]]
+                 for c, e in self.coords[self._block_starts[j - 1]:start]]
                 for v in range(self.ring.cover.nvars)
             ]
-        width = self._block_starts[j + 1] - self._block_starts[j]
-        blocks = []
-        for dst in self._raise_maps[j]:
-            block = np.zeros((len(rows), width), dtype=np.int64)
-            block[:, dst] = rows
-            blocks.append(block)
-        return np.vstack(blocks)
+        return [{dst[k]: v for k, v in row.items()} for dst in self._raise_maps[j] for row in rows]
 
 
 @functools.lru_cache(maxsize=2)
@@ -350,8 +335,7 @@ class TruncatedModel:
         self.relation_cols = list(relation_cols)
         self.space = self.free.submodule(self.relation_cols)
         self.layer_dims = self.free.dims_by_degree(self.space)
-        pivset = set(self.space.pivots)
-        self.basis = [ce for i, ce in enumerate(self.free.coords) if i not in pivset]
+        self.basis = [ce for i, ce in enumerate(self.free.coords) if i not in self.space.rows]
 
     @property
     def dim(self):
@@ -390,17 +374,11 @@ def filtration_intersection(model: FreeModel, gens, i) -> Subspace:
     """
     _window_check(gens, i, model.t)
     rel, space = model.relations, model.submodule(gens)
-    high = model.coord_degs[space.pivots] >= i
-    low = model.coord_degs[rel.pivots] < i
-    upper = space.mat[high]
-    upper_pivots = [c for c, keep in zip(space.pivots, high) if keep]
-    lower = rel.mat[low]
-    for row, c in zip(upper, upper_pivots):
-        f = lower[:, c]
-        if f.any():
-            lower = (lower - np.outer(f, row)) % model.p
-    pivots = [c for c, keep in zip(rel.pivots, low) if keep] + upper_pivots
-    return Subspace(model.n, model.p, np.vstack([lower, upper]), pivots)
+    start = model._block_starts[i]          # the first coordinate of degree i
+    upper = {c: row for c, row in space.rows.items() if c >= start}
+    rows = {c: _reduce(row, upper, model.p) for c, row in rel.rows.items() if c < start}
+    rows.update(upper)
+    return Subspace(model.n, model.p, rows)
 
 
 def submodule_layer_data(model: FreeModel, gens, jmax):
@@ -417,19 +395,16 @@ def submodule_layer_data(model: FreeModel, gens, jmax):
     rel = model.relations
     space = model.submodule(gens)
     rel_counts = model.pivot_counts(rel)
-    layer = model.pivot_counts(space) - rel_counts
-    rel_degs = model.coord_degs[rel.pivots]
-    row_degs = model.coord_degs[space.pivots]
-    dims = {j: int(layer[j]) for j in range(jmax + 1)}
+    counts = model.pivot_counts(space)
+    dims = {j: counts[j] - rel_counts[j] for j in range(jmax + 1)}
     mus = {0: dims[0]}
     for j in range(1, jmax + 1):
         below = rel_counts[j]
-        lower = space.mat[row_degs == j - 1, model.block(j - 1)]
-        if len(lower):
-            shifted = model.raise_degree(lower, j)
-            stack = np.vstack([rel.mat[rel_degs == j, model.block(j)], shifted])
-            below = len(rref_modp(stack, model.p)[1])
-        mus[j] = dims[j] - int(below - rel_counts[j])
+        lower = model.block_rows(space, j - 1)
+        if lower:
+            stack = model.block_rows(rel, j) + model.raise_degree(lower, j)
+            below = rref_modp(stack, model.p, model.block_width(j))[0].rank
+        mus[j] = dims[j] - (below - rel_counts[j])
     return dims, mus
 
 
@@ -437,8 +412,8 @@ def element_order(model: FreeModel, vec: Vector):
     """The m-adic order of the class of vec: the degree of the first nonzero
     entry of its reduction modulo the relations, or None when the class
     vanishes below degree t - 1."""
-    nonzero = np.flatnonzero(model.relations.reduce(model.row_of(vec)))
-    if nonzero.size == 0:
+    row = model.relations.reduce(model.row_of(vec))
+    if not row:
         return None
-    d = int(model.coord_degs[nonzero[0]])
+    d = model.coord_degs[min(row)]
     return d if d < model.t - 1 else None

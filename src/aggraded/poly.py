@@ -459,22 +459,6 @@ class Vector:
             {t: c for t, c in self.terms.items() if mon_deg(t[1]) == nu},
         )
 
-    def leading_term(self, order: OrderSpec, shifts=None):
-        if not self.terms:
-            raise ValueError("leading term of zero")
-        t = max(self.terms, key=lambda t: order.term_key(t[0], t[1], shifts))
-        return t, self.terms[t]
-
-    def sorted_terms(self, order: OrderSpec, shifts=None):
-        return [
-            (self.terms[t], t)
-            for t in sorted(
-                self.terms,
-                key=lambda t: order.term_key(t[0], t[1], shifts),
-                reverse=True,
-            )
-        ]
-
     def degree_in(self, layout: FreeLayout):
         """Homogeneous degree with respect to layout twists; raises if mixed."""
         degs = {layout.degree_of(c, e) for (c, e) in self.terms}

@@ -64,7 +64,7 @@ class SessionError(ValueError):
 def _check_characteristic_bound(line_no, p):
     if p >= MAX_CHARACTERISTIC:
         raise SessionError(
-            line_no, f"characteristic {p} is too large: the oracle's int64 arithmetic needs p < 2^31"
+            line_no, f"characteristic {p} is too large: the prime field needs p < 2^31"
         )
 
 

@@ -5,7 +5,8 @@ and oracle output that no computation in the package needs.
 - ``check_annihilates``: the target matrix times each syzygy column is zero;
 - ``variable_maps``: the truncated multiplication maps of a quotient model;
 - ``dense_rref_modp``: dense GF(p) row reduction, the reference for the
-  oracle's sparse ``rref_modp``.
+  oracle's sparse ``rref_modp``;
+- ``dense``: an oracle echelon form written out as its matrix.
 """
 
 import numpy as np
@@ -61,8 +62,8 @@ def _coords_of(model, index, vec: Vector):
     free = model.free
     red = model.space.reduce(free.row_of(vec))
     out = np.zeros(len(model.basis), dtype=np.int64)
-    for i in np.nonzero(red)[0]:
-        out[index[free.coords[int(i)]]] = red[i]
+    for i, v in red.items():
+        out[index[free.coords[i]]] = v
     return out
 
 
@@ -83,6 +84,16 @@ def variable_maps(model):
             M[:, j] = _coords_of(model, index, Vector(cover, model.free.rank, {(c, ee): 1}))
         maps.append(M)
     return maps
+
+
+def dense(space):
+    """The oracle echelon form ``space`` (a ``Subspace``) as its int64
+    matrix, one row per pivot, in pivot order."""
+    A = np.zeros(space.shape, dtype=np.int64)
+    for i, c in enumerate(space.pivots):
+        for j, v in space.rows[c].items():
+            A[i, j] = v
+    return A
 
 
 def dense_rref_modp(rows, p):

@@ -20,7 +20,7 @@ def test_rejects_composite():
 
 
 def test_rejects_characteristic_at_or_above_two_to_the_31():
-    # 4294967311 is prime, but int64 products of its residues overflow
+    # 4294967311 is prime, but above the bound of the field
     assert is_prime(4294967311) and is_prime(2147483647)
     with pytest.raises(ValueError, match="too large"):
         PolyRing(["x"], 4294967311)

@@ -204,7 +204,7 @@ def test_tangentcone_on_a_module_rejected_at_parse():
 
 
 def test_characteristic_at_or_above_two_to_the_31_rejected():
-    # 4294967311 is prime, and the oracle's int64 elimination overflows there
+    # 4294967311 is prime, but above the bound of the field
     with pytest.raises(SessionError, match="2\\^31"):
         parse_session("char 4294967311\nvars x\n")
     report, status = execute(parse_session(SQUARES), char_override=4294967311)
