@@ -22,16 +22,28 @@ indexes keyed by lead component, in the spirit of Gebauer and Moeller
   by the Gebauer-Moeller criterion stay in the heap and are skipped when
   popped;
 - the pair prune and the new-pair loop visit only the pairs and positions
-  of the new element's lead component, positions kept ascending.
+  of the new element's lead component, positions kept ascending;
+- a term's key puts the order's largest term first (smallest), so the
+  element being reduced keeps a lazy heap of ``(key, term)``: its lead is
+  the top whose term is still present, and a reduction step pushes only the
+  terms new to it.  Under Mora its ecart is read from a count of its terms
+  per weighted degree;
+- every reducer and live pair carries the short exponent vector of its lead
+  or lcm (a bitmask of the positive exponents; Bachmann and Schoenemann,
+  "Monomial representations for Groebner bases computations", 1998), which
+  rules out most divisibility tests with one ``&``.
 
 Each index keeps the relative order of the linear scan it replaces and
 every key is unique, so the pairs and reducers are chosen in the same
 order as by a scan, and the bases come out term for term the same.
+``tests/reference_checks.scan_weak_nf`` keeps the scan as the reference.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
+from operator import add
 
 from .orders import OrderSpec
 from .poly import FreeLayout, Polynomial, Vector, mon_deg, mon_div, mon_divides, mon_lcm, mon_mul
@@ -47,45 +59,47 @@ MAX_REDUCTION_STEPS = 2_000_000
 
 
 def _make_keys(order: OrderSpec, shifts, elim_rank=None):
-    """Key and weighted-degree functions on terms (comp, exps)."""
-    local = order.is_local
-    shifts = tuple(shifts)
-    trivial = all(s == 0 for s in shifts)
+    """Key and weighted-degree functions on terms (comp, exps).
 
-    if trivial:
-        def wdeg(t):
-            return sum(t[1])
-    else:
-        def wdeg(t):
-            return sum(t[1]) + shifts[t[0]]
+    The key of the order's largest term is the smallest one, so a lead is a
+    minimum and the top of a heap of keys.  Each key determines its term.
+    """
+    sign = 1 if order.is_local else -1
+    shifts = tuple(shifts)
+
+    def wdeg(t):
+        return sum(t[1]) + shifts[t[0]]
 
     if elim_rank is None:
         def key(t):
             c, e = t
-            d = wdeg(t)
-            return (-d if local else d, tuple(-x for x in reversed(e)), -c)
+            return (sign * (sum(e) + shifts[c]), e[::-1], c)
     else:
         def key(t):
             c, e = t
-            d = wdeg(t)
-            return (
-                1 if c < elim_rank else 0,
-                -d if local else d,
-                tuple(-x for x in reversed(e)),
-                -c,
-            )
+            return (0 if c < elim_rank else 1, sign * (sum(e) + shifts[c]), e[::-1], c)
 
     return key, wdeg
 
 
 def _lt(terms, key):
-    return max(terms, key=key)
+    return min(terms, key=key)
+
+
+def _sev(exps):
+    """The short exponent vector of a monomial: bit i is set when exponent i
+    is positive.  a divides b only if sev(a) & ~sev(b) == 0."""
+    s = 0
+    for i, x in enumerate(exps):
+        if x:
+            s |= 1 << i
+    return s
 
 
 def _sub_scaled(h, g_terms, shift, coeff, p):
     """In place: h -= coeff * x^shift * g."""
     for (c, e), a in g_terms.items():
-        t = (c, tuple(x + y for x, y in zip(e, shift)))
+        t = (c, tuple(map(add, e, shift)))
         v = (h.get(t, 0) - coeff * a) % p
         if v:
             h[t] = v
@@ -98,14 +112,22 @@ def _scale(terms, c, p):
 
 
 class _Red:
-    """A monic reducer with cached lead data."""
+    """A monic reducer with cached lead data: the lead term, its ecart and
+    the short exponent vector of its lead monomial."""
 
-    __slots__ = ("terms", "lt", "ecart")
+    __slots__ = ("terms", "lt", "ecart", "sev")
 
-    def __init__(self, terms, key, wdeg):
+    def __init__(self, terms, lt, ecart):
         self.terms = terms
-        self.lt = _lt(terms, key)
-        self.ecart = max(wdeg(t) for t in terms) - wdeg(self.lt)
+        self.lt = lt
+        self.ecart = ecart
+        self.sev = _sev(lt[1])
+
+
+def _lead(terms, key, wdeg):
+    """(lead term, ecart) of a nonzero term dict."""
+    lt = _lt(terms, key)
+    return lt, max(map(wdeg, terms)) - wdeg(lt)
 
 
 def _index(reds):
@@ -118,42 +140,99 @@ def _index(reds):
 
 def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
     """Reduce dict h against the reducers of ``index`` (see ``_index``);
-    returns the remainder dict.
+    returns (remainder dict, its lead term, its ecart), the last two None
+    when the remainder is zero.
 
     mora=True: Mora weak normal form (intermediates may serve as reducers,
     so the result is valid up to a unit); lead-irreducible remainder, tail
     untouched.  mora=False: classical division with remainder; with tail=True
     the remainder's tail is fully reduced as well.
+
+    The lead of h is the top of a heap of (key, term) pairs whose term is
+    still in h: a subtraction pushes only the terms new to h, and the pairs
+    of cancelled terms are dropped when they reach the top.  Under Mora,
+    ``counts`` holds the number of terms of h per weighted degree, so the
+    ecart of h is max(counts) - wdeg(lead).  The reducer chosen is the first
+    of least ecart whose lead divides the lead of h, reducers of ``index``
+    before intermediates, as a scan of h and of the candidates would choose.
     """
+    if not h:
+        return h, None, None
+    heap = [(key(t), t) for t in h]
+    heapq.heapify(heap)
+    counts = {}
+    if mora:
+        for t in h:
+            d = wdeg(t)
+            counts[d] = counts.get(d, 0) + 1
     inter = {}
     rem = {}
     steps = 0
     while h:
-        lt = _lt(h, key)
+        while heap[0][1] not in h:
+            heapq.heappop(heap)
+        lt = heap[0][1]
         comp, exps = lt
-        cands = [r for r in index.get(comp, ()) if mon_divides(r.lt[1], exps)]
-        if mora:
-            cands.extend(r for r in inter.get(comp, ()) if mon_divides(r.lt[1], exps))
-        if not cands:
+        nsev = ~_sev(exps)
+        cands = index.get(comp, ())
+        if inter:
+            cands = chain(cands, inter.get(comp, ()))
+        best = None
+        for r in cands:
+            if r.sev & nsev or (best is not None and r.ecart >= best.ecart):
+                continue
+            if mon_divides(r.lt[1], exps):
+                best = r
+                if not r.ecart:
+                    break
+        if best is None:
             if mora or not tail:
                 break
             # move the irreducible lead into the remainder, keep reducing
             rem[lt] = h.pop(lt)
             continue
-        best = min(cands, key=lambda r: r.ecart)
+        coeff = h[lt]
         if mora:
-            h_ecart = max(wdeg(t) for t in h) - wdeg(lt)
+            h_ecart = max(counts) - wdeg(lt)
             if best.ecart > h_ecart:
                 inter.setdefault(comp, []).append(
-                    _Red(_scale(dict(h), pow(h[lt], -1, p), p), key, wdeg))
-        shift = mon_div(lt[1], best.lt[1])
-        _sub_scaled(h, best.terms, shift, h[lt], p)
+                    _Red(_scale(h, pow(coeff, -1, p), p), lt, h_ecart))
+        # h -= coeff * x^shift * best, keeping the heap and the counts
+        shift = mon_div(exps, best.lt[1])
+        for (c, e), a in best.terms.items():
+            t = (c, tuple(map(add, e, shift)))
+            v = h.get(t)
+            if v is None:
+                v = -coeff * a % p
+                if v:
+                    h[t] = v
+                    heapq.heappush(heap, (key(t), t))
+                    if mora:
+                        d = wdeg(t)
+                        counts[d] = counts.get(d, 0) + 1
+                continue
+            v = (v - coeff * a) % p
+            if v:
+                h[t] = v
+                continue
+            del h[t]
+            if mora:
+                d = wdeg(t)
+                if counts[d] == 1:
+                    del counts[d]
+                else:
+                    counts[d] -= 1
         steps += 1
         if steps > MAX_REDUCTION_STEPS:
             raise EngineError("reduction step limit exceeded")
     if rem:
         h.update(rem)
-    return h
+        lt = next(iter(rem))
+    elif not h:
+        return h, None, None
+    if mora:
+        return h, lt, max(counts) - wdeg(lt)
+    return h, lt, max(map(wdeg, h)) - wdeg(lt)
 
 
 # ------------------------------------------------------------ public types
@@ -175,7 +254,7 @@ class StandardBasis:
         self.order = order
         self.gens = gens
         self._key, self._wdeg = _make_keys(order, layout.twists)
-        self._reds = [_Red(g.terms, self._key, self._wdeg) for g in gens]
+        self._reds = [_Red(g.terms, *_lead(g.terms, self._key, self._wdeg)) for g in gens]
         self._index = _index(self._reds)
 
     def reduce(self, v):
@@ -183,7 +262,7 @@ class StandardBasis:
         h = _weak_nf(
             dict(v.terms), self._index, self._key, self._wdeg, self.ring.p,
             mora=self.order.is_local, tail=not self.order.is_local,
-        )
+        )[0]
         return Vector(self.ring, self.layout.rank, h)
 
     def contains(self, v):
@@ -239,16 +318,17 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
     sugars = []
     index = {}        # lead component -> reducers, in insertion order
     positions = {}    # lead component -> positions in reds, ascending
-    pairs = {}        # lead component -> {(i, j): (sugar, lcm)}, the live pairs
+    pairs = {}        # lead component -> {(i, j): (sugar, lcm, sev of lcm)}, the live pairs
     queue = []        # heap of (sugar, (i, j)); may hold pruned pairs
 
     def add_pairs(new):
-        lt_new = reds[new].lt
+        lt_new, sev_new = reds[new].lt, reds[new].sev
         live = pairs.setdefault(lt_new[0], {})
         # Gebauer-Moeller: prune existing pairs strictly dominated by lt_new
-        for (i, j), (_, L) in list(live.items()):
+        for (i, j), (_, L, sev_L) in list(live.items()):
             if (
-                mon_divides(lt_new[1], L)
+                not sev_new & ~sev_L
+                and mon_divides(lt_new[1], L)
                 and mon_lcm(reds[i].lt[1], lt_new[1]) != L
                 and mon_lcm(reds[j].lt[1], lt_new[1]) != L
             ):
@@ -260,10 +340,14 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
             cand.setdefault(L, []).append(i)
         # keep only divisibility-minimal lcms, one representative per lcm
         kept = []
-        for L in sorted(cand, key=lambda e: (mon_deg(e), e)):
-            if not any(mon_divides(K, L) for K in kept):
-                kept.append(L)
-        for L in kept:
+        for L in sorted(cand, key=lambda e: (sum(e), e)):
+            sev_L = reds[cand[L][0]].sev | sev_new
+            for K, sev_K in kept:
+                if not sev_K & ~sev_L and mon_divides(K, L):
+                    break
+            else:
+                kept.append((L, sev_L))
+        for L, sev_L in kept:
             members = cand[L]
             # certified groups: product criterion (ideal case, global order),
             # and pairs inside the frozen quotient block
@@ -275,12 +359,12 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
                 continue
             i = min(members)
             sug = _pair_sugar(sugars[i], reds[i], sugars[new], reds[new], L)
-            live[(i, new)] = (sug, L)
+            live[(i, new)] = (sug, L, sev_L)
             heapq.heappush(queue, (sug, (i, new)))
 
-    def append(terms, sugar):
+    def append(terms, lt, ecart, sugar):
         idx = len(reds)
-        red = _Red(terms, key, wdeg)
+        red = _Red(terms, lt, ecart)
         reds.append(red)
         sugars.append(sugar)
         add_pairs(idx)
@@ -289,14 +373,15 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
 
     for terms in seed:
         lt = _lt(terms, key)
-        append(_scale(terms, pow(terms[lt], -1, p), p), max(wdeg(t) for t in terms))
+        sugar = max(map(wdeg, terms))
+        append(_scale(terms, pow(terms[lt], -1, p), p), lt, sugar - wdeg(lt), sugar)
 
     while queue:
         _, (i, j) = heapq.heappop(queue)
         entry = pairs[reds[i].lt[0]].pop((i, j), None)
         if entry is None:
             continue        # pruned after it was queued
-        sug, L = entry
+        sug, L, _ = entry
         if i < n_frozen and j < n_frozen:
             continue
         # s-vector of monic reducers i and j
@@ -305,10 +390,9 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
         _sub_scaled(h, reds[j].terms, mon_div(L, reds[j].lt[1]), 1, p)
         if not h:
             continue
-        h = _weak_nf(h, index, key, wdeg, p, mora=mora, tail=False)
+        h, lt, ecart = _weak_nf(h, index, key, wdeg, p, mora=mora, tail=False)
         if h:
-            lt = _lt(h, key)
-            append(_scale(h, pow(h[lt], -1, p), p), sug)
+            append(_scale(h, pow(h[lt], -1, p), p), lt, ecart, sug)
 
     return [dict(r.terms) for r in reds]
 
@@ -318,23 +402,23 @@ def _interreduce(dicts, key, wdeg, p, mora):
     lts = [_lt(d, key) for d in dicts]
     kept = []
     kept_lts = {}     # lead component -> lead monomials kept so far
-    for i in sorted(range(len(dicts)), key=lambda i: key(lts[i])):
+    # the smallest leads first; reverse=True keeps equal keys in input order
+    for i in sorted(range(len(dicts)), key=lambda i: key(lts[i]), reverse=True):
         comp, exps = lts[i]
         if any(mon_divides(e, exps) for e in kept_lts.get(comp, ())):
             continue
         kept_lts.setdefault(comp, []).append(exps)
         kept.append(dicts[i])
     if not mora:
-        reds = [_Red(d, key, wdeg) for d in kept]
+        reds = [_Red(d, *_lead(d, key, wdeg)) for d in kept]
         index = _index(reds)
         out = []
         for red in reds:
             # reduce against every other kept element
             same = index[red.lt[0]]
             index[red.lt[0]] = [r for r in same if r is not red]
-            h = _weak_nf(dict(red.terms), index, key, wdeg, p, mora=False, tail=True)
+            h, lt, _ = _weak_nf(dict(red.terms), index, key, wdeg, p, mora=False, tail=True)
             index[red.lt[0]] = same
-            lt = _lt(h, key)
             out.append(_scale(h, pow(h[lt], -1, p), p))
         kept = out
     return kept

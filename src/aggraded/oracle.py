@@ -42,16 +42,20 @@ x-multiple none in block j.  Minimal generator counts of the initial
 submodule are read from these small blocks, never from a full-width stack.
 
 ``free_model`` shares one model per (ring, rank, t), with its relations and
-submodule echelon forms, among the queries of a check.
+submodule echelon forms, among the queries of a check.  The coordinates of
+a model (a ``_Layout``: monomials, their index and degree blocks, the shift
+and raise tables) depend only on (nvars, rank, t); every model of a ring
+shares them through ``ring.cache``.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 
 from .field import MAX_CHARACTERISTIC
-from .poly import Vector, mon_deg
+from .poly import Vector, mon_deg, mon_mul
 
 SIZE_BOUND = 20000
 WINDOW_SLACK = 2
@@ -189,8 +193,53 @@ def monomials_below(nvars, t):
 # ------------------------------------------------------------------- models
 
 
+class _Layout:
+    """The coordinates of F / m^t F, for F of rank ``rank`` over ``nvars``
+    variables: what a FreeModel needs that no ideal or submodule changes."""
+
+    def __init__(self, nvars, rank, t):
+        # degree-ascending, so the multipliers of a column are one slice of it
+        self.monomials = monomials_below(nvars, t)
+        self.mon_degs = [mon_deg(e) for e in self.monomials]
+        coords = [(c, e) for e in self.monomials for c in range(rank)]
+        coords.sort(key=lambda ce: (mon_deg(ce[1]), tuple(x for x in reversed(ce[1])), ce[0]))
+        self.nvars = nvars
+        self.t = t
+        self.coords = coords
+        self.index = {ce: i for i, ce in enumerate(coords)}
+        self.coord_degs = [mon_deg(e) for (_, e) in coords]
+        self.block_starts = [bisect.bisect_left(self.coord_degs, d) for d in range(t + 1)]
+        self._shifts = {}
+        self._raise_maps = {}
+
+    def shifted(self, c, e):
+        """The coordinates of x^a * x^e e_c, for the multipliers x^a in order
+        while the product has degree < t."""
+        if (c, e) not in self._shifts:
+            stop = bisect.bisect_left(self.mon_degs, self.t - mon_deg(e))
+            self._shifts[c, e] = [self.index[(c, mon_mul(a, e))] for a in self.monomials[:stop]]
+        return self._shifts[c, e]
+
+    def raise_maps(self, j):
+        """Per variable x: where x * (coordinate of degree j - 1) sits in the
+        degree j block, indexed from the block's start (0 < j < t)."""
+        if j not in self._raise_maps:
+            start = self.block_starts[j]
+            self._raise_maps[j] = [
+                [self.index[(c, e[:v] + (e[v] + 1,) + e[v + 1:])] - start
+                 for c, e in self.coords[self.block_starts[j - 1]:start]]
+                for v in range(self.nvars)
+            ]
+        return self._raise_maps[j]
+
+
 class FreeModel:
-    """Model of F / m^t F over R = Loc(k[x])/I, rank ``rank``."""
+    """Model of F / m^t F over R = Loc(k[x])/I, rank ``rank``.
+
+    Its coordinates are a ``_Layout`` kept in ``ring.cache`` under
+    (rank, t), so the models of one ring share them; the echelon forms are
+    the model's own.
+    """
 
     def __init__(self, ring, rank, t):
         if t < 1:
@@ -198,24 +247,20 @@ class FreeModel:
         self.ring = ring
         self.rank = rank
         self.t = t
-        cover = ring.cover
-        self.p = cover.p
-        # degree-ascending, so the multipliers of a column are one slice of it
-        self.monomials = monomials_below(cover.nvars, t)
-        self._mon_degs = [mon_deg(e) for e in self.monomials]
-        coords = [(c, e) for e in self.monomials for c in range(rank)]
-        coords.sort(key=lambda ce: (mon_deg(ce[1]), tuple(x for x in reversed(ce[1])), ce[0]))
-        if len(coords) > SIZE_BOUND:
-            raise ModelSizeError(f"model needs {len(coords)} coordinates (bound {SIZE_BOUND})")
-        self.coords = coords
-        self.index = {ce: i for i, ce in enumerate(coords)}
-        self.coord_degs = [mon_deg(e) for (_, e) in coords]
-        self._block_starts = [bisect.bisect_left(self.coord_degs, d) for d in range(t + 1)]
-        self.n = len(coords)
+        self.p = ring.cover.p
+        # rank times the number of monomials of degree < t, before any is made
+        n = rank * math.comb(ring.cover.nvars + t - 1, ring.cover.nvars)
+        if n > SIZE_BOUND:
+            raise ModelSizeError(f"model needs {n} coordinates (bound {SIZE_BOUND})")
+        if (rank, t) not in ring.cache:
+            ring.cache[rank, t] = _Layout(ring.cover.nvars, rank, t)
+        self.layout = layout = ring.cache[rank, t]
+        self.coords = layout.coords
+        self.index = layout.index
+        self.coord_degs = layout.coord_degs
+        self.n = n
         self._rel = None
         self._sub_cache = {}
-        self._raise_maps = {}
-        self._shifts = {}
 
     # -- rows ---------------------------------------------------------------
 
@@ -228,22 +273,13 @@ class FreeModel:
                 row[i] = a % self.p
         return row
 
-    def _shifted(self, c, e):
-        """The coordinates of x^a * x^e e_c, for the multipliers x^a in order
-        while the product has degree < t."""
-        if (c, e) not in self._shifts:
-            stop = bisect.bisect_left(self._mon_degs, self.t - mon_deg(e))
-            self._shifts[c, e] = [self.index[(c, tuple(x + y for x, y in zip(a, e)))]
-                                  for a in self.monomials[:stop]]
-        return self._shifts[c, e]
-
     def _multiple_rows(self, cols, min_mult_deg=0):
         """Sparse rows {coordinate: value} of x^a * col for all monomials
         with deg(x^a) >= min_mult_deg."""
         rows = []
-        start = bisect.bisect_left(self._mon_degs, min_mult_deg)
+        start = bisect.bisect_left(self.layout.mon_degs, min_mult_deg)
         for col in cols:
-            terms = [(self._shifted(c, e), v % self.p)
+            terms = [(self.layout.shifted(c, e), v % self.p)
                      for (c, e), v in col.terms.items() if v % self.p]
             if not terms:
                 continue
@@ -291,7 +327,8 @@ class FreeModel:
 
     def block_width(self, d):
         """The number of coordinates of degree d."""
-        return self._block_starts[d + 1] - self._block_starts[d]
+        starts = self.layout.block_starts
+        return starts[d + 1] - starts[d]
 
     def dims_by_degree(self, space: Subspace):
         """#coords(deg d) - #pivots(deg d), for d < t: layer dims mod ``space``."""
@@ -300,22 +337,15 @@ class FreeModel:
     def block_rows(self, space: Subspace, d):
         """The rows of ``space`` of pivot degree d, cut to the coordinates of
         degree d (a contiguous block) and indexed from the block's start."""
-        start, stop = self._block_starts[d], self._block_starts[d + 1]
+        start, stop = self.layout.block_starts[d], self.layout.block_starts[d + 1]
         return [{j - start: v for j, v in space.rows[c].items() if j < stop}
                 for c in range(start, stop) if c in space.rows]
 
     def raise_degree(self, rows, j):
         """The rows x * row for every variable x, from rows on the degree
         j - 1 block to rows on the degree j block (0 < j < t)."""
-        if j not in self._raise_maps:
-            # per variable: where x * (coordinate of degree j - 1) sits in block j
-            start = self._block_starts[j]
-            self._raise_maps[j] = [
-                [self.index[(c, e[:v] + (e[v] + 1,) + e[v + 1:])] - start
-                 for c, e in self.coords[self._block_starts[j - 1]:start]]
-                for v in range(self.ring.cover.nvars)
-            ]
-        return [{dst[k]: v for k, v in row.items()} for dst in self._raise_maps[j] for row in rows]
+        return [{dst[k]: v for k, v in row.items()}
+                for dst in self.layout.raise_maps(j) for row in rows]
 
 
 @functools.lru_cache(maxsize=2)
@@ -374,7 +404,7 @@ def filtration_intersection(model: FreeModel, gens, i) -> Subspace:
     """
     _window_check(gens, i, model.t)
     rel, space = model.relations, model.submodule(gens)
-    start = model._block_starts[i]          # the first coordinate of degree i
+    start = model.layout.block_starts[i]    # the first coordinate of degree i
     upper = {c: row for c, row in space.rows.items() if c >= start}
     rows = {c: _reduce(row, upper, model.p) for c, row in rel.rows.items() if c < start}
     rows.update(upper)

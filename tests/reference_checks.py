@@ -1,7 +1,12 @@
 """Reference checks kept beside the tests: exact re-verifications of engine
 and oracle output that no computation in the package needs.
 
-- ``verify_certificate``: every s-vector of a standard basis reduces to zero;
+- ``scan_weak_nf``: the engine's reduction loop as a scan, the lead found by
+  ``max(h, key=...)`` on every step, the reference for the engine's
+  ``_weak_nf`` (``scan_keys`` and ``ScanRed`` give it keys and reducers);
+- ``scan_reduce``: ``scan_weak_nf`` against a standard basis;
+- ``verify_certificate``: every s-vector of a standard basis reduces to zero
+  under ``scan_weak_nf``;
 - ``check_annihilates``: the target matrix times each syzygy column is zero;
 - ``variable_maps``: the truncated multiplication maps of a quotient model;
 - ``dense_rref_modp``: dense GF(p) row reduction, the reference for the
@@ -11,14 +16,114 @@ and oracle output that no computation in the package needs.
 
 import numpy as np
 
-from aggraded.engine import (EngineError, StandardBasis, _sub_scaled, _weak_nf)
-from aggraded.poly import Vector, mon_deg, mon_div, mon_lcm
+from aggraded.engine import (MAX_REDUCTION_STEPS, EngineError, StandardBasis, _index, _scale,
+                             _sub_scaled)
+from aggraded.poly import Vector, mon_deg, mon_div, mon_divides, mon_lcm
+
+
+def scan_keys(order, shifts, elim_rank=None):
+    """Key and weighted-degree functions on terms (comp, exps) under which
+    the order's largest term has the largest key: the engine's key with
+    every component negated."""
+    local = order.is_local
+    shifts = tuple(shifts)
+    trivial = all(s == 0 for s in shifts)
+
+    if trivial:
+        def wdeg(t):
+            return sum(t[1])
+    else:
+        def wdeg(t):
+            return sum(t[1]) + shifts[t[0]]
+
+    if elim_rank is None:
+        def key(t):
+            c, e = t
+            d = wdeg(t)
+            return (-d if local else d, tuple(-x for x in reversed(e)), -c)
+    else:
+        def key(t):
+            c, e = t
+            d = wdeg(t)
+            return (
+                1 if c < elim_rank else 0,
+                -d if local else d,
+                tuple(-x for x in reversed(e)),
+                -c,
+            )
+
+    return key, wdeg
+
+
+class ScanRed:
+    """A monic reducer for ``scan_weak_nf``, its lead and ecart found by a
+    scan of its terms."""
+
+    __slots__ = ("terms", "lt", "ecart")
+
+    def __init__(self, terms, key, wdeg):
+        self.terms = terms
+        self.lt = max(terms, key=key)
+        self.ecart = max(wdeg(t) for t in terms) - wdeg(self.lt)
+
+
+def scan_weak_nf(h, index, key, wdeg, p, mora, tail=False):
+    """Reduce dict h against the ``ScanRed`` reducers of ``index`` (see the
+    engine's ``_index``); returns the remainder dict.  Keys are
+    ``scan_keys`` keys.
+
+    mora=True: Mora weak normal form (intermediates may serve as reducers,
+    so the result is valid up to a unit); lead-irreducible remainder, tail
+    untouched.  mora=False: classical division with remainder; with tail=True
+    the remainder's tail is fully reduced as well.
+    """
+    inter = {}
+    rem = {}
+    steps = 0
+    while h:
+        lt = max(h, key=key)
+        comp, exps = lt
+        cands = [r for r in index.get(comp, ()) if mon_divides(r.lt[1], exps)]
+        if mora:
+            cands.extend(r for r in inter.get(comp, ()) if mon_divides(r.lt[1], exps))
+        if not cands:
+            if mora or not tail:
+                break
+            # move the irreducible lead into the remainder, keep reducing
+            rem[lt] = h.pop(lt)
+            continue
+        best = min(cands, key=lambda r: r.ecart)
+        if mora:
+            h_ecart = max(wdeg(t) for t in h) - wdeg(lt)
+            if best.ecart > h_ecart:
+                inter.setdefault(comp, []).append(
+                    ScanRed(_scale(dict(h), pow(h[lt], -1, p), p), key, wdeg))
+        shift = mon_div(lt[1], best.lt[1])
+        _sub_scaled(h, best.terms, shift, h[lt], p)
+        steps += 1
+        if steps > MAX_REDUCTION_STEPS:
+            raise EngineError("reduction step limit exceeded")
+    if rem:
+        h.update(rem)
+    return h
+
+
+def scan_reduce(sb: StandardBasis, terms):
+    """``scan_weak_nf`` of the term dict ``terms`` against the generators of
+    ``sb``, as ``StandardBasis.reduce`` reduces a column."""
+    key, wdeg = scan_keys(sb.order, sb.layout.twists)
+    index = _index([ScanRed(g.terms, key, wdeg) for g in sb.gens])
+    local = sb.order.is_local
+    return scan_weak_nf(dict(terms), index, key, wdeg, sb.ring.p, mora=local, tail=not local)
 
 
 def verify_certificate(sb: StandardBasis):
-    """Re-reduce every s-vector of ``sb`` to zero; returns True or raises."""
+    """Re-reduce every s-vector of ``sb`` to zero by ``scan_weak_nf``;
+    returns True or raises."""
     p = sb.ring.p
-    reds = sb._reds
+    key, wdeg = scan_keys(sb.order, sb.layout.twists)
+    reds = [ScanRed(g.terms, key, wdeg) for g in sb.gens]
+    index = _index(reds)
     for i, a in enumerate(reds):
         for j in range(i):
             b = reds[j]
@@ -30,8 +135,7 @@ def verify_certificate(sb: StandardBasis):
             _sub_scaled(h, b.terms, mon_div(L, b.lt[1]), 1, p)
             if not h:
                 continue
-            h = _weak_nf(h, sb._index, sb._key, sb._wdeg, p,
-                         mora=sb.order.is_local, tail=False)
+            h = scan_weak_nf(h, index, key, wdeg, p, mora=sb.order.is_local, tail=False)
             if h:
                 raise EngineError(f"certificate violated by pair ({j}, {i})")
     return True
