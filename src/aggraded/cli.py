@@ -28,13 +28,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.session, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            ses = parse_session(fh.read())
+        # an --out that cannot be written fails here, before any computation
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.session} is not UTF-8 text ({exc.reason} at offset {exc.start})",
+              file=sys.stderr)
         return 1
-    try:
-        ses = parse_session(text)
-    except SessionError as exc:
+    except (OSError, SessionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.verbose:
@@ -43,10 +44,10 @@ def main(argv=None) -> int:
         ses, char_override=args.char, truncation=args.truncation, max_homdeg=args.max_homdeg
     )
     # the report is written first: it stands even if the summary fails
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_report(report))
-            fh.write("\n")
+    if out is not None:
+        with out:
+            out.write(render_report(report))
+            out.write("\n")
     if report["results"]:
         print(summarize(report))
     if "error" in report.get("provenance", {}):

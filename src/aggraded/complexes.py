@@ -1,16 +1,20 @@
 """Free complexes, minimalization and bounded minimal resolutions.
 
 A complex is a chain ``F_0 <- F_1 <- ... <- F_n`` of free layouts with
-differential matrices.  Minimalization cancels unit entries by Gaussian
-elimination; over a local ring a polynomial unit u has no polynomial
-inverse, so the denominator-free variant is used (the new differential is
-``u*a - b*c`` entrywise, which is the exact elimination composed with a
-unit rescaling of one differential -- an isomorphic complex over the
-localization).  Scalar units are divided out exactly.
+differential matrices.  Nakayama's condition decides minimality: a
+differential is minimal when no entry is a unit, and ``ctx`` (a ring
+presentation) supplies ``unit_component``, the one test for a unit entry in
+a column.  One step cancels a unit entry, ``_cancel_unit``: over a local ring
+a polynomial unit u has no polynomial inverse, so the step is
+denominator-free (a column with entry a beside the pivot becomes
+``u*col - a*pivot``), the exact elimination composed with a unit rescaling
+-- an isomorphic complex over the localization.
 
 ``resolve_bounded`` builds minimal resolutions level by level: syzygy
-generators of a minimal generating set are unit-stripped (Nakayama) and the
-stripped syzygy matrix doubles as the next level's candidate generators.
+generators of a minimal generating set are unit-stripped by that step
+(Nakayama) in ``min_gens_with_syz``, and the stripped syzygy matrix doubles
+as the next level's candidate generators.  ``minimalize`` applies the same
+step to every differential of a given complex.
 
 The normal-form contract: a stored column is in normal form.  A column is
 reduced by its ring's ``nf_vector`` once, where it is made -- the
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import syzygies
-from .poly import FreeLayout, Polynomial, Vector
+from .poly import FreeLayout, Vector
 
 
 class NotAComplexError(ValueError):
@@ -99,96 +103,60 @@ class FreeComplex:
 # ------------------------------------------------------------ minimalize
 
 
-def _grid(mat: Matrix):
-    cols = [v.components() for v in mat.columns]
-    zero = Polynomial(mat.ring, {})
-    return [[col.get(r, zero) for col in cols] for r in range(mat.target.rank)]
+def _drop(v: Vector, j) -> Vector:
+    """``v`` without component j, the later components moved down by one."""
+    return Vector(v.ring, v.rank - 1, {(c - 1 if c > j else c, e): a
+                                       for (c, e), a in v.terms.items() if c != j})
 
 
-def _from_grid(grid, target, source, ring):
-    cols = []
-    for c in range(source.rank):
-        terms = {}
-        for r in range(target.rank):
-            for e, a in grid[r][c].terms.items():
-                terms[(r, e)] = a
-        cols.append(Vector(ring, target.rank, terms))
-    return Matrix(target, source, cols)
+def _cancel_unit(cols, k, j, ctx):
+    """Cancel the unit entry u of column k in component j.
+
+    Every other column with a nonzero entry a in component j becomes
+    ``nf_vector(u*col - a*pivot)``; the rest are kept.  The pivot column and
+    component j are dropped, and zero columns stay in place.
+    """
+    pivot = cols[k]
+    u = pivot.component(j)
+    out = []
+    for i, col in enumerate(cols):
+        if i != k:
+            a = col.component(j)
+            out.append(_drop(ctx.nf_vector(u * col - a * pivot) if a else col, j))
+    return out
 
 
 def minimalize(cx: FreeComplex, ctx) -> FreeComplex:
     """Homotopy-equivalent complex with no unit entries in any differential.
 
-    ``ctx`` provides nf(poly) and is_unit(poly) for the ambient (quotient)
-    ring.  Input must be a complex; ranks drop by one per cancellation.
+    ``ctx`` provides nf_vector and unit_component for the ambient (quotient)
+    ring.  Input must be a complex; ranks drop by one per cancellation.  A
+    unit u in component j of column k of d_i is cancelled by
+    ``_cancel_unit``, which drops component k of d_{i+1} and column j of
+    d_{i-1}.  The columns of d_i that it leaves unscaled have their
+    components in d_{i+1} multiplied by u, so every composition stays zero:
+    the result is the exact elimination with d_{i+1} rescaled by u.
     """
-    ring = None
-    for m in cx.mats:
-        if m.columns:
-            ring = m.columns[0].ring
-            break
-    if ring is None:
-        return cx
-    grids = [_grid(m) for m in cx.mats]
-    layouts = [list(l.twists) for l in cx.layouts]
-
-    def find_unit():
-        for i, g in enumerate(grids):
-            for r in range(len(g)):
-                for c in range(len(g[0]) if g else 0):
-                    if ctx.is_unit(g[r][c]):
-                        return i, r, c
-        return None
-
+    mats = [list(m.columns) for m in cx.mats]
+    twists = [list(layout.twists) for layout in cx.layouts]
     while True:
-        spot = find_unit()
+        spot = next(((i, k, j) for i, cols in enumerate(mats) for k, v in enumerate(cols)
+                     if (j := ctx.unit_component(v)) is not None), None)
         if spot is None:
             break
-        i, r, c = spot
-        g = grids[i]
-        u = g[r][c]
-        nrows, ncols = len(g), len(g[0])
-        scalar = len(u.terms) == 1 and ring._zero_mon in u.terms
-        uinv = ring.field.inv(u.constant_term()) if scalar else None
-        new = []
-        for r2 in range(nrows):
-            if r2 == r:
-                continue
-            row = []
-            for c2 in range(ncols):
-                if c2 == c:
-                    continue
-                if scalar:
-                    val = g[r2][c2] - uinv * (g[r2][c] * g[r][c2])
-                else:
-                    val = u * g[r2][c2] - g[r2][c] * g[r][c2]
-                row.append(ctx.nf(val))
-            new.append(row)
-        grids[i] = new
-        # adjacent differentials only lose a row / a column
-        if i + 1 < len(grids):
-            grids[i + 1] = [row for k, row in enumerate(grids[i + 1]) if k != c]
-            if not grids[i + 1]:
-                grids[i + 1] = [[] for _ in range(0)]
-        if i - 1 >= 0:
-            grids[i - 1] = [[e for k, e in enumerate(row) if k != r] for row in grids[i - 1]]
-        del layouts[i][r]
-        del layouts[i + 1][c]
-
-    new_layouts = [FreeLayout(len(tw), tuple(tw)) for tw in layouts]
-    mats = []
-    for i, g in enumerate(grids):
-        tgt, src = new_layouts[i], new_layouts[i + 1]
-        grid = g if g else [[] for _ in range(tgt.rank)]
-        # normalize shapes for degenerate ranks
-        if tgt.rank == 0:
-            mats.append(Matrix(tgt, src, [Vector(ring, 0, {}) for _ in range(src.rank)]))
-            continue
-        if src.rank == 0:
-            mats.append(Matrix(tgt, src, []))
-            continue
-        mats.append(_from_grid(grid, tgt, src, ring))
-    return FreeComplex(new_layouts, mats)
+        i, k, j = spot
+        u = mats[i][k].component(j)
+        unscaled = {c for c, v in enumerate(mats[i]) if not v.component(j)}
+        mats[i] = _cancel_unit(mats[i], k, j, ctx)
+        for n, w in enumerate(mats[i + 1] if i + 1 < len(mats) else ()):
+            rows = Vector(w.ring, w.rank, {t: a for t, a in w.terms.items() if t[0] in unscaled})
+            mats[i + 1][n] = _drop(ctx.nf_vector(w + (u - 1) * rows), k)
+        if i > 0:
+            del mats[i - 1][j]
+        del twists[i][j], twists[i + 1][k]
+    layouts = [FreeLayout(len(tw), tuple(tw)) for tw in twists]
+    return FreeComplex(layouts, [Matrix(layouts[i], layouts[i + 1], cols)
+                                 for i, cols in enumerate(mats)])
 
 
 # ---------------------------------------------------- bounded resolutions
@@ -217,51 +185,25 @@ def min_gens_with_syz(cand, layout, ctx):
     """Minimal generating subset of <cand> and generators of its syzygies.
 
     ``cand`` holds nonzero columns in normal form and is left unchanged.
-    Unit entries in the syzygy matrix witness redundant generators
-    (Nakayama); they are stripped with denominator-free column operations,
-    which keeps the remaining columns generating over the localization.
+    A unit entry in the syzygy matrix witnesses a redundant generator
+    (Nakayama): the first column with a unit entry, in its smallest such
+    component, is the pivot of ``_cancel_unit``, which drops that generator
+    with a denominator-free column operation and keeps the remaining columns
+    generating over the localization.  Zero columns are dropped.
     """
-    ring = ctx.cover
     cand = list(cand)
     if not cand:
         return [], []
     syz = syzygies(cand, ctx.order, layout, modulus=ctx.ideal_sb)
     cols = [w for w in (ctx.nf_vector(v) for v in syz.columns) if w]
-    zm = ring._zero_mon
-
-    def find_unit():
-        for cidx, col in enumerate(cols):
-            for (comp, e), a in sorted(col.terms.items()):
-                if e == zm and ctx.is_unit(col.component(comp)):
-                    return cidx, comp
-        return None
-
     while True:
-        spot = find_unit()
+        spot = next(((k, j) for k, v in enumerate(cols)
+                     if (j := ctx.unit_component(v)) is not None), None)
         if spot is None:
-            break
-        cidx, j = spot
-        pivot = cols[cidx]
-        u = pivot.component(j)
-        out = []
-        for k, col in enumerate(cols):
-            if k == cidx:
-                continue
-            a = col.component(j)
-            if a:
-                # a new column: component j cancels, the rest is reduced
-                col = ctx.nf_vector(u * col - a * pivot)
-                if not col:
-                    continue
-            out.append(col)
-        # drop generator j, reindex components
+            return cand, cols
+        k, j = spot
         del cand[j]
-        cols = [
-            Vector(ring, len(cand), {(comp - 1 if comp > j else comp, e): val
-                                     for (comp, e), val in col.terms.items()})
-            for col in out
-        ]
-    return cand, cols
+        cols = [v for v in _cancel_unit(cols, k, j, ctx) if v]
 
 
 def resolve_bounded(gens, layout, ctx, cutoff):
@@ -269,9 +211,11 @@ def resolve_bounded(gens, layout, ctx, cutoff):
 
     Over the graded flavor (a global order) the source twists are the column
     degrees; over the local flavor all twists are zero.  ``ctx`` supplies
-    cover ring, order, ideal_sb, nf_vector and is_unit.  The generators are
-    in normal form (stored columns); zero ones are dropped, and a free
-    cokernel (none left) is FINITE of pdim 0 at every cutoff.
+    order, ideal_sb, nf_vector and unit_component.  The generators are in
+    normal form (stored columns); zero ones are dropped, and a free
+    cokernel (none left) is FINITE of pdim 0 at every cutoff.  Each level is
+    ``min_gens_with_syz``: its unit-stripped syzygies are the next level's
+    candidates.
     """
     cand = [v for v in gens if v]
     if not cand:

@@ -184,7 +184,7 @@ class GradedModule:
                 continue
             if not v.is_homogeneous(layout):
                 raise ValueError("relations must be homogeneous for the layout")
-            if any(ring.is_unit(f) for f in v.components().values()):
+            if ring.unit_component(v) is not None:
                 raise ValueError("minimal presentation needs relations inside the irrelevant ideal")
             cleaned.append(v)
         self.relations = cleaned

@@ -48,7 +48,7 @@ class LocalModule:
             g = ring.nf_vector(g)
             if g.is_zero():
                 continue
-            if any(ring.is_unit(f) for f in g.components().values()):
+            if ring.unit_component(g) is not None:
                 raise SubmoduleNotInMaximalIdeal("N ⊆ mF required")
             cleaned.append(g)
         self.gens = cleaned

@@ -122,12 +122,7 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
         # the reverse containment is a theorem; violation is a bug
         if not all(init.basis.contains(v) for v in first_cols):
             raise BridgeError("initial matrix columns escape the initial submodule")
-    minimal = all(
-        not A.is_unit(f)
-        for m in mats
-        for v in m.columns
-        for f in v.components().values()
-    )
+    minimal = all(A.unit_component(v) is None for m in mats for v in m.columns)
     fully = res.finite and maxpos >= n and witness is None
     if witness is not None or not coker or not minimal:
         conclusion = NOT_PURE

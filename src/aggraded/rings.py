@@ -46,9 +46,14 @@ class _QuotientOps:
                 terms[(comp, e)] = a
         return Vector(v.ring, v.rank, terms)
 
-    def is_unit(self, f: Polynomial) -> bool:
-        # the constant term is well defined modulo a proper ideal
-        return f.constant_term() != 0
+    def unit_component(self, v: Vector):
+        """The smallest component of ``v`` whose entry is a unit, or None.
+
+        An entry is a unit when its constant term is nonzero, which is well
+        defined modulo a proper ideal.
+        """
+        zm = v.ring._zero_mon
+        return min((c for c, e in v.terms if e == zm), default=None)
 
 
 class LocalRing(_QuotientOps):

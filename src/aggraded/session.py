@@ -323,6 +323,16 @@ def _invariants(ws, target):
     return payload, True
 
 
+def _route_b(vr):
+    """The payload of a route B verdict, shared by ``purity`` and ``fstar``."""
+    wb = None
+    if vr.homology_witness:
+        wb = {"position": vr.homology_witness[0], "class": str(vr.homology_witness[1])}
+    return {"conclusion": vr.purity_conclusion, "acyclic_up_to": vr.acyclic_up_to,
+            "coker_matches": vr.coker_matches, "is_minimal": vr.is_minimal,
+            "homology_witness": wb}
+
+
 def _purity(ws, target):
     if not ws.local:
         table = minimal_graded_resolution(ws.graded_module(target), ws.cutoff)
@@ -334,10 +344,6 @@ def _purity(ws, target):
     wa = None
     if pv.route_a.witness:
         wa = {"position": pv.route_a.witness[0], "degrees": list(pv.route_a.witness[1])}
-    wb = None
-    if pv.route_b.homology_witness:
-        pos, vec = pv.route_b.homology_witness
-        wb = {"position": pos, "class": str(vec)}
     return {
         "verdict": pv.verdict,
         "route_a": {
@@ -346,13 +352,7 @@ def _purity(ws, target):
             "type": list(pv.route_a.delta),
             "witness": wa,
         },
-        "route_b": {
-            "conclusion": pv.route_b.purity_conclusion,
-            "acyclic_up_to": pv.route_b.acyclic_up_to,
-            "coker_matches": pv.route_b.coker_matches,
-            "is_minimal": pv.route_b.is_minimal,
-            "homology_witness": wb,
-        },
+        "route_b": _route_b(pv.route_b),
         "betti_transfer": {str(k): list(v) for k, v in sorted(pv.betti_transfer.items())},
         "delta": list(pv.delta),
         "noteworthy_acyclic_without_coker": pv.route_b.acyclic_without_coker_match,
@@ -362,18 +362,11 @@ def _purity(ws, target):
 def _fstar(ws, target):
     fs, vr = initial_complex_verdict(ws.modules[target], ws.cutoff)
     res = fs.resolution
-    wb = None
-    if vr.homology_witness:
-        wb = {"position": vr.homology_witness[0], "class": str(vr.homology_witness[1])}
     return {
+        **_route_b(vr),
         "is_complex": True,           # initial_complex raises otherwise
         "delta": list(fs.delta),
         "column_orders": [res.column_orders(i) for i in range(1, len(res.mats) + 1)],
-        "acyclic_up_to": vr.acyclic_up_to,
-        "homology_witness": wb,
-        "coker_matches": vr.coker_matches,
-        "is_minimal": vr.is_minimal,
-        "conclusion": vr.purity_conclusion,
     }, vr.purity_conclusion != INCONCLUSIVE
 
 

@@ -11,13 +11,15 @@ and oracle output that no computation in the package needs.
 - ``variable_maps``: the truncated multiplication maps of a quotient model;
 - ``dense_rref_modp``: dense GF(p) row reduction, the reference for the
   oracle's sparse ``rref_modp``;
-- ``dense``: an oracle echelon form written out as its matrix.
+- ``dense``: an oracle echelon form written out as its matrix;
+- ``strip_units``: the Nakayama strip loop that ``complexes`` once ran
+  inline, the reference for ``min_gens_with_syz``.
 """
 
 import numpy as np
 
 from aggraded.engine import (MAX_REDUCTION_STEPS, EngineError, StandardBasis, _index, _scale,
-                             _sub_scaled)
+                             _sub_scaled, syzygies)
 from aggraded.poly import Vector, mon_deg, mon_div, mon_divides, mon_lcm
 
 
@@ -228,3 +230,48 @@ def dense_rref_modp(rows, p):
         pivots.append(c)
         r += 1
     return A[:r], pivots
+
+
+def strip_units(cand, layout, ctx):
+    """``complexes.min_gens_with_syz`` as a scan: the first syzygy column
+    with a unit entry is found by sorting its terms on every pass, and the
+    elimination is written out in place."""
+    ring = ctx.cover
+    cand = list(cand)
+    if not cand:
+        return [], []
+    syz = syzygies(cand, ctx.order, layout, modulus=ctx.ideal_sb)
+    cols = [w for w in (ctx.nf_vector(v) for v in syz.columns) if w]
+    zm = ring._zero_mon
+
+    def find_unit():
+        for cidx, col in enumerate(cols):
+            for (comp, e), a in sorted(col.terms.items()):
+                if e == zm and col.component(comp).constant_term() != 0:
+                    return cidx, comp
+        return None
+
+    while True:
+        spot = find_unit()
+        if spot is None:
+            break
+        cidx, j = spot
+        pivot = cols[cidx]
+        u = pivot.component(j)
+        out = []
+        for k, col in enumerate(cols):
+            if k == cidx:
+                continue
+            a = col.component(j)
+            if a:
+                col = ctx.nf_vector(u * col - a * pivot)
+                if not col:
+                    continue
+            out.append(col)
+        del cand[j]
+        cols = [
+            Vector(ring, len(cand), {(comp - 1 if comp > j else comp, e): val
+                                     for (comp, e), val in col.terms.items()})
+            for col in out
+        ]
+    return cand, cols

@@ -46,6 +46,29 @@ def test_minimalize_polynomial_unit():
     assert out.mats[0].columns[0].component(0) == expected
 
 
+def test_minimalize_cancels_across_adjacent_differentials():
+    # the Koszul resolution of (x^2, y^2, z^2) plus a trivial summand R -1-> R
+    # in positions 1-2, mixed in by e_3 -> e_3 + c*e_0 on F_1: d_1 gains the
+    # column c*x^2 and d_2's unit column becomes (-c, 0, 0, 1)
+    sq = [P.gen(i) ** 2 for i in range(3)]
+    res = resolve_bounded([Vector.from_polys([f]) for f in sq], FreeLayout(1), S_LOC, 5)
+    d1, d2, d3 = res.mats
+    c = P.from_string("1 + x")
+    wide = [Vector(v.ring, 4, v.terms) for v in d2.columns]
+    layouts = [FreeLayout(1), FreeLayout(4), FreeLayout(4), FreeLayout(1)]
+    mats = [
+        Matrix(layouts[0], layouts[1], d1.columns + [c * d1.columns[0]]),
+        Matrix(layouts[1], layouts[2], wide + [col(-c, "0", "0", "1")]),
+        Matrix(layouts[2], layouts[3], [Vector(v.ring, 4, v.terms) for v in d3.columns]),
+    ]
+    cx = FreeComplex(layouts, mats)
+    assert cx.check_complex(S_LOC.nf_vector)
+    out = minimalize(cx, S_LOC)
+    assert out.check_complex(S_LOC.nf_vector)
+    assert all(S_LOC.unit_component(v) is None for m in out.mats for v in m.columns)
+    assert [layout.rank for layout in out.layouts] == [1, 3, 3, 1]
+
+
 def test_minimalize_requires_complex():
     m1 = Matrix(FreeLayout(1), FreeLayout(1), [col("x")])
     m2 = Matrix(FreeLayout(1), FreeLayout(1), [col("y")])
@@ -58,10 +81,7 @@ def test_min_gens_strips_redundant_generator():
     gens = [col("x"), col("x*y")]
     cols, syz = min_gens_with_syz(gens, FreeLayout(1), S_LOC)
     assert len(cols) == 1 and cols[0].component(0) == P.gen(0)
-    zm = P._zero_mon
-    for v in syz:
-        for comp in range(v.rank):
-            assert not S_LOC.is_unit(v.component(comp))
+    assert all(S_LOC.unit_component(v) is None for v in syz)
 
 
 def test_resolution_betti_match_nakayama_counts(squares_module):
@@ -160,6 +180,53 @@ def _bundled_modules():
                 yield mod, mod.gens
                 mod = assoc_graded_module(mod)
             yield mod, mod.relations
+
+
+def _redundant(mod, gens):
+    """``gens`` followed by combinations of them, in normal form: a
+    generating set whose syzygies have several unit entries to strip."""
+    ring, x = mod.ring, mod.ring.cover.gen(0)
+    extra = [gens[0] + gens[-1], x * gens[0], gens[0] + x * gens[-1], gens[-1] + x * gens[0]]
+    return gens + [v for v in map(ring.nf_vector, extra)
+                   if v and (ring.order.is_local or v.is_homogeneous(mod.layout))]
+
+
+def test_min_gens_with_syz_matches_the_strip_loop_reference(monkeypatch):
+    """Every level of every resolution the bundled sessions make at cutoff 3
+    (local, graded, over the polynomial cover, and the equigeneration
+    check's), and of each bundled module's resolution from a redundant
+    generating set: the kept generators and the stripped columns equal the
+    reference's term for term, in the same order."""
+    import pathlib
+
+    import aggraded.complexes as complexes
+    import aggraded.modules as modules
+    from aggraded.session import execute, parse_session
+    from reference_checks import strip_units
+
+    def terms(cols):
+        return [(v.rank, list(v.terms.items())) for v in cols]
+
+    levels, stripped = {True: 0, False: 0}, 0
+    real = complexes.min_gens_with_syz
+
+    def checked(cand, layout, ctx):
+        nonlocal stripped
+        kept, syz = real(cand, layout, ctx)
+        ref_kept, ref_syz = strip_units(cand, layout, ctx)
+        assert terms(kept) == terms(ref_kept) and terms(syz) == terms(ref_syz)
+        levels[ctx.order.is_local] += 1
+        stripped += len(cand) - len(kept)
+        return kept, syz
+
+    for owner in (complexes, modules):
+        monkeypatch.setattr(owner, "min_gens_with_syz", checked)
+    sessions = pathlib.Path(__file__).resolve().parent.parent / "sessions"
+    for path in sorted(sessions.glob("*.session")):
+        execute(parse_session(path.read_text()), max_homdeg=3)
+    for mod, gens in _bundled_modules():
+        complexes.resolve_bounded(_redundant(mod, gens), mod.layout, mod.ring, 3)
+    assert levels[True] and levels[False] and stripped
 
 
 def test_stored_columns_are_in_normal_form_and_never_reduced_again(monkeypatch):

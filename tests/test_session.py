@@ -139,6 +139,38 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def _refuse_execute(monkeypatch):
+    import aggraded.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the session ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "execute", refuse)
+
+
+def test_cli_out_in_a_missing_directory_is_an_error(tmp_path, capsys, monkeypatch):
+    _refuse_execute(monkeypatch)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run", str(SESSIONS / "squares.session"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+    assert not out.parent.exists()
+
+
+def test_cli_out_at_a_directory_is_an_error(tmp_path, capsys, monkeypatch):
+    _refuse_execute(monkeypatch)
+    assert main(["run", str(SESSIONS / "squares.session"), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_session_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.session"
+    bad.write_bytes("vars x\n# caf\u00e9\n".encode("latin-1"))
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
 def test_cli_char_override(tmp_path):
     out = tmp_path / "r.json"
     code = main(["run", str(SESSIONS / "squares.session"), "--char", "101", "--out", str(out)])
