@@ -22,9 +22,8 @@ from .modules import (BridgeError, EquigenReport, InitialData, LocalModule,
                       LocalResolution, assoc_graded_module, equigenerated_check,
                       initial_matrix, local_minimal_resolution, submodule_initial)
 from .graded import (BettiTable, GradedModule, HilbertSeries, NumericInvariants,
-                     PoincareSeries, PurityReport, betti_analysis, hilbert_series,
-                     minimal_graded_resolution, numeric_invariants,
-                     poincare_from_hilbert, ring_as_module)
+                     PurityReport, betti_analysis, hilbert_series,
+                     minimal_graded_resolution, numeric_invariants, ring_as_module)
 from .purity import (InitialComplex, InitialComplexVerdict, KoszulFibreReport,
                      PurityVerdict, fiber_product, initial_complex,
                      initial_complex_verdict, koszul_fibre_check, purity_verdict,

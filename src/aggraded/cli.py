@@ -25,7 +25,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse exits 2, the status of "inconclusive"
+        return 1 if exc.code else 0
     try:
         with open(args.session, encoding="utf-8") as fh:
             ses = parse_session(fh.read())

@@ -26,9 +26,12 @@ normal forms are idempotent, so a second reduction would return its input;
 orders, twists and initial matrices are read off the stored columns.
 
 ``resolve_cached`` is the one resolution cache of the local and the graded
-flavor.  A FINITE result serves every cutoff, a truncated result serves
-every cutoff up to its own, and the deepest result is kept; a result served
-at a shallower cutoff is its first maps, exactly what ``resolve_bounded``
+flavor, and the kept resolution grows, never restarts.  A FINITE result
+serves every cutoff, a truncated result serves every cutoff up to its own,
+and a deeper cutoff resumes it: ``resolve_bounded`` runs on the stripped
+syzygy columns of its last level (``ResolutionResult.rest``) for the missing
+levels only.  A level gets the same inputs either way, so the maps, status
+and pdim served at any cutoff are term for term what ``resolve_bounded``
 returns there.
 """
 
@@ -171,6 +174,8 @@ class ResolutionResult:
     status: str           # FINITE | TRUNCATED
     pdim: int             # meaningful when status == FINITE
     cutoff: int
+    # TRUNCATED: the next level's candidates and their layout, to resume from
+    rest: tuple = field(default=None, kw_only=True, repr=False)
 
     @property
     def betti(self):
@@ -238,18 +243,24 @@ def resolve_bounded(gens, layout, ctx, cutoff):
             status, pdim = FINITE, step
             break
         cand, cur_layout = syz, src
-    return ResolutionResult(mats, status, pdim if pdim is not None else -1, cutoff)
+    rest = (cand, cur_layout) if status == TRUNCATED else None
+    return ResolutionResult(mats, status, pdim if pdim is not None else -1, cutoff, rest=rest)
 
 
 def resolve_cached(cache: dict, gens, layout, ctx, cutoff) -> ResolutionResult:
-    """``resolve_bounded`` of the same module, reusing the result kept in
-    ``cache`` under the rule stated in the module docstring."""
+    """``resolve_bounded`` of the same module, from the result kept in
+    ``cache``, which grows, never restarts: a call computes only the levels
+    that the kept result lacks (module docstring)."""
     if cutoff < 0:
         raise ValueError("the homological cutoff must be nonnegative")
     kept = cache.get("resolution")
-    if kept is None or not (kept.finite or cutoff <= kept.cutoff):
-        cache["resolution"] = res = resolve_bounded(gens, layout, ctx, cutoff)
-        return res
-    if kept.finite and cutoff >= kept.pdim:
+    if kept is None:
+        cache["resolution"] = kept = resolve_bounded(gens, layout, ctx, cutoff)
+    elif not kept.finite and cutoff > kept.cutoff:
+        more = resolve_bounded(*kept.rest, ctx, cutoff - kept.cutoff)
+        pdim = kept.cutoff + more.pdim if more.finite else -1
+        cache["resolution"] = kept = ResolutionResult(kept.mats + more.mats, more.status, pdim,
+                                                      cutoff, rest=more.rest)
+    if cutoff == kept.cutoff or kept.finite and cutoff >= kept.pdim:
         return kept
     return ResolutionResult(kept.mats[:cutoff], TRUNCATED, -1, cutoff)

@@ -15,7 +15,6 @@ be infinite and is only ever reported with its cutoff status.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import ResolutionResult, resolve_bounded, resolve_cached
 from .modules import BridgeError
@@ -158,12 +157,6 @@ class NumericInvariants:
     cmd: int
     multiplicity: int
     pdim_status: tuple               # (PDIM_FINITE, p) or (PDIM_AT_LEAST, cutoff+1)
-
-
-@dataclass
-class PoincareSeries:
-    coefficients: tuple
-    closed_form: str = None
 
 
 # ------------------------------------------------------------ the module
@@ -320,43 +313,3 @@ def numeric_invariants(gmod: GradedModule, cutoff: int = 8) -> NumericInvariants
     if cmd < 0 or depth > dim:
         raise BridgeError(f"depth {depth} exceeds dimension {dim}")
     return NumericInvariants(dim, depth, codim, cmd, hs.multiplicity, status)
-
-
-def poincare_from_hilbert(gmod: GradedModule, cutoff: int) -> PoincareSeries:
-    """Total Betti numbers extracted from H_M(z) = z^d0 H_A(z) P(-z).
-
-    Requires a linear resolution up to the cutoff; the extracted
-    coefficients are checked against the directly computed Betti numbers.
-    """
-    table = minimal_graded_resolution(gmod, cutoff)
-    rep = betti_analysis(table)
-    if not (rep.is_pure and rep.is_linear):
-        raise ValueError("module does not have a linear resolution within the cutoff")
-    d0 = rep.delta[0] if rep.delta else 0
-    hm = hilbert_series(gmod)
-    ha = hilbert_series(ring_as_module(gmod.ring))
-    upto = cutoff + max(d0, 0) + 1
-    sm = hm.series(upto)
-    sa = ha.series(upto)
-    # Q(z) = P(-z) = H_M(z) / (z^d0 H_A(z)): divide series exactly
-    shifted = sm[d0:] + [0] * d0
-    q = [Fraction(0)] * (cutoff + 1)
-    rem = [Fraction(x) for x in shifted]
-    for k in range(cutoff + 1):
-        q[k] = rem[k] / sa[0]
-        for m in range(k, min(len(rem), k + len(sa))):
-            rem[m] -= q[k] * sa[m - k]
-    coeffs = []
-    for i in range(cutoff + 1):
-        val = q[i] * (-1) ** i
-        if val.denominator != 1 or val < 0:
-            raise BridgeError("Poincare extraction produced a non-Betti coefficient")
-        coeffs.append(int(val))
-    known = min(table.max_i, cutoff) if table.entries else -1
-    for i in range(known + 1):
-        if coeffs[i] != table.total(i):
-            raise BridgeError("Poincare coefficients disagree with computed Betti numbers")
-    if table.complete:
-        coeffs = coeffs[: table.pdim + 1] + [0] * (cutoff - table.pdim)
-    closed = f"H_M(-z) / ((-z)^{d0} * H_A(-z))" if d0 else "H_M(-z) / H_A(-z)"
-    return PoincareSeries(tuple(coeffs), closed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import oracle
-from .complexes import Matrix, ResolutionResult, min_gens_with_syz, resolve_cached
+from .complexes import Matrix, ResolutionResult, resolve_cached
 from .complexes import resolve_bounded  # noqa: F401  (public name; perfbench binds it)
 from .engine import StandardBasis, standard_basis
 from .orders import DS, GREVLEX
@@ -80,20 +80,25 @@ class InitialData:
 
 
 def submodule_initial(mpres: LocalModule) -> InitialData:
-    """Initial forms of a certified basis of N, minimalized over A."""
+    """Initial forms of a certified basis of N, minimalized over A.
+
+    The forms present G(M) = F/N* over A, built once as a ``GradedModule``
+    (whose constructor is their one normal form) and kept as
+    ``assoc_graded_module``'s result.  N*'s minimal generators are the first
+    differential of G(M)'s cached resolution, which later cutoffs extend.
+    """
     if "initial" in mpres._cache:
         return mpres._cache["initial"]
     if mpres.is_free:
         raise ZeroInQuotientError("N = 0 has no initial data")
+    from .graded import GradedModule
+
     ring = mpres.ring
     A = ring.graded_cover
     sb = standard_basis(mpres.gens, DS, mpres.layout, modulus=ring.ideal_sb)
-    forms = []
-    for g in sb.gens:
-        v = A.nf_vector(g.initial_form())
-        if v:
-            forms.append(v)
-    min_gens, _ = min_gens_with_syz(forms, mpres.layout, A)
+    gmod = GradedModule(A, mpres.layout, [g.initial_form() for g in sb.gens])
+    res = resolve_cached(gmod._cache, gmod.relations, gmod.layout, A, 1)
+    min_gens = res.mats[0].columns if res.mats else []
     degrees = tuple(sorted(v.degree_in(mpres.layout) for v in min_gens))
     s = mpres.order()
     if degrees and degrees[0] != s:
@@ -106,21 +111,22 @@ def submodule_initial(mpres: LocalModule) -> InitialData:
     if not all(basis_full.contains(v) for v in given):
         raise BridgeError("initial forms of generators escape the initial submodule")
     data = InitialData(s, min_gens, flag, degrees, basis_full)
+    mpres._cache["assoc"] = gmod
     mpres._cache["initial"] = data
     return data
 
 
 def assoc_graded_module(mpres: LocalModule):
-    """Presentation of the associated graded module over A."""
-    from .graded import GradedModule
+    """G(M) = F/N* over A: the module that ``submodule_initial`` builds and
+    checks, or the free module F when N = 0."""
+    if "assoc" not in mpres._cache:
+        if mpres.is_free:
+            from .graded import GradedModule
 
-    if "assoc" in mpres._cache:
-        return mpres._cache["assoc"]
-    A = mpres.ring.graded_cover
-    rels = [] if mpres.is_free else submodule_initial(mpres).generators
-    gmod = GradedModule(A, mpres.layout, rels)
-    mpres._cache["assoc"] = gmod
-    return gmod
+            mpres._cache["assoc"] = GradedModule(mpres.ring.graded_cover, mpres.layout, [])
+        else:
+            submodule_initial(mpres)
+    return mpres._cache["assoc"]
 
 
 # ------------------------------------------------------------- resolutions

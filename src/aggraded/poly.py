@@ -302,10 +302,6 @@ class Polynomial:
         e = max(self.terms, key=order.mon_key)
         return e, self.terms[e]
 
-    def sorted_terms(self, order: OrderSpec):
-        """Terms as (coefficient, exponents), strictly descending."""
-        return [(self.terms[e], e) for e in sorted(self.terms, key=order.mon_key, reverse=True)]
-
     def __str__(self):
         return format_poly(self)
 

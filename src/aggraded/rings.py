@@ -115,19 +115,6 @@ class LocalRing(_QuotientOps):
             self._graded_cover = GradedRing(self.cover, self.tangent_cone())
         return self._graded_cover
 
-    def order_of(self, f: Polynomial):
-        """(nu, initial form class in A) for a nonzero element of the quotient.
-
-        nu is the total degree of the minimal-degree term of the Mora normal
-        form; the initial form is reduced into the graded cover.
-        """
-        h = self.nf(f)
-        if h.is_zero():
-            raise ZeroInQuotientError("zero in quotient: order undefined")
-        nu = h.order()
-        init = self.graded_cover.nf(h.initial_form())
-        return nu, init
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal) or "0"
         return f"LocalRing({','.join(self.cover.names)}; I=<{gens}>; p={self.cover.p})"

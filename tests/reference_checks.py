@@ -13,13 +13,31 @@ and oracle output that no computation in the package needs.
   oracle's sparse ``rref_modp``;
 - ``dense``: an oracle echelon form written out as its matrix;
 - ``strip_units``: the Nakayama strip loop that ``complexes`` once ran
-  inline, the reference for ``min_gens_with_syz``.
+  inline, the reference for ``min_gens_with_syz``;
+- ``agreement_modules``: the first nontrivial modules that the agreement
+  suite draws for a seed;
+- ``initial_generators``: N*'s minimal generators as ``min_gens_with_syz``
+  over the normal forms of the initial forms, the reference for
+  ``submodule_initial``;
+- ``poincare_from_hilbert``: total Betti numbers of a linear resolution
+  extracted from Hilbert series, a cross-check of linear Betti tables
+  against Hilbert data.
 """
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from aggraded import randomized
+from aggraded.complexes import min_gens_with_syz
 from aggraded.engine import (MAX_REDUCTION_STEPS, EngineError, StandardBasis, _index, _scale,
-                             _sub_scaled, syzygies)
+                             _sub_scaled, standard_basis, syzygies)
+from aggraded.graded import (betti_analysis, hilbert_series, minimal_graded_resolution,
+                             ring_as_module)
+from aggraded.modules import BridgeError
+from aggraded.orders import DS
 from aggraded.poly import Vector, mon_deg, mon_div, mon_divides, mon_lcm
 
 
@@ -275,3 +293,75 @@ def strip_units(cand, layout, ctx):
             for col in out
         ]
     return cand, cols
+
+
+def agreement_modules(count, seed=randomized.DEFAULT_SEED, p=32003):
+    """The first ``count`` nontrivial modules the agreement suite draws."""
+    rng = random.Random(seed)
+    pool = randomized.ring_pool(p)
+    out = []
+    while len(out) < count:
+        ring, truncation = pool[rng.randrange(len(pool))]
+        try:
+            mod = randomized.random_module(rng, ring)
+        except ValueError:
+            continue
+        if not mod.is_free:
+            out.append((mod, truncation))
+    return out
+
+
+def initial_generators(mpres):
+    """N*'s minimal generators as ``modules.submodule_initial`` once found
+    them: ``min_gens_with_syz`` over the A-normal forms of the initial forms
+    of a certified local basis of N."""
+    A = mpres.ring.graded_cover
+    sb = standard_basis(mpres.gens, DS, mpres.layout, modulus=mpres.ring.ideal_sb)
+    forms = [v for v in (A.nf_vector(g.initial_form()) for g in sb.gens) if v]
+    return min_gens_with_syz(forms, mpres.layout, A)[0]
+
+
+@dataclass
+class PoincareSeries:
+    coefficients: tuple
+    closed_form: str = None
+
+
+def poincare_from_hilbert(gmod, cutoff: int) -> PoincareSeries:
+    """Total Betti numbers extracted from H_M(z) = z^d0 H_A(z) P(-z).
+
+    Requires a linear resolution up to the cutoff; the extracted
+    coefficients are checked against the directly computed Betti numbers.
+    """
+    table = minimal_graded_resolution(gmod, cutoff)
+    rep = betti_analysis(table)
+    if not (rep.is_pure and rep.is_linear):
+        raise ValueError("module does not have a linear resolution within the cutoff")
+    d0 = rep.delta[0] if rep.delta else 0
+    hm = hilbert_series(gmod)
+    ha = hilbert_series(ring_as_module(gmod.ring))
+    upto = cutoff + max(d0, 0) + 1
+    sm = hm.series(upto)
+    sa = ha.series(upto)
+    # Q(z) = P(-z) = H_M(z) / (z^d0 H_A(z)): divide series exactly
+    shifted = sm[d0:] + [0] * d0
+    q = [Fraction(0)] * (cutoff + 1)
+    rem = [Fraction(x) for x in shifted]
+    for k in range(cutoff + 1):
+        q[k] = rem[k] / sa[0]
+        for m in range(k, min(len(rem), k + len(sa))):
+            rem[m] -= q[k] * sa[m - k]
+    coeffs = []
+    for i in range(cutoff + 1):
+        val = q[i] * (-1) ** i
+        if val.denominator != 1 or val < 0:
+            raise BridgeError("Poincare extraction produced a non-Betti coefficient")
+        coeffs.append(int(val))
+    known = min(table.max_i, cutoff) if table.entries else -1
+    for i in range(known + 1):
+        if coeffs[i] != table.total(i):
+            raise BridgeError("Poincare coefficients disagree with computed Betti numbers")
+    if table.complete:
+        coeffs = coeffs[: table.pdim + 1] + [0] * (cutoff - table.pdim)
+    closed = f"H_M(-z) / ((-z)^{d0} * H_A(-z))" if d0 else "H_M(-z) / H_A(-z)"
+    return PoincareSeries(tuple(coeffs), closed)

@@ -123,30 +123,58 @@ def _cache_cases(squares_module):
     ]
 
 
-def test_resolution_cache_serves_every_cutoff_like_a_fresh_resolution(squares_module, monkeypatch):
+def _count_levels(monkeypatch):
+    """A list that grows by one for each level that any resolution computes
+    (a ``min_gens_with_syz`` call) from now on."""
     import aggraded.complexes as complexes
+
+    levels, real = [], complexes.min_gens_with_syz
+    monkeypatch.setattr(complexes, "min_gens_with_syz",
+                        lambda *args: levels.append(args) or real(*args))
+    return levels
+
+
+def test_resolution_cache_serves_every_cutoff_like_a_fresh_resolution(squares_module, monkeypatch):
+    """The kept resolution grows, never restarts: in either order of the
+    cutoffs, a call computes only the levels that the cache lacks, and what
+    it serves is what a fresh ``resolve_bounded`` returns at that cutoff."""
     from aggraded.complexes import resolve_cached
 
-    fresh = {}
+    levels = _count_levels(monkeypatch)
+    fresh, depth = {}, {}
     for (gens, layout, ctx), cutoffs in _cache_cases(squares_module):
         for c in cutoffs:
+            levels[:] = []
             fresh[id(ctx), c] = _shape(resolve_bounded(gens, layout, ctx, c))
-    misses = []
-    real = complexes.resolve_bounded
-    monkeypatch.setattr(complexes, "resolve_bounded",
-                        lambda *args: misses.append(args[3]) or real(*args))
+            depth[id(ctx), c] = len(levels)
     for (gens, layout, ctx), cutoffs in _cache_cases(squares_module):
         for order in (cutoffs[::-1], cutoffs):
-            cache, misses[:] = {}, []
+            cache, deepest = {}, 0
             for c in order:
+                levels[:] = []
                 got = resolve_cached(cache, gens, layout, ctx, c)
                 assert _shape(got) == fresh[id(ctx), c], (ctx, order, c)
-            # deep first: one miss (the deepest result is finite here);
-            # shallow first: a miss per cutoff until the first finite result
-            first_finite = next(c for c in cutoffs if fresh[id(ctx), c][1] == FINITE)
-            assert misses == ([order[0]] if order[0] == max(order)
-                              else [c for c in order if c <= first_finite])
-            assert cache["resolution"].cutoff == misses[-1]
+                assert len(levels) == max(0, depth[id(ctx), c] - deepest), (ctx, order, c)
+                deepest = max(deepest, depth[id(ctx), c])
+
+
+def test_resolution_cache_resumes_every_bundled_resolution_like_a_fresh_one(monkeypatch):
+    """Every bundled module, a local module's G(M) included: one cache grows
+    from cutoff c to c + 1 (c = 0..4), computes the one missing level, and
+    serves term for term what a fresh resolution to c + 1 returns."""
+    from aggraded.complexes import resolve_cached
+
+    levels = _count_levels(monkeypatch)
+    for mod, gens in _bundled_modules():
+        cache = {}
+        resolve_cached(cache, gens, mod.layout, mod.ring, 0)
+        for c in range(5):
+            levels[:] = []
+            fresh = _shape(resolve_bounded(gens, mod.layout, mod.ring, c + 1))
+            computed = len(levels)
+            levels[:] = []
+            assert _shape(resolve_cached(cache, gens, mod.layout, mod.ring, c + 1)) == fresh
+            assert len(levels) == (computed > c)
 
 
 def test_resolution_cache_rejects_a_negative_cutoff():
@@ -191,6 +219,32 @@ def _redundant(mod, gens):
                    if v and (ring.order.is_local or v.is_homogeneous(mod.layout))]
 
 
+def _terms(cols):
+    return [(v.rank, list(v.terms.items())) for v in cols]
+
+
+def test_initial_generators_are_the_first_level_of_the_graded_resolution():
+    """N*'s minimal generators, read off the first level of G(M)'s cached
+    resolution, equal the reference's term for term: on the bundled local
+    modules and the first 40 default-seed and held-out agreement modules."""
+    from collections import Counter
+
+    import aggraded.modules as modules
+    from aggraded import randomized
+    from aggraded.graded import minimal_graded_resolution
+    from aggraded.modules import LocalModule, assoc_graded_module, submodule_initial
+    from reference_checks import agreement_modules, initial_generators
+
+    assert not hasattr(modules, "min_gens_with_syz")
+    mods = [mod for mod, _ in _bundled_modules() if isinstance(mod, LocalModule)]
+    mods += [mod for seed in (randomized.DEFAULT_SEED, 2) for mod, _ in agreement_modules(40, seed)]
+    for mod in mods:
+        data = submodule_initial(mod)
+        assert _terms(data.generators) == _terms(initial_generators(mod))
+        entries = minimal_graded_resolution(assoc_graded_module(mod), 1).entries
+        assert {j: c for (i, j), c in entries.items() if i == 1} == Counter(data.generator_degrees)
+
+
 def test_min_gens_with_syz_matches_the_strip_loop_reference(monkeypatch):
     """Every level of every resolution the bundled sessions make at cutoff 3
     (local, graded, over the polynomial cover, and the equigeneration
@@ -200,12 +254,8 @@ def test_min_gens_with_syz_matches_the_strip_loop_reference(monkeypatch):
     import pathlib
 
     import aggraded.complexes as complexes
-    import aggraded.modules as modules
     from aggraded.session import execute, parse_session
     from reference_checks import strip_units
-
-    def terms(cols):
-        return [(v.rank, list(v.terms.items())) for v in cols]
 
     levels, stripped = {True: 0, False: 0}, 0
     real = complexes.min_gens_with_syz
@@ -214,13 +264,12 @@ def test_min_gens_with_syz_matches_the_strip_loop_reference(monkeypatch):
         nonlocal stripped
         kept, syz = real(cand, layout, ctx)
         ref_kept, ref_syz = strip_units(cand, layout, ctx)
-        assert terms(kept) == terms(ref_kept) and terms(syz) == terms(ref_syz)
+        assert _terms(kept) == _terms(ref_kept) and _terms(syz) == _terms(ref_syz)
         levels[ctx.order.is_local] += 1
         stripped += len(cand) - len(kept)
         return kept, syz
 
-    for owner in (complexes, modules):
-        monkeypatch.setattr(owner, "min_gens_with_syz", checked)
+    monkeypatch.setattr(complexes, "min_gens_with_syz", checked)
     sessions = pathlib.Path(__file__).resolve().parent.parent / "sessions"
     for path in sorted(sessions.glob("*.session")):
         execute(parse_session(path.read_text()), max_homdeg=3)
@@ -230,20 +279,21 @@ def test_min_gens_with_syz_matches_the_strip_loop_reference(monkeypatch):
 
 
 def test_stored_columns_are_in_normal_form_and_never_reduced_again(monkeypatch):
-    """The normal-form contract of ``complexes`` on the bundled sessions."""
+    """The normal-form contract of ``complexes`` on the bundled sessions, the
+    construction of each module and of each local module's G(M) included."""
     import aggraded.complexes as complexes
-    import aggraded.modules as modules
     from aggraded.modules import LocalModule, initial_matrix, local_minimal_resolution
     from aggraded.rings import _QuotientOps
 
     assert not hasattr(LocalRing, "vector_order")
-    reduced, checked, entered = [], [], []
+    reduced, made, checked, entered = [], [], [], []
     real_nf, real_min_gens = _QuotientOps.nf_vector, complexes.min_gens_with_syz
     real_resolve = complexes.resolve_bounded
 
     def nf_vector(ctx, v):
         reduced.append(v)
-        return real_nf(ctx, v)
+        made.append(real_nf(ctx, v))
+        return made[-1]
 
     def min_gens(cand, layout, ctx):
         start = len(reduced)
@@ -262,19 +312,22 @@ def test_stored_columns_are_in_normal_form_and_never_reduced_again(monkeypatch):
         return out
 
     monkeypatch.setattr(_QuotientOps, "nf_vector", nf_vector)
-    for owner in (complexes, modules):
-        monkeypatch.setattr(owner, "min_gens_with_syz", min_gens)
+    monkeypatch.setattr(complexes, "min_gens_with_syz", min_gens)
     monkeypatch.setattr(complexes, "resolve_bounded", resolve)
-    resolutions = []
+    resolutions, stored = [], []
     for mod, gens in _bundled_modules():
         if isinstance(mod, LocalModule):
             res = local_minimal_resolution(mod, 3)
             resolutions.append(res)
         else:
             res = complexes.resolve_bounded(gens, mod.layout, mod.ring, 3)
+        stored += gens + [v for mat in res.mats for v in mat.columns]
         for v in gens + [v for mat in res.mats for v in mat.columns]:
             assert real_nf(mod.ring, v) == v
     assert checked and entered
+    # no normal form and no stored column went through nf_vector again: the
+    # columns of each module and of each G(M) were reduced once, where made
+    assert not {id(v) for v in made + stored} & {id(v) for v in reduced}
 
     def refuse(ctx, v):
         raise AssertionError("a stored column was normal-formed again")

@@ -42,15 +42,13 @@ def test_tangent_cone_hilbert_matches_oracle(semigroup_ring):
 
 
 def test_order_in_quotient_examples(semigroup_ring):
-    cover = semigroup_ring.cover
-    nu, init = semigroup_ring.order_of(cover.from_string("X"))
-    assert (nu, init) == (1, cover.from_string("X"))
-    nu, init = semigroup_ring.order_of(cover.from_string("X*Z"))
-    assert nu == 3 and init == cover.from_string("Y^3")
-    nu, init = semigroup_ring.order_of(cover.from_string("1 + X"))
-    assert nu == 0 and init == cover.one()
-    with pytest.raises(ZeroInQuotientError):
-        semigroup_ring.order_of(cover.from_string("X*Z - Y^3"))
+    # the order of a class is that of its Mora normal form, and its initial
+    # form is read in the graded cover
+    cover, A = semigroup_ring.cover, semigroup_ring.graded_cover
+    for f, nu, init in (("X", 1, "X"), ("X*Z", 3, "Y^3"), ("1 + X", 0, "1")):
+        h = semigroup_ring.nf(cover.from_string(f))
+        assert (h.order(), A.nf(h.initial_form())) == (nu, cover.from_string(init))
+    assert semigroup_ring.nf(cover.from_string("X*Z - Y^3")).is_zero()
 
 
 def test_order_in_quotient_matches_oracle(semigroup_ring):
@@ -58,7 +56,7 @@ def test_order_in_quotient_matches_oracle(semigroup_ring):
     model = oracle.FreeModel(semigroup_ring, 1, 9)
     for s in ("X", "Y", "Z", "X*Z", "Y*Z", "X^2", "X*Y - Z", "Y^4", "X^2*Y"):
         f = cover.from_string(s)
-        nu = semigroup_ring.order_of(f)[0]
+        nu = semigroup_ring.nf(f).order()
         assert nu == oracle.element_order(model, Vector.from_polys([f]))
 
 

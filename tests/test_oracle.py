@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from aggraded.oracle import (FreeModel, OracleWindowError, build_model,
                              filtration_intersection, rref_modp, submodule_layer_data)
 from aggraded.poly import PolyRing, Vector
 from aggraded.rings import LocalRing
-from reference_checks import dense, dense_rref_modp, variable_maps
+from reference_checks import agreement_modules, dense, dense_rref_modp, variable_maps
 
 P = 32003
 
@@ -55,22 +53,6 @@ def full_width_mus(model, gens, jmax):
         below = model.pivot_counts(rref_modp(np.vstack([dense(rel), shifted]), model.p)[0])
         mus[j] = int(layer[j]) - int(below[j] - rel_counts[j])
     return mus
-
-
-def agreement_modules(count, seed=randomized.DEFAULT_SEED, p=P):
-    """The first ``count`` nontrivial modules the agreement suite draws."""
-    rng = random.Random(seed)
-    pool = randomized.ring_pool(p)
-    out = []
-    while len(out) < count:
-        ring, truncation = pool[rng.randrange(len(pool))]
-        try:
-            mod = randomized.random_module(rng, ring)
-        except ValueError:
-            continue
-        if not mod.is_free:
-            out.append((mod, truncation))
-    return out
 
 
 def test_rref_and_subspace_algebra():

@@ -95,6 +95,17 @@ def test_report_determinism_and_roundtrip():
     assert back["results"] == json.loads(render_report(r2))["results"]
 
 
+def test_fibre_payloads_do_not_depend_on_the_command_order():
+    # koszulfp resolves M to 3 and purity to 4: whichever runs first, the
+    # other extends the kept resolution, and each payload is the same
+    fibre = (SESSIONS / "fibre.session").read_text()
+    assert "analyze M : koszulfp, purity" in fibre
+    runs = [execute(parse_session(text))[0]["results"]
+            for text in (fibre, fibre.replace("koszulfp, purity", "purity, koszulfp"))]
+    assert [e["command"] for e in runs[1]] == ["purity", "koszulfp"]
+    assert runs[0] == runs[1][::-1]
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", str(SESSIONS / "squares.session"), "--out", str(out)])
@@ -137,6 +148,18 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     bad.write_text("vars x\nfree F : rank\n")
     assert main(["run", str(bad)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "squares.session", "--max-homdeg", "abc"], 1),
+    ([], 1),
+    (["--help"], 0),
+])
+def test_cli_usage_errors_exit_1_not_the_inconclusive_status(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert ("error: " in captured.err) == bool(code)
+    assert ("usage: " in captured.out) != bool(code)
 
 
 def _refuse_execute(monkeypatch):
