@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .field import PrimeField, DEFAULT_CHARACTERISTIC
 from .orders import OrderSpec, GLOBAL, LOCAL, GREVLEX, DS
-from .poly import (FreeLayout, PolyRing, Polynomial, Vector,
-                   order_and_initial_form)
+from .poly import FreeLayout, PolyRing, Polynomial, Vector
 from .engine import StandardBasis, SyzygyMatrix, normal_form, standard_basis, syzygies
 from .complexes import FreeComplex, Matrix, minimalize, resolve_bounded
 from .rings import GradedRing, LocalRing, ideals_equal

@@ -17,13 +17,13 @@ as the next level's candidate generators.  ``minimalize`` applies the same
 step to every differential of a given complex.
 
 The normal-form contract: a stored column is in normal form.  A column is
-reduced by its ring's ``nf_vector`` once, where it is made -- the
-``LocalModule`` and ``GradedModule`` constructors, and each syzygy or
-stripped column that ``min_gens_with_syz`` creates -- and never again.  So
-``resolve_bounded`` takes stored columns (a module's ``gens`` or
-``relations``) and reduces none of them.  The Mora and the global
-normal forms are idempotent, so a second reduction would return its input;
-orders, twists and initial matrices are read off the stored columns.
+reduced as a whole modulo I*F by its ring's ``nf_vector`` (under Mora up to
+one unit for the column, so the module is the given one) once, where it is
+made -- the ``LocalModule`` and ``GradedModule`` constructors, and each
+syzygy or stripped column that ``min_gens_with_syz`` creates -- and never
+again, so ``resolve_bounded`` reduces none of its columns.  Both normal
+forms are idempotent and leave an irreducible lead, so orders, twists and
+initial matrices are read off the stored columns.
 
 ``resolve_cached`` is the one resolution cache of the local and the graded
 flavor, and the kept resolution grows, never restarts.  A FINITE result
@@ -59,10 +59,6 @@ class Matrix:
         self.source = source
         self.columns = list(columns)
 
-    @property
-    def ring(self):
-        return self.columns[0].ring if self.columns else None
-
     def compose(self, other: "Matrix") -> "Matrix":
         """self o other, as a matrix source(other) -> target(self)."""
         cols = []
@@ -90,10 +86,6 @@ class FreeComplex:
     def __post_init__(self):
         if len(self.mats) != len(self.layouts) - 1:
             raise ValueError("need one differential per adjacent layout pair")
-
-    @property
-    def length(self):
-        return len(self.mats)
 
     def check_complex(self, nf_vector):
         """Exact consecutive-composition-zero check; raises if violated."""

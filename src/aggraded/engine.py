@@ -3,8 +3,8 @@
 One engine serves both flavors: Buchberger's algorithm under global orders,
 Mora's ecart-based variant under local ones.  Computations over a quotient
 ring P/I are performed at the polynomial level by adjoining the columns
-``g*e_c`` for ``g`` in a certified basis of I; pairs inside that block are
-skipped (their s-vectors reduce to zero by the certificate).
+``g*e_c`` of ``ideal_columns`` for a certified basis of I; pairs inside
+that block are skipped (their s-vectors reduce to zero by the certificate).
 
 Syzygies are computed by the block-elimination construction: each column
 ``v_j`` is augmented to ``v_j + eps_j`` in ``F (+) R^k`` with the F-block
@@ -46,7 +46,8 @@ from itertools import chain
 from operator import add
 
 from .orders import OrderSpec
-from .poly import FreeLayout, Polynomial, Vector, mon_deg, mon_div, mon_divides, mon_lcm, mon_mul
+from .poly import (FreeLayout, Polynomial, Vector, ideal_columns, mon_deg, mon_div, mon_divides,
+                   mon_lcm, mon_mul)
 
 
 class EngineError(RuntimeError):
@@ -292,16 +293,6 @@ def _as_vectors(gens):
     return out
 
 
-def _quotient_columns(modulus, ring, rank, elim_pad=0):
-    cols = []
-    if modulus:
-        for g in modulus:
-            for c in range(rank):
-                terms = {(c, e): a for e, a in g.terms.items()}
-                cols.append(Vector(ring, rank + elim_pad, terms))
-    return cols
-
-
 def _pair_sugar(sug_i, red_i, sug_j, red_j, lcm_exps):
     di = sug_i + mon_deg(lcm_exps) - mon_deg(red_i.lt[1])
     dj = sug_j + mon_deg(lcm_exps) - mon_deg(red_j.lt[1])
@@ -440,7 +431,7 @@ def standard_basis(gens, order: OrderSpec, layout: FreeLayout = None, modulus=No
         rank = gens[0].rank if gens else 1
         layout = FreeLayout(rank)
     key, wdeg = _make_keys(order, layout.twists)
-    qcols = _quotient_columns(modulus, ring, layout.rank)
+    qcols = ideal_columns(modulus or (), layout.rank)
     seed = [dict(v.terms) for v in qcols] + [dict(v.terms) for v in gens]
     dicts = _buchberger(ring, layout.rank, order, key, wdeg, seed, n_frozen=len(qcols))
     dicts = _interreduce(dicts, key, wdeg, ring.p, order.is_local)
@@ -478,7 +469,7 @@ def syzygies(cols, order: OrderSpec, layout: FreeLayout = None, modulus=None):
         eps_shifts.append(fwdeg(_lt(v.terms, fkey)) if v.terms else 0)
     shifts = tuple(layout.twists) + tuple(eps_shifts)
     key, wdeg = _make_keys(order, shifts, elim_rank=l)
-    qcols = _quotient_columns(modulus, ring, l, elim_pad=k)
+    qcols = ideal_columns(modulus or (), l, width=l + k)
     seed = [dict(v.terms) for v in qcols]
     zm = ring._zero_mon
     for j, v in enumerate(cols):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .complexes import ResolutionResult, resolve_bounded, resolve_cached
 from .modules import BridgeError
-from .poly import FreeLayout, Polynomial, Vector
+from .poly import FreeLayout, Polynomial, Vector, ideal_columns
 from .rings import GradedRing
 
 PDIM_FINITE = "finite"
@@ -234,12 +234,7 @@ def _presentation_over_cover(gmod: GradedModule):
     its relations and the ideal generators times each basis vector.  S has
     no ideal, so they are in normal form there, and ``GradedModule`` and
     ``GradedRing`` have checked that they are homogeneous and not units."""
-    rels = list(gmod.relations)
-    rank = gmod.layout.rank
-    for g in gmod.ring.ideal:
-        for c in range(rank):
-            rels.append(Vector(gmod.ring.cover, rank, {(c, e): a for e, a in g.terms.items()}))
-    return rels
+    return list(gmod.relations) + ideal_columns(gmod.ring.ideal, gmod.layout.rank)
 
 
 def cover_betti_table(gmod: GradedModule) -> BettiTable:

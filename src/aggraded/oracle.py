@@ -55,7 +55,7 @@ import functools
 import math
 
 from .field import MAX_CHARACTERISTIC
-from .poly import Vector, mon_deg, mon_mul
+from .poly import Vector, ideal_columns, mon_deg, mon_mul
 
 SIZE_BOUND = 20000
 WINDOW_SLACK = 2
@@ -294,12 +294,7 @@ class FreeModel:
     def relations(self) -> Subspace:
         """Image of I*F, from raw ideal generators."""
         if self._rel is None:
-            cols = [
-                Vector(self.ring.cover, self.rank, {(c, e): a for e, a in g.terms.items()})
-                for g in self.ring.ideal
-                for c in range(self.rank)
-            ]
-            rows = self._multiple_rows(cols)
+            rows = self._multiple_rows(ideal_columns(self.ring.ideal, self.rank))
             self._rel = rref_modp(rows, self.p, self.n)[0] if rows else Subspace(self.n, self.p, {})
         return self._rel
 

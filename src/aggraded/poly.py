@@ -104,9 +104,6 @@ class PolyRing:
         e[i] = 1
         return Polynomial(self, {tuple(e): 1})
 
-    def gens(self):
-        return [self.gen(i) for i in range(self.nvars)]
-
     def poly(self, terms):
         """Build a polynomial from an {exps: coeff} mapping, reducing mod p."""
         out = {}
@@ -472,12 +469,12 @@ class Vector:
     __repr__ = __str__
 
 
-def order_and_initial_form(x):
-    """The pair (minimal support degree, sum of minimal-degree terms).
-
-    Works for a Polynomial or a Vector over a zero-twist layout; raises on
-    zero input.
-    """
-    if x.is_zero():
-        raise ValueError("order undefined for zero")
-    return x.order(), x.initial_form()
+def ideal_columns(ideal, rank, width=None):
+    """The columns g*e_c that generate I*F in a free module F of the given
+    rank, g outer and c inner, for the polynomials g of ``ideal``; each
+    column has ``width`` components (default ``rank``).  When ``ideal`` is a
+    standard basis, so is the block: leads in different components never
+    pair, and within a component the order is the ideal's order."""
+    width = rank if width is None else width
+    return [Vector(g.ring, width, {(c, e): a for e, a in g.terms.items()})
+            for g in ideal for c in range(rank)]

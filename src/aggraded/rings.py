@@ -7,14 +7,16 @@ Groebner basis of the defining ideal of the associated graded ring
 ``A = k[x]/in(I)``, which is carried as the graded cover.
 
 Power-series rings are represented through polynomial presentations
-localized at the origin; no power-series arithmetic exists here.
+localized at the origin; no power-series arithmetic exists here.  Reduction
+modulo I*F has one definition, ``nf_vector``: a column is reduced as a whole
+against the block g*e_c of ``poly.ideal_columns``.
 """
 
 from __future__ import annotations
 
-from .engine import normal_form, standard_basis
+from .engine import StandardBasis, normal_form, standard_basis
 from .orders import DS, GREVLEX, OrderSpec
-from .poly import PolyRing, Polynomial, Vector
+from .poly import FreeLayout, PolyRing, Polynomial, Vector, ideal_columns
 
 
 class UnitIdealError(ValueError):
@@ -39,12 +41,18 @@ class _QuotientOps:
         return normal_form(f, sb)
 
     def nf_vector(self, v: Vector) -> Vector:
-        """The column normal form: each nonzero component reduced by ``nf``."""
-        terms = {}
-        for comp, f in v.components().items():
-            for e, a in self.nf(f).terms.items():
-                terms[(comp, e)] = a
-        return Vector(v.ring, v.rank, terms)
+        """The column normal form: ``v`` reduced as a whole modulo I*F against
+        the block ``ideal_columns`` of the ideal's basis, a standard basis of
+        I*F kept per rank.  Globally it is the full remainder, each component
+        its ``nf``; under Mora it is the weak normal form of the column, up to
+        one unit for the whole column, with an irreducible lead."""
+        sb, key = self.ideal_sb, ("ideal_block", v.rank)
+        if sb is None:
+            return Vector(v.ring, v.rank, dict(v.terms))
+        if key not in self.cache:
+            cols = ideal_columns([g.component(0) for g in sb.gens], v.rank)
+            self.cache[key] = StandardBasis(v.ring, FreeLayout(v.rank), self.order, cols)
+        return self.cache[key].reduce(v)
 
     def unit_component(self, v: Vector):
         """The smallest component of ``v`` whose entry is a unit, or None.

@@ -493,8 +493,8 @@ def summarize(report) -> str:
             continue
         r = entry["result"]
         if entry["command"] == "purity":
-            # a local payload carries both routes and delta; a graded one
-            # carries the Betti table's type and witness only
+            # a local payload carries both routes and delta, whose delta_0 = 0
+            # even for M = 0; both flavors print the Betti table's pure type
             v = r["verdict"]
             if v == "not-pure" and "route_a" not in r:
                 i, degrees = r["witness"]
@@ -511,7 +511,7 @@ def summarize(report) -> str:
                     bits.append("cokernel differs from the associated graded module")
                 lines.append(f"{head} -> NOT PURE -- witness: " + "; ".join(bits))
             elif v == "pure":
-                degrees = r["delta"] if "delta" in r else r["type"]
+                degrees = r["route_a"]["type"] if "route_a" in r else r["type"]
                 lines.append(f"{head} -> PURE of type {tuple(degrees)}")
             else:
                 lines.append(f"{head} -> INCONCLUSIVE at cutoff")

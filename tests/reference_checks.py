@@ -4,7 +4,7 @@ and oracle output that no computation in the package needs.
 - ``scan_weak_nf``: the engine's reduction loop as a scan, the lead found by
   ``max(h, key=...)`` on every step, the reference for the engine's
   ``_weak_nf`` (``scan_keys`` and ``ScanRed`` give it keys and reducers);
-- ``scan_reduce``: ``scan_weak_nf`` against a standard basis;
+- ``scan_reducer``: ``scan_weak_nf`` against a standard basis;
 - ``verify_certificate``: every s-vector of a standard basis reduces to zero
   under ``scan_weak_nf``;
 - ``check_annihilates``: the target matrix times each syzygy column is zero;
@@ -128,13 +128,18 @@ def scan_weak_nf(h, index, key, wdeg, p, mora, tail=False):
     return h
 
 
-def scan_reduce(sb: StandardBasis, terms):
-    """``scan_weak_nf`` of the term dict ``terms`` against the generators of
-    ``sb``, as ``StandardBasis.reduce`` reduces a column."""
+def scan_reducer(sb: StandardBasis):
+    """A function taking a term dict to its ``scan_weak_nf`` against the
+    generators of ``sb``, as ``StandardBasis.reduce`` reduces a column; the
+    scan reducers are built once per basis."""
     key, wdeg = scan_keys(sb.order, sb.layout.twists)
     index = _index([ScanRed(g.terms, key, wdeg) for g in sb.gens])
     local = sb.order.is_local
-    return scan_weak_nf(dict(terms), index, key, wdeg, sb.ring.p, mora=local, tail=not local)
+
+    def reduce(terms):
+        return scan_weak_nf(dict(terms), index, key, wdeg, sb.ring.p, mora=local, tail=not local)
+
+    return reduce
 
 
 def verify_certificate(sb: StandardBasis):

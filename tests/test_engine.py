@@ -7,11 +7,11 @@ from aggraded import oracle
 from aggraded.engine import (StandardBasis, _index, _lead, _lt, _make_keys, _Red, _scale,
                              _weak_nf, normal_form, standard_basis, syzygies)
 from aggraded.orders import DS, GREVLEX
-from aggraded.poly import FreeLayout, PolyRing, Vector
+from aggraded.poly import FreeLayout, PolyRing, Vector, mon_divides
 from aggraded.rings import GradedRing, LocalRing, _QuotientOps, ideals_equal
 from aggraded.session import execute, parse_session
-from reference_checks import (ScanRed, check_annihilates, dense, scan_keys, scan_reduce,
-                              scan_weak_nf, variable_maps, verify_certificate)
+from reference_checks import (ScanRed, agreement_modules, check_annihilates, dense, scan_keys,
+                              scan_reducer, scan_weak_nf, variable_maps, verify_certificate)
 
 R3 = PolyRing(["X", "Y", "Z"], 32003)
 EXAMPLE_IDEAL = [
@@ -182,7 +182,14 @@ def test_engine_determinism():
 TANGENT_CONE = [R3.from_string(s) for s in ("X*Z", "Y*Z", "Z^2", "Y^4")]
 
 
-def test_nf_vector_matches_per_component_normal_form(semigroup_ring):
+def _same_cyclic_submodule(ring, v, w):
+    """<v> + I*F == <w> + I*F, by mutual membership modulo the ideal."""
+    layout = FreeLayout(v.rank)
+    return (standard_basis([w], ring.order, layout, modulus=ring.ideal_sb).contains(v)
+            and standard_basis([v], ring.order, layout, modulus=ring.ideal_sb).contains(w))
+
+
+def test_nf_vector_reduces_the_whole_column_modulo_the_ideal(semigroup_ring, monkeypatch):
     rank = 500
     entries = {7: "X*Z + Y^4 + X", 250: "Z^2 + Y", 499: "Y*Z - X^4 + Z"}
     terms = {}
@@ -190,13 +197,28 @@ def test_nf_vector_matches_per_component_normal_form(semigroup_ring):
         for e, a in R3.from_string(text).terms.items():
             terms[(comp, e)] = a
     v = Vector(R3, rank, terms)
-    for ring in (semigroup_ring, semigroup_ring.graded_cover):
-        expected = Vector.from_polys(
-            [normal_form(v.component(c), ring.ideal_sb) for c in range(rank)]
-        )
-        got = ring.nf_vector(v)
-        assert got == expected
-        assert list(got.terms.items()) == list(expected.terms.items())
+    A = semigroup_ring.graded_cover
+    expected = Vector.from_polys([normal_form(v.component(c), A.ideal_sb) for c in range(rank)])
+
+    def refuse(ring, f):
+        raise AssertionError("nf_vector called nf")
+
+    monkeypatch.setattr(_QuotientOps, "nf", refuse)
+    # graded: the full remainder is unique, so each component gets its nf
+    assert A.nf_vector(v) == expected
+    # local: one weak normal form for the column, idempotent, lead irreducible
+    w = semigroup_ring.nf_vector(v)
+    assert semigroup_ring.nf_vector(w) == w
+    key, _ = _make_keys(DS, (0,) * rank)
+    comp, exps = _lt(w.terms, key)
+    for g in semigroup_ring.ideal_sb.gens:
+        assert not mon_divides(_lt(g.terms, key)[1], exps)
+    assert _same_cyclic_submodule(semigroup_ring, v, w)
+    # the blocks g*e_c that nf_vector reduces against are standard bases
+    for ring in (semigroup_ring, A):
+        for r in (2, 3):
+            ring.nf_vector(Vector(R3, r, {}))
+            assert verify_certificate(ring.cache["ideal_block", r])
 
 
 PIN_COLS = [("X", "Y^2"), ("Y", "X^2 + Z"), ("Z", "X*Y")]
@@ -311,9 +333,11 @@ SESSIONS = pathlib.Path(__file__).resolve().parent.parent / "sessions"
 
 @pytest.fixture(scope="module")
 def session_columns():
-    """The column normal forms of the three bundled local sessions: the
-    (basis, terms) of every reduction made inside ``nf_vector``, and the
-    (ring, column, normal form) of every ``nf_vector`` call."""
+    """The column normal forms of the three bundled local sessions and of
+    the generator columns of the first 40 default-seed and 40 held-out
+    agreement modules: the (basis, terms) of every reduction made inside
+    ``nf_vector``, and the (ring, column, normal form) of every
+    ``nf_vector`` call."""
     reductions, columns = [], []
     nf_vector, reduce = _QuotientOps.nf_vector, StandardBasis.reduce
     inside = []
@@ -337,35 +361,37 @@ def session_columns():
         mp.setattr(StandardBasis, "reduce", recording_reduce)
         for name in ("semigroup", "squares", "fibre"):
             execute(parse_session((SESSIONS / f"{name}.session").read_text()))
+        agreement_modules(40)
+        agreement_modules(40, seed=2)
     return reductions, columns
 
 
 def test_heap_weak_nf_matches_scan_on_session_columns(session_columns):
     reductions, _ = session_columns
     assert reductions
-    seen = set()
+    seen, scans = set(), {}
     for sb, terms in reductions:
         k = (id(sb), tuple(terms.items()))
         if k in seen:
             continue
         seen.add(k)
+        if id(sb) not in scans:
+            scans[id(sb)] = scan_reducer(sb)
         got = sb.reduce(Vector(sb.ring, sb.layout.rank, dict(terms))).terms
-        want = scan_reduce(sb, terms)
+        want = scans[id(sb)](terms)
         assert list(got.items()) == list(want.items())
 
 
-def test_local_nf_vector_changes_components_only_by_the_ideal(session_columns):
-    # Mora's weak normal form holds up to a unit; a column keeps its module
-    # element only if each component changes by an element of I.  This holds
-    # on the bundled sessions; ROADMAP item 3 records an input where it fails.
+def test_local_nf_vector_keeps_each_column_up_to_one_unit(session_columns):
+    # Mora's weak normal form holds up to a unit: with one unit for the whole
+    # column, the stored column generates the same cyclic submodule of F/IF
+    # as the given one.  A unit per component breaks this on the third
+    # held-out agreement module.
     _, columns = session_columns
     checked = 0
     for ring, v, w in columns:
-        if not isinstance(ring, LocalRing) or ring.ideal_sb is None:
+        if not isinstance(ring, LocalRing) or ring.ideal_sb is None or v == w:
             continue
-        got = w.components()
-        for comp, f in v.components().items():
-            g = got.get(comp, ring.cover.zero())
-            assert ring.ideal_sb.contains(Vector.from_polys([f - g]))
-            checked += 1
+        assert _same_cyclic_submodule(ring, v, w), (v, w)
+        checked += 1
     assert checked

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggraded.orders import DS, GREVLEX
-from aggraded.poly import FreeLayout, PolyRing, Vector, order_and_initial_form
+from aggraded.poly import FreeLayout, PolyRing, Vector
 
 R = PolyRing(["X", "Y", "Z"], 32003)
 
@@ -41,18 +41,20 @@ def test_ring_axioms(f, g, h):
 
 
 def test_order_and_initial_form_examples():
-    nu, init = order_and_initial_form(R.from_string("X*Z - Y^3"))
-    assert nu == 2 and init == R.from_string("X*Z")
-    nu, init = order_and_initial_form(R.from_string("X^4 - Y*Z"))
-    assert nu == 2 and init == R.from_string("-Y*Z")
+    f = R.from_string("X*Z - Y^3")
+    assert f.order() == 2 and f.initial_form() == R.from_string("X*Z")
+    f = R.from_string("X^4 - Y*Z")
+    assert f.order() == 2 and f.initial_form() == R.from_string("-Y*Z")
     v = Vector.from_polys([R.gen(0), R.gen(1) ** 2])
-    nu, init = order_and_initial_form(v)
-    assert nu == 1 and init == Vector.from_polys([R.gen(0), R.zero()])
+    assert v.order() == 1 and v.initial_form() == Vector.from_polys([R.gen(0), R.zero()])
 
 
 def test_order_of_zero_is_an_error():
-    with pytest.raises(ValueError):
-        order_and_initial_form(R.zero())
+    for zero in (R.zero(), Vector(R, 2, {})):
+        with pytest.raises(ValueError):
+            zero.order()
+        with pytest.raises(ValueError):
+            zero.initial_form()
 
 
 @settings(max_examples=60)
@@ -61,11 +63,8 @@ def test_initial_form_multiplicative(f, g):
     # the polynomial ring is a domain: in(fg) = in(f) in(g)
     if f.is_zero() or g.is_zero():
         return
-    nu_f, in_f = order_and_initial_form(f)
-    nu_g, in_g = order_and_initial_form(g)
-    nu, init = order_and_initial_form(f * g)
-    assert nu == nu_f + nu_g
-    assert init == in_f * in_g
+    assert (f * g).order() == f.order() + g.order()
+    assert (f * g).initial_form() == f.initial_form() * g.initial_form()
 
 
 def test_leading_terms_by_flavor():

@@ -237,6 +237,22 @@ def test_free_module_session():
     assert by["hilbert"]["result"]["multiplicity"] == 2
 
 
+@pytest.mark.parametrize("flavor", ["local", "graded"])
+def test_pure_type_of_free_and_zero_modules_agrees_across_flavors(flavor):
+    # delta_0 = 0 even when F_0 = 0, but the zero module's type is empty,
+    # as its Betti table is
+    text = (
+        f"vars x y\nflavor {flavor}\nideal I :\nfree F : rank 0\nfree G : rank 2\n"
+        "module M = F / 0\nmodule L = G / 0\nanalyze M : purity, betti\nanalyze L : purity\n"
+    )
+    report, status = execute(parse_session(text))
+    assert status == 0
+    assert summarize(report).splitlines() == [
+        "M : purity -> PURE of type ()", "M : betti ->", "(zero module)",
+        "L : purity -> PURE of type (0,)",
+    ]
+
+
 def test_free_module_is_finite_at_cutoff_zero():
     text = (
         "vars x y\nflavor local\nideal I :\nfree F : rank 1\nsubmodule N in F :\n"
