@@ -2,7 +2,8 @@
 """Print the sha256 of each bundled session's ``--out`` report at fixed cutoffs.
 
 One line per run, ``session@cutoff exit sha256``: semigroup, squares and
-graded at max_homdeg 0-8, fibre at 0-5 and semigroup at 10.  Each run goes
+graded at max_homdeg 0-8, fibre at 0-5 and semigroup at 10 and 12 (where
+columns reach ranks in the thousands; about 15 s).  Each run goes
 through ``aggraded.cli.main`` with ``--out`` in a temporary directory, so the
 digest is of the exact report bytes.  A change that keeps every report
 byte-identical prints the same lines; CI compares them with
@@ -24,7 +25,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from aggraded.cli import main as cli_main  # noqa: E402
 
 RUNS = ([(name, c) for name in ("semigroup", "squares", "graded") for c in range(9)]
-        + [("fibre", c) for c in range(6)] + [("semigroup", 10)])
+        + [("fibre", c) for c in range(6)] + [("semigroup", 10), ("semigroup", 12)])
 
 
 def main():

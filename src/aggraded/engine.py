@@ -2,9 +2,10 @@
 
 One engine serves both flavors: Buchberger's algorithm under global orders,
 Mora's ecart-based variant under local ones.  Computations over a quotient
-ring P/I are performed at the polynomial level by adjoining the columns
-``g*e_c`` of ``ideal_columns`` for a certified basis of I; pairs inside
-that block are skipped (their s-vectors reduce to zero by the certificate).
+ring P/I are performed at the polynomial level: I*F is the block of the
+reducers g*e_c that a rank-1 standard basis of I moves into each component
+c (``StandardBasis.moved``).  The block is a standard basis as it stands,
+so it opens no pairs.
 
 Syzygies are computed by the block-elimination construction: each column
 ``v_j`` is augmented to ``v_j + eps_j`` in ``F (+) R^k`` with the F-block
@@ -46,8 +47,8 @@ from itertools import chain
 from operator import add
 
 from .orders import OrderSpec
-from .poly import (FreeLayout, Polynomial, Vector, ideal_columns, mon_deg, mon_div, mon_divides,
-                   mon_lcm, mon_mul)
+from .poly import (FreeLayout, Polynomial, Vector, mon_deg, mon_div, mon_divides, mon_lcm,
+                   mon_mul)
 
 
 class EngineError(RuntimeError):
@@ -66,7 +67,6 @@ def _make_keys(order: OrderSpec, shifts, elim_rank=None):
     minimum and the top of a heap of keys.  Each key determines its term.
     """
     sign = 1 if order.is_local else -1
-    shifts = tuple(shifts)
 
     def wdeg(t):
         return sum(t[1]) + shifts[t[0]]
@@ -244,7 +244,8 @@ class StandardBasis:
 
     ``gens`` are monic, lead-interreduced Vectors; they include the quotient
     block when a modulus was supplied, so reduction against the basis is
-    reduction in the quotient ring.
+    reduction in the quotient ring.  A rank-1 basis of an ideal J also
+    reduces columns of any rank modulo J*F (see ``moved``).
     """
 
     __slots__ = ("ring", "layout", "order", "gens", "_key", "_wdeg", "_reds", "_index")
@@ -258,13 +259,37 @@ class StandardBasis:
         self._reds = [_Red(g.terms, *_lead(g.terms, self._key, self._wdeg)) for g in gens]
         self._index = _index(self._reds)
 
+    def moved(self, comps):
+        """This rank-1 basis's index, its reducers g moved to g*e_c for each
+        c of ``comps`` (filled lazily, shared by every rank).  g*e_c keeps
+        g's lead and ecart under every module key: its terms share c."""
+        index = self._index
+        for c in comps:
+            if c not in index:
+                index[c] = [_Red({(c, e): a for (_, e), a in r.terms.items()}, (c, r.lt[1]),
+                                 r.ecart) for r in self._reds]
+        return index
+
+    def block(self, rank):
+        """The reducers g*e_c, c < rank, g outer and c inner: I*F for the
+        ideal I of this rank-1 basis."""
+        moved = self.moved(range(rank))
+        return [moved[c][i] for i in range(len(self._reds)) for c in range(rank)]
+
     def reduce(self, v):
-        """The (weak, under a local order) normal form of the Vector v."""
+        """The (weak, under a local order) normal form of the Vector v.  For a
+        rank-1 basis v may have any rank and is reduced as a whole, under keys
+        built from its own components: O(terms), not O(rank)."""
+        key, wdeg, index = self._key, self._wdeg, self._index
+        if self.layout.rank == 1 and v.rank > 1:
+            shifts = dict.fromkeys((c for c, _ in v.terms), 0)
+            key, wdeg = _make_keys(self.order, shifts)
+            index = self.moved(shifts)
         h = _weak_nf(
-            dict(v.terms), self._index, self._key, self._wdeg, self.ring.p,
+            dict(v.terms), index, key, wdeg, self.ring.p,
             mora=self.order.is_local, tail=not self.order.is_local,
         )[0]
-        return Vector(self.ring, self.layout.rank, h)
+        return Vector(self.ring, v.rank, h)
 
     def contains(self, v):
         return self.reduce(v).is_zero()
@@ -299,10 +324,11 @@ def _pair_sugar(sug_i, red_i, sug_j, red_j, lcm_exps):
     return max(di, dj)
 
 
-def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
-    """Core loop.  seed: list of Vector-term dicts; the first n_frozen are
-    pairwise certified (their mutual pairs are skipped).  Returns list of
-    monic term dicts forming a standard basis (not yet interreduced)."""
+def _buchberger(ring, rank, order, key, wdeg, frozen, seed):
+    """Core loop.  frozen: reducers that are a standard basis as they stand
+    (the quotient block); they open no pairs.  seed: list of Vector-term
+    dicts.  Returns list of monic term dicts forming a standard basis (not
+    yet interreduced), the frozen ones first."""
     p = ring.p
     mora = order.is_local
     reds = []
@@ -340,32 +366,31 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
                 kept.append((L, sev_L))
         for L, sev_L in kept:
             members = cand[L]
-            # certified groups: product criterion (ideal case, global order),
-            # and pairs inside the frozen quotient block
+            # certified groups: product criterion (ideal case, global order)
             if not mora and rank == 1 and any(
                 mon_mul(reds[i].lt[1], lt_new[1]) == L for i in members
             ):
-                continue
-            if new < n_frozen and any(i < n_frozen for i in members):
                 continue
             i = min(members)
             sug = _pair_sugar(sugars[i], reds[i], sugars[new], reds[new], L)
             live[(i, new)] = (sug, L, sev_L)
             heapq.heappush(queue, (sug, (i, new)))
 
-    def append(terms, lt, ecart, sugar):
+    def append(red, sugar, pair=True):
         idx = len(reds)
-        red = _Red(terms, lt, ecart)
         reds.append(red)
         sugars.append(sugar)
-        add_pairs(idx)
+        if pair:
+            add_pairs(idx)
         index.setdefault(red.lt[0], []).append(red)
         positions.setdefault(red.lt[0], []).append(idx)
 
+    for red in frozen:
+        append(red, wdeg(red.lt) + red.ecart, pair=False)
     for terms in seed:
         lt = _lt(terms, key)
         sugar = max(map(wdeg, terms))
-        append(_scale(terms, pow(terms[lt], -1, p), p), lt, sugar - wdeg(lt), sugar)
+        append(_Red(_scale(terms, pow(terms[lt], -1, p), p), lt, sugar - wdeg(lt)), sugar)
 
     while queue:
         _, (i, j) = heapq.heappop(queue)
@@ -373,8 +398,6 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
         if entry is None:
             continue        # pruned after it was queued
         sug, L, _ = entry
-        if i < n_frozen and j < n_frozen:
-            continue
         # s-vector of monic reducers i and j
         h = {}
         _sub_scaled(h, reds[i].terms, mon_div(L, reds[i].lt[1]), p - 1, p)
@@ -383,9 +406,10 @@ def _buchberger(ring, rank, order, key, wdeg, seed, n_frozen):
             continue
         h, lt, ecart = _weak_nf(h, index, key, wdeg, p, mora=mora, tail=False)
         if h:
-            append(_scale(h, pow(h[lt], -1, p), p), lt, ecart, sug)
+            append(_Red(_scale(h, pow(h[lt], -1, p), p), lt, ecart), sug)
 
-    return [dict(r.terms) for r in reds]
+    # the frozen reducers' dicts are shared with the modulus: callers read them
+    return [r.terms for r in reds]
 
 
 def _interreduce(dicts, key, wdeg, p, mora):
@@ -418,22 +442,20 @@ def _interreduce(dicts, key, wdeg, p, mora):
 def standard_basis(gens, order: OrderSpec, layout: FreeLayout = None, modulus=None):
     """Certified standard basis of the submodule generated by ``gens``.
 
-    ``modulus``: a certified basis (list of Polynomials or a StandardBasis)
-    of the defining ideal; computation then happens over the quotient ring.
+    ``modulus``: a rank-1 StandardBasis of the defining ideal under
+    ``order``, or None; computation then happens over the quotient ring.
     """
     gens = _as_vectors([g for g in gens if g])
-    if isinstance(modulus, StandardBasis):
-        modulus = [g.component(0) for g in modulus.gens]
-    if not gens and not modulus:
+    if not gens and modulus is None:
         raise ValueError("no nonzero generators")
-    ring = gens[0].ring if gens else modulus[0].ring
+    ring = gens[0].ring if gens else modulus.ring
     if layout is None:
         rank = gens[0].rank if gens else 1
         layout = FreeLayout(rank)
     key, wdeg = _make_keys(order, layout.twists)
-    qcols = ideal_columns(modulus or (), layout.rank)
-    seed = [dict(v.terms) for v in qcols] + [dict(v.terms) for v in gens]
-    dicts = _buchberger(ring, layout.rank, order, key, wdeg, seed, n_frozen=len(qcols))
+    frozen = modulus.block(layout.rank) if modulus is not None else []
+    seed = [dict(v.terms) for v in gens]
+    dicts = _buchberger(ring, layout.rank, order, key, wdeg, frozen, seed)
     dicts = _interreduce(dicts, key, wdeg, ring.p, order.is_local)
     vecs = [Vector(ring, layout.rank, d) for d in dicts]
     return StandardBasis(ring, layout, order, vecs)
@@ -460,8 +482,6 @@ def syzygies(cols, order: OrderSpec, layout: FreeLayout = None, modulus=None):
     ring = cols[0].ring
     if layout is None:
         layout = FreeLayout(cols[0].rank)
-    if isinstance(modulus, StandardBasis):
-        modulus = [g.component(0) for g in modulus.gens]
     l, k = layout.rank, len(cols)
     eps_shifts = []
     fkey, fwdeg = _make_keys(order, layout.twists)
@@ -469,14 +489,10 @@ def syzygies(cols, order: OrderSpec, layout: FreeLayout = None, modulus=None):
         eps_shifts.append(fwdeg(_lt(v.terms, fkey)) if v.terms else 0)
     shifts = tuple(layout.twists) + tuple(eps_shifts)
     key, wdeg = _make_keys(order, shifts, elim_rank=l)
-    qcols = ideal_columns(modulus or (), l, width=l + k)
-    seed = [dict(v.terms) for v in qcols]
     zm = ring._zero_mon
-    for j, v in enumerate(cols):
-        d = dict(v.terms)
-        d[(l + j, zm)] = 1
-        seed.append(d)
-    dicts = _buchberger(ring, l + k, order, key, wdeg, seed, n_frozen=len(qcols))
+    seed = [{**v.terms, (l + j, zm): 1} for j, v in enumerate(cols)]
+    frozen = modulus.block(l) if modulus is not None else []
+    dicts = _buchberger(ring, l + k, order, key, wdeg, frozen, seed)
     out = []
     for d in dicts:
         if any(c < l for (c, _) in d):

@@ -15,6 +15,7 @@ be infinite and is only ever reported with its cutoff status.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .complexes import ResolutionResult, resolve_bounded, resolve_cached
 from .modules import BridgeError
@@ -117,15 +118,9 @@ class HilbertSeries:
     def series(self, upto):
         """Coefficients of the power-series expansion in degrees 0..upto."""
         out = [0] * (upto + 1)
-        if self.is_zero:
-            return out
-        from math import comb
-
         for k, c in enumerate(self.numerator):
-            if not c:
-                continue
             base = k + self.offset
-            for m in range(upto + 1 - base):
+            for m in range(max(0, -base), upto + 1 - base):
                 out[base + m] += c * (comb(self.dim - 1 + m, m) if self.dim > 0 else (1 if m == 0 else 0))
         return out
 

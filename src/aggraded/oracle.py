@@ -88,13 +88,13 @@ def _reduce(row, pivot_rows, p):
     return row
 
 
-def rref_modp(rows, p, n=None, pivot_rows=None):
+def rref_modp(rows, p, n, pivot_rows=None):
     """Reduced row echelon form over GF(p); returns (Subspace, pivot columns).
 
-    ``rows`` is a dense matrix, or, when the width ``n`` is given, a list of
-    sparse rows {column: nonzero residue}.  ``pivot_rows`` maps the pivot
-    columns of rows already in reduced echelon form to those rows, sparse;
-    they join as pivots and are not changed.
+    ``rows`` is a list of sparse rows {column: nonzero residue} of width
+    ``n``.  ``pivot_rows`` maps the pivot columns of rows already in reduced
+    echelon form to those rows, sparse; they join as pivots and are not
+    changed.
 
     Gauss-Jordan, one row at a time, in Python ints: a row is reduced at the
     pivots so far, its lead becomes a pivot, and the pivot rows that hold
@@ -103,9 +103,6 @@ def rref_modp(rows, p, n=None, pivot_rows=None):
     """
     if p >= MAX_CHARACTERISTIC:
         raise ValueError(f"characteristic {p} is too large: the prime field needs p < 2^31")
-    if n is None:
-        n = len(rows[0]) if len(rows) else 0
-        rows = [{j: a for j, a in enumerate(int(v) % p for v in row) if a} for row in rows]
     piv = {c: dict(row) for c, row in (pivot_rows or {}).items()}
     holders = {}            # non-pivot column -> the pivot columns whose rows hold it
     for c, row in piv.items():

@@ -9,12 +9,13 @@ exponent vectors (variables in declaration order):
   strictly larger in the order, so the leading term has *minimal* total
   degree and picks out the initial form.
 
-Module monomials ``(component, exponents)`` are compared term-over-position:
-first by shifted degree ``deg + shift[component]``, then by the same
-reverse-lex tie-break, with ascending component index as the final tie-break.
+Module monomials ``(component, exponents)`` are compared term-over-position
+by the one module order, ``engine._make_keys``: first by shifted degree
+``deg + shift[component]``, then by the same reverse-lex tie-break, with
+ascending component index as the final tie-break.
 
-Orders are exposed as sort *keys* (larger key = larger monomial) so that
-python's tuple comparison does the work in C.
+Monomial orders are exposed as sort *keys* (larger key = larger monomial) so
+that python's tuple comparison does the work in C.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class OrderSpec:
     def mon_key(self, exps):
         d = sum(exps)
         return (-d if self.is_local else d, _negrev(exps))
-
-    def term_key(self, comp, exps, shifts=None):
-        d = sum(exps) + (shifts[comp] if shifts else 0)
-        return (-d if self.is_local else d, _negrev(exps), -comp)
 
 
 GREVLEX = OrderSpec(GLOBAL)

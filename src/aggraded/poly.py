@@ -469,12 +469,8 @@ class Vector:
     __repr__ = __str__
 
 
-def ideal_columns(ideal, rank, width=None):
+def ideal_columns(ideal, rank):
     """The columns g*e_c that generate I*F in a free module F of the given
-    rank, g outer and c inner, for the polynomials g of ``ideal``; each
-    column has ``width`` components (default ``rank``).  When ``ideal`` is a
-    standard basis, so is the block: leads in different components never
-    pair, and within a component the order is the ideal's order."""
-    width = rank if width is None else width
-    return [Vector(g.ring, width, {(c, e): a for e, a in g.terms.items()})
+    rank, g outer and c inner, for the polynomials g of ``ideal``."""
+    return [Vector(g.ring, rank, {(c, e): a for e, a in g.terms.items()})
             for g in ideal for c in range(rank)]

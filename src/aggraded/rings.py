@@ -9,14 +9,15 @@ Groebner basis of the defining ideal of the associated graded ring
 Power-series rings are represented through polynomial presentations
 localized at the origin; no power-series arithmetic exists here.  Reduction
 modulo I*F has one definition, ``nf_vector``: a column is reduced as a whole
-against the block g*e_c of ``poly.ideal_columns``.
+by the ideal's standard basis, whose reducers g move to g*e_c in each
+component c (``engine.StandardBasis.moved``).
 """
 
 from __future__ import annotations
 
-from .engine import StandardBasis, normal_form, standard_basis
+from .engine import normal_form, standard_basis
 from .orders import DS, GREVLEX, OrderSpec
-from .poly import FreeLayout, PolyRing, Polynomial, Vector, ideal_columns
+from .poly import PolyRing, Polynomial, Vector
 
 
 class UnitIdealError(ValueError):
@@ -36,23 +37,17 @@ class _QuotientOps:
 
     def nf(self, f: Polynomial) -> Polynomial:
         sb = self.ideal_sb
-        if sb is None:
-            return f
-        return normal_form(f, sb)
+        return f if sb is None else normal_form(f, sb)
 
     def nf_vector(self, v: Vector) -> Vector:
-        """The column normal form: ``v`` reduced as a whole modulo I*F against
-        the block ``ideal_columns`` of the ideal's basis, a standard basis of
-        I*F kept per rank.  Globally it is the full remainder, each component
-        its ``nf``; under Mora it is the weak normal form of the column, up to
-        one unit for the whole column, with an irreducible lead."""
-        sb, key = self.ideal_sb, ("ideal_block", v.rank)
-        if sb is None:
-            return Vector(v.ring, v.rank, dict(v.terms))
-        if key not in self.cache:
-            cols = ideal_columns([g.component(0) for g in sb.gens], v.rank)
-            self.cache[key] = StandardBasis(v.ring, FreeLayout(v.rank), self.order, cols)
-        return self.cache[key].reduce(v)
+        """The column normal form: ``v`` reduced as a whole modulo I*F by the
+        ideal's standard basis, whose reducers g*e_c for the components c of
+        ``v`` are a standard basis of I*F.  Globally it is the full
+        remainder, each component its ``nf``; under Mora it is the weak
+        normal form of the column, up to one unit for the whole column, with
+        an irreducible lead."""
+        sb = self.ideal_sb
+        return Vector(v.ring, v.rank, dict(v.terms)) if sb is None else sb.reduce(v)
 
     def unit_component(self, v: Vector):
         """The smallest component of ``v`` whose entry is a unit, or None.

@@ -5,12 +5,17 @@ and oracle output that no computation in the package needs.
   ``max(h, key=...)`` on every step, the reference for the engine's
   ``_weak_nf`` (``scan_keys`` and ``ScanRed`` give it keys and reducers);
 - ``scan_reducer``: ``scan_weak_nf`` against a standard basis;
+- ``ideal_block``: I*F as its own standard basis, the columns g*e_c of
+  ``ideal_columns``, the reference for the reducers that an ideal's basis
+  moves into each component;
 - ``verify_certificate``: every s-vector of a standard basis reduces to zero
   under ``scan_weak_nf``;
 - ``check_annihilates``: the target matrix times each syzygy column is zero;
 - ``variable_maps``: the truncated multiplication maps of a quotient model;
 - ``dense_rref_modp``: dense GF(p) row reduction, the reference for the
   oracle's sparse ``rref_modp``;
+- ``sparse_rows`` and ``rref_dense``: a dense matrix as the sparse rows that
+  ``rref_modp`` takes, and its echelon form;
 - ``dense``: an oracle echelon form written out as its matrix;
 - ``strip_units``: the Nakayama strip loop that ``complexes`` once ran
   inline, the reference for ``min_gens_with_syz``;
@@ -37,8 +42,9 @@ from aggraded.engine import (MAX_REDUCTION_STEPS, EngineError, StandardBasis, _i
 from aggraded.graded import (betti_analysis, hilbert_series, minimal_graded_resolution,
                              ring_as_module)
 from aggraded.modules import BridgeError
+from aggraded.oracle import rref_modp
 from aggraded.orders import DS
-from aggraded.poly import Vector, mon_deg, mon_div, mon_divides, mon_lcm
+from aggraded.poly import FreeLayout, Vector, ideal_columns, mon_deg, mon_div, mon_divides, mon_lcm
 
 
 def scan_keys(order, shifts, elim_rank=None):
@@ -142,6 +148,14 @@ def scan_reducer(sb: StandardBasis):
     return reduce
 
 
+def ideal_block(sb: StandardBasis, rank):
+    """The standard basis of I*F that ``nf_vector`` once built per rank from
+    the rank-1 basis ``sb`` of I: the columns g*e_c of ``ideal_columns``, g
+    outer and c inner, their leads and ecarts found under the module's key."""
+    cols = ideal_columns([g.component(0) for g in sb.gens], rank)
+    return StandardBasis(sb.ring, FreeLayout(rank), sb.order, cols)
+
+
 def verify_certificate(sb: StandardBasis):
     """Re-reduce every s-vector of ``sb`` to zero by ``scan_weak_nf``;
     returns True or raises."""
@@ -177,7 +191,7 @@ def check_annihilates(syz, modulus=None):
             acc = w if acc is None else acc + w
         if acc is None or acc.is_zero():
             continue
-        if not isinstance(modulus, StandardBasis):
+        if modulus is None:
             return False
         # the modulus is a basis of the ideal: reduce each component
         if not all(modulus.contains(Vector.from_polys([f])) for f in acc.components().values()):
@@ -253,6 +267,18 @@ def dense_rref_modp(rows, p):
         pivots.append(c)
         r += 1
     return A[:r], pivots
+
+
+def sparse_rows(A):
+    """The rows of a dense matrix as sparse rows {column: entry}, its zero
+    entries dropped."""
+    return [{int(j): int(row[j]) for j in np.flatnonzero(row)} for row in np.asarray(A)]
+
+
+def rref_dense(A, p):
+    """``rref_modp`` of a dense matrix, its entries taken modulo p."""
+    A = np.asarray(A, dtype=np.int64) % p
+    return rref_modp(sparse_rows(A), p, A.shape[1])
 
 
 def strip_units(cand, layout, ctx):

@@ -7,11 +7,12 @@ from aggraded import oracle
 from aggraded.engine import (StandardBasis, _index, _lead, _lt, _make_keys, _Red, _scale,
                              _weak_nf, normal_form, standard_basis, syzygies)
 from aggraded.orders import DS, GREVLEX
-from aggraded.poly import FreeLayout, PolyRing, Vector, mon_divides
+from aggraded.poly import FreeLayout, PolyRing, Vector, ideal_columns, mon_divides
 from aggraded.rings import GradedRing, LocalRing, _QuotientOps, ideals_equal
 from aggraded.session import execute, parse_session
-from reference_checks import (ScanRed, agreement_modules, check_annihilates, dense, scan_keys,
-                              scan_reducer, scan_weak_nf, variable_maps, verify_certificate)
+from reference_checks import (ScanRed, agreement_modules, check_annihilates, dense, ideal_block,
+                              rref_dense, scan_keys, scan_reducer, scan_weak_nf, variable_maps,
+                              verify_certificate)
 
 R3 = PolyRing(["X", "Y", "Z"], 32003)
 EXAMPLE_IDEAL = [
@@ -117,7 +118,7 @@ def test_syzygy_of_x_over_semigroup_ring_is_trivial(semigroup_ring):
 def _nullspace_modp(M, p):
     import numpy as np
 
-    space, pivots = oracle.rref_modp(M % p, p)
+    space, pivots = rref_dense(M, p)
     R = dense(space)
     n = M.shape[1]
     piv_set = set(pivots)
@@ -214,11 +215,12 @@ def test_nf_vector_reduces_the_whole_column_modulo_the_ideal(semigroup_ring, mon
     for g in semigroup_ring.ideal_sb.gens:
         assert not mon_divides(_lt(g.terms, key)[1], exps)
     assert _same_cyclic_submodule(semigroup_ring, v, w)
-    # the blocks g*e_c that nf_vector reduces against are standard bases
+    # the reducers g*e_c that nf_vector reduces against act as the old
+    # per-rank block, a standard basis of I*F
+    assert ideal_block(semigroup_ring.ideal_sb, rank).reduce(v) == w
     for ring in (semigroup_ring, A):
         for r in (2, 3):
-            ring.nf_vector(Vector(R3, r, {}))
-            assert verify_certificate(ring.cache["ideal_block", r])
+            assert verify_certificate(ideal_block(ring.ideal_sb, r))
 
 
 PIN_COLS = [("X", "Y^2"), ("Y", "X^2 + Z"), ("Z", "X*Y")]
@@ -257,6 +259,39 @@ def test_standard_basis_and_syzygies_keep_their_order(flavor):
     assert [str(g) for g in sb.gens] == basis
     sz = syzygies(cols[:n_syz_cols], order, FreeLayout(2), modulus=modulus)
     assert [str(c) for c in sz.columns] == syz
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_moved_reducers_match_the_old_block(semigroup_ring, rank):
+    # The block that standard_basis and syzygies freeze, and that nf_vector
+    # reduces against, is the ideal basis's reducers moved into each
+    # component.  Field for field and in order it equals the old block, the
+    # columns of ideal_columns with leads and ecarts found under each key:
+    # nf_vector's, standard_basis's with a twist, and syzygies' elimination
+    # key with shifted epsilon components.
+    rng = random.Random(rank)
+    fibre = PolyRing(["x1", "x2", "x3", "y1", "y2", "y3"], 32003)
+    fibre_ring = LocalRing(fibre, [fibre.gen(i) * fibre.gen(j) for i in range(3) for j in range(3, 6)])
+    for ring in (semigroup_ring, semigroup_ring.graded_cover, fibre_ring):
+        sb = ring.ideal_sb
+        block = sb.block(rank)
+        twists = [rng.randint(1, 3) for _ in range(rank)]
+        eps = [rng.randint(0, 4) for _ in range(3)]
+        keys = [_make_keys(sb.order, twists), _make_keys(sb.order, twists + eps, rank)]
+        refs = [ideal_block(sb, rank)._reds]
+        for key, wdeg in keys:
+            cols = ideal_columns([g.component(0) for g in sb.gens], rank)
+            refs.append([_Red(v.terms, *_lead(v.terms, key, wdeg)) for v in cols])
+            # the sugar that _buchberger gives a frozen reducer
+            assert all(wdeg(r.lt) + r.ecart == max(map(wdeg, r.terms)) for r in block)
+        for ref in refs:
+            assert ([(list(r.terms.items()), r.lt, r.ecart, r.sev) for r in block]
+                    == [(list(r.terms.items()), r.lt, r.ecart, r.sev) for r in ref])
+        # one table for every rank: the reducers are built once per component
+        n = len(sb.gens)
+        assert all(block[i * rank + c] is sb.moved([c])[c][i]
+                   for i in range(n) for c in range(rank))
+        assert sb.block(1) == sb._reds
 
 
 # ------------------------------------------- the heap loop against the scan
@@ -335,8 +370,8 @@ SESSIONS = pathlib.Path(__file__).resolve().parent.parent / "sessions"
 def session_columns():
     """The column normal forms of the three bundled local sessions and of
     the generator columns of the first 40 default-seed and 40 held-out
-    agreement modules: the (basis, terms) of every reduction made inside
-    ``nf_vector``, and the (ring, column, normal form) of every
+    agreement modules: the (basis, column rank, terms) of every reduction
+    made inside ``nf_vector``, and the (ring, column, normal form) of every
     ``nf_vector`` call."""
     reductions, columns = [], []
     nf_vector, reduce = _QuotientOps.nf_vector, StandardBasis.reduce
@@ -353,7 +388,7 @@ def session_columns():
 
     def recording_reduce(sb, v):
         if inside:
-            reductions.append((sb, dict(v.terms)))
+            reductions.append((sb, v.rank, dict(v.terms)))
         return reduce(sb, v)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -367,18 +402,20 @@ def session_columns():
 
 
 def test_heap_weak_nf_matches_scan_on_session_columns(session_columns):
+    # the ideal's rank-1 basis reduces a column of rank r as the old block of
+    # rank r did, so the scan runs against that block
     reductions, _ = session_columns
-    assert reductions
+    assert any(rank > 1 for _, rank, _ in reductions)
     seen, scans = set(), {}
-    for sb, terms in reductions:
-        k = (id(sb), tuple(terms.items()))
+    for sb, rank, terms in reductions:
+        k = (id(sb), rank, tuple(terms.items()))
         if k in seen:
             continue
         seen.add(k)
-        if id(sb) not in scans:
-            scans[id(sb)] = scan_reducer(sb)
-        got = sb.reduce(Vector(sb.ring, sb.layout.rank, dict(terms))).terms
-        want = scans[id(sb)](terms)
+        if (id(sb), rank) not in scans:
+            scans[id(sb), rank] = scan_reducer(ideal_block(sb, rank))
+        got = sb.reduce(Vector(sb.ring, rank, dict(terms))).terms
+        want = scans[id(sb), rank](terms)
         assert list(got.items()) == list(want.items())
 
 

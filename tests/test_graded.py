@@ -70,6 +70,15 @@ def test_hilbert_series_examples(semigroup_ring):
     assert hsq.multiplicity == 8
 
 
+def test_hilbert_series_with_a_negative_offset_starts_at_degree_zero():
+    # A = k[x,y]/(xy): A(1) lives in degrees >= -1, and its series from degree
+    # 0 on is that of A shifted down by one, not wrapped around from the end
+    A = GradedRing(P2, [P2.from_string("x*y")])
+    hs = hilbert_series(GradedModule(A, FreeLayout(1, (-1,)), []))
+    assert hs.offset < 0
+    assert hs.series(4) == hilbert_series(ring_as_module(A)).series(5)[1:] == [2, 2, 2, 2, 2]
+
+
 def test_hilbert_zero_module():
     z = GradedModule(S2, FreeLayout(0), [])
     hs = hilbert_series(z)

@@ -6,7 +6,8 @@ from aggraded.oracle import (FreeModel, OracleWindowError, build_model,
                              filtration_intersection, rref_modp, submodule_layer_data)
 from aggraded.poly import PolyRing, Vector
 from aggraded.rings import LocalRing
-from reference_checks import agreement_modules, dense, dense_rref_modp, variable_maps
+from reference_checks import (agreement_modules, dense, dense_rref_modp, rref_dense, sparse_rows,
+                              variable_maps)
 
 P = 32003
 
@@ -14,7 +15,7 @@ P = 32003
 def degree_part(model, i):
     """relations + span of the unit rows of degree >= i."""
     units = np.eye(model.n, dtype=np.int64)[np.array(model.coord_degs) >= i]
-    return rref_modp(np.vstack([dense(model.relations), units]), model.p)[0]
+    return rref_dense(np.vstack([dense(model.relations), units]), model.p)[0]
 
 
 def zassenhaus(U, V):
@@ -22,8 +23,8 @@ def zassenhaus(U, V):
     n = U.n
     top = np.hstack([dense(U), dense(U)])
     bot = np.hstack([dense(V), np.zeros_like(dense(V))])
-    R = dense(rref_modp(np.vstack([top, bot]), U.p)[0])
-    return rref_modp(R[~R[:, :n].any(axis=1), n:], U.p)[0]
+    R = dense(rref_dense(np.vstack([top, bot]), U.p)[0])
+    return rref_dense(R[~R[:, :n].any(axis=1), n:], U.p)[0]
 
 
 def times_variables(model, rows):
@@ -50,19 +51,19 @@ def full_width_mus(model, gens, jmax):
     mus = {0: int(layer[0])}
     for j in range(1, jmax + 1):
         shifted = times_variables(model, dense(space)[row_degs >= j - 1])
-        below = model.pivot_counts(rref_modp(np.vstack([dense(rel), shifted]), model.p)[0])
+        below = model.pivot_counts(rref_dense(np.vstack([dense(rel), shifted]), model.p)[0])
         mus[j] = int(layer[j]) - int(below[j] - rel_counts[j])
     return mus
 
 
 def test_rref_and_subspace_algebra():
     rows = [[1, 2, 0], [2, 4, 1], [1, 2, 1]]
-    U = rref_modp(rows, P)[0]
+    U = rref_dense(rows, P)[0]
     assert U.rank == 2 and U.shape == (2, 3) and U.pivots == [0, 2]
     assert U.contains({0: 3, 1: 6, 2: 1})
     assert not U.contains({1: 1})
-    assert U == rref_modp(rows[::-1], P)[0]
-    assert U != rref_modp(rows[:1], P)[0]
+    assert U == rref_dense(rows[::-1], P)[0]
+    assert U != rref_dense(rows[:1], P)[0]
 
 
 def _sparse_matrices(p, seed):
@@ -87,10 +88,6 @@ def _sparse_matrices(p, seed):
     return out
 
 
-def _as_sparse(rows):
-    return [{int(j): int(row[j]) for j in np.flatnonzero(row)} for row in rows]
-
-
 def _assert_same_echelon(got, want):
     (space, pivots), (ref, ref_pivots) = got, want
     assert pivots == space.pivots == ref_pivots
@@ -104,31 +101,27 @@ def test_sparse_rref_matches_dense_reference(p):
     for seed in range(3):
         for A in _sparse_matrices(p, seed):
             want = dense_rref_modp(A, p)
-            _assert_same_echelon(rref_modp(A, p), want)
-            # the same rows in sparse form, and split into ready pivot rows
-            # (an echelon form of the first half) plus the rest
-            sparse = _as_sparse(A)
+            # the rows in sparse form, and split into ready pivot rows (an
+            # echelon form of the first half) plus the rest
+            sparse = sparse_rows(A)
             _assert_same_echelon(rref_modp(sparse, p, A.shape[1]), want)
             top, top_pivots = dense_rref_modp(A[: len(A) // 2], p)
-            ready = dict(zip(top_pivots, _as_sparse(top)))
+            ready = dict(zip(top_pivots, sparse_rows(top)))
             kept = {c: dict(row) for c, row in ready.items()}
             _assert_same_echelon(rref_modp(sparse[len(A) // 2:], p, A.shape[1], ready), want)
             assert ready == kept
-    assert (dense(rref_modp([[1, 2, 0], [2, 4, 1]], p)[0]) == [[1, 2, 0], [0, 0, 1]]).all()
+    assert (dense(rref_dense([[1, 2, 0], [2, 4, 1]], p)[0]) == [[1, 2, 0], [0, 0, 1]]).all()
 
 
 def test_every_agreement_elimination_matches_dense_reference(monkeypatch):
     calls = []
     real = oracle.rref_modp
 
-    def capture(rows, p, n=None, pivot_rows=None):
+    def capture(rows, p, n, pivot_rows=None):
         out = real(rows, p, n, pivot_rows)
-        if n is None:
-            dense = np.asarray(rows, dtype=np.int64).reshape(-1, out[0].shape[1])
-        else:
-            dense = np.zeros((len(pivot_rows or ()) + len(rows), n), dtype=np.int64)
-            for i, row in enumerate(list((pivot_rows or {}).values()) + rows):
-                dense[i, list(row)] = list(row.values())
+        dense = np.zeros((len(pivot_rows or ()) + len(rows), n), dtype=np.int64)
+        for i, row in enumerate(list((pivot_rows or {}).values()) + rows):
+            dense[i, list(row)] = list(row.values())
         calls.append((dense, p, out))
         return out
 
@@ -203,7 +196,7 @@ def test_filtration_intersection_examples(semigroup_ring):
     fm2 = FreeModel(plane, 1, 8)
     mf = [Vector.from_polys([plane.cover.gen(0)]), Vector.from_polys([plane.cover.gen(1)])]
     units = np.eye(fm2.n, dtype=np.int64)[np.array(fm2.coord_degs) >= 2]
-    assert filtration_intersection(fm2, mf, 2) == rref_modp(units, P)[0]
+    assert filtration_intersection(fm2, mf, 2) == rref_dense(units, P)[0]
 
 
 def test_filtration_intersection_matches_zassenhaus():
@@ -303,4 +296,4 @@ def test_characteristic_at_or_above_two_to_the_31_rejected():
 def test_rref_rejects_characteristic_at_or_above_two_to_the_31():
     # the oracle keeps the bound of the field
     with pytest.raises(ValueError, match="too large"):
-        rref_modp([[1, 2], [3, 4]], 4294967311)
+        rref_modp([{0: 1, 1: 2}, {0: 3, 1: 4}], 4294967311, 2)

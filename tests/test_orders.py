@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aggraded.engine import _make_keys
 from aggraded.orders import DS, GREVLEX
 
 mon3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
@@ -21,7 +22,8 @@ def test_local_degree_anticompatible():
 
 def test_reflexive():
     assert GREVLEX.mon_key((1, 2, 3)) == GREVLEX.mon_key((1, 2, 3))
-    assert DS.term_key(0, (1, 2, 3)) == DS.term_key(0, (1, 2, 3))
+    key, _ = _make_keys(DS, (0,))
+    assert key((0, (1, 2, 3))) == key((0, (1, 2, 3)))
 
 
 @pytest.mark.parametrize("order", [GREVLEX, DS])
@@ -53,10 +55,30 @@ def test_local_leading_term_has_minimal_degree():
     assert sum(best) == 0
 
 
+def _larger(order, shifts, s, t, elim_rank=None):
+    """Whether term s is larger than term t: the engine's smaller key."""
+    key, _ = _make_keys(order, shifts, elim_rank)
+    return key(s) < key(t)
+
+
 def test_module_order_shifts_and_position():
     # term-over-position with shifts; ascending position as final tie-break
     x = (1, 0, 0)
-    assert GREVLEX.term_key(0, x) > GREVLEX.term_key(1, x)
+    assert _larger(GREVLEX, (0, 0), (0, x), (1, x))
+    assert _larger(DS, (0, 0), (0, x), (1, x))
     # a twist can flip the degree comparison
-    assert GREVLEX.term_key(0, x, (0, 5)) < GREVLEX.term_key(1, x, (0, 5))
-    assert DS.term_key(0, x, (0, 5)) > DS.term_key(1, x, (0, 5))
+    assert _larger(GREVLEX, (0, 5), (1, x), (0, x))
+    assert _larger(DS, (0, 5), (0, x), (1, x))
+
+
+def test_elimination_key_puts_the_first_block_above_the_rest():
+    # components below elim_rank are larger than any term beyond it, whatever
+    # the degrees; inside each block the shifted module order decides
+    one, x2 = (0, 0, 0), (2, 0, 0)
+    for order in (GREVLEX, DS):
+        assert _larger(order, (0, 0, 9), (1, x2), (2, one), elim_rank=2)
+        assert _larger(order, (0, 0, 9), (0, x2), (2, x2), elim_rank=2)
+        assert not _larger(order, (0, 0, 9), (2, one), (1, one), elim_rank=2)
+    assert _larger(GREVLEX, (0, 0, 0, 9), (3, one), (2, x2), elim_rank=2)
+    assert _larger(DS, (0, 0, 0, 9), (2, x2), (3, x2), elim_rank=2)
+    assert _larger(DS, (0, 3), (0, x2), (1, one), elim_rank=2)
