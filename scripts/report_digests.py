@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Print the sha256 of each bundled session's ``--out`` report at fixed cutoffs.
+"""Print the sha256 of each bundled session's ``--out`` report and summary at fixed cutoffs.
 
-One line per run, ``session@cutoff exit sha256``: semigroup, squares and
+One line per run, ``session@cutoff exit report-sha256 summary-sha256``,
+the last the digest of what the CLI prints on stdout: semigroup, squares and
 graded at max_homdeg 0-8, fibre at 0-5 and semigroup at 10 and 12 (where
 columns reach ranks in the thousands; about 15 s).  Each run goes
 through ``aggraded.cli.main`` with ``--out`` in a temporary directory, so the
-digest is of the exact report bytes.  A change that keeps every report
-byte-identical prints the same lines; CI compares them with
+digests are of the exact report and summary bytes.  A change that keeps every
+report and summary byte-identical prints the same lines; CI compares them with
 ``tests/report_digests.txt``::
 
     python scripts/report_digests.py | diff tests/report_digests.txt -
@@ -34,12 +35,13 @@ def main():
         for name, cutoff in RUNS:
             argv = ["run", str(ROOT / "sessions" / f"{name}.session"),
                     "--out", str(out), "--max-homdeg", str(cutoff)]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                 status = cli_main(argv)
             digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            summary = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
             out.unlink()
-            print(f"{name}@{cutoff} {status} {digest}", flush=True)
+            print(f"{name}@{cutoff} {status} {digest} {summary}", flush=True)
     return 0
 
 

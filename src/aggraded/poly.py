@@ -117,7 +117,9 @@ class PolyRing:
         return _parse_poly(self, text)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9']*)|(\^|\*|\+|-))")
+# a variable name: one identifier token of the polynomial parser
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9']*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|(\^|\*|\+|-))")
 
 
 def _parse_poly(ring, text):
@@ -300,42 +302,37 @@ class Polynomial:
         return e, self.terms[e]
 
     def __str__(self):
-        return format_poly(self)
+        if not self.terms:
+            return "0"
+        # display order: degree then lexicographic-ish, stable
+        keys = sorted(self.terms, key=lambda e: (mon_deg(e), tuple(-x for x in e)))
+        parts = []
+        for e in keys:
+            c = self.terms[e]
+            factors = []
+            for name, k in zip(self.ring.names, e):
+                if k == 1:
+                    factors.append(name)
+                elif k > 1:
+                    factors.append(f"{name}^{k}")
+            body = "*".join(factors)
+            # small signed representative for readability
+            half = self.ring.p // 2
+            cs = c - self.ring.p if c > half else c
+            if not body:
+                parts.append(f"{cs}")
+            elif cs == 1:
+                parts.append(body)
+            elif cs == -1:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{cs}*{body}")
+        out = parts[0]
+        for part in parts[1:]:
+            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+        return out
 
     __repr__ = __str__
-
-
-def format_poly(f, names=None):
-    if not f.terms:
-        return "0"
-    names = names or f.ring.names
-    # display order: degree then lexicographic-ish, stable
-    keys = sorted(f.terms, key=lambda e: (mon_deg(e), tuple(-x for x in e)))
-    parts = []
-    for e in keys:
-        c = f.terms[e]
-        factors = []
-        for name, k in zip(names, e):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        body = "*".join(factors)
-        # small signed representative for readability
-        half = f.ring.p // 2
-        cs = c - f.ring.p if c > half else c
-        if not body:
-            parts.append(f"{cs}")
-        elif cs == 1:
-            parts.append(body)
-        elif cs == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{cs}*{body}")
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-    return out
 
 
 # ------------------------------------------------------------------ vectors
@@ -360,10 +357,6 @@ class Vector:
             for e, c in f.terms.items():
                 terms[(comp, e)] = c
         return cls(ring, len(entries), terms)
-
-    @classmethod
-    def unit(cls, ring, rank, comp):
-        return cls(ring, rank, {(comp, ring._zero_mon): 1})
 
     def __bool__(self):
         return bool(self.terms)

@@ -15,6 +15,14 @@ Grammar (``#`` comments allowed)::
     analyze M : purity, betti, hilbert, fstar, hk, equigen
     analyze ring : hilbert, invariants, tangentcone
 
+Each command has one record in ``COMMANDS``.  ``betti``, ``hilbert`` and
+``invariants`` take the ``ring`` target or a module, ``tangentcone`` only
+``ring``, and ``purity``, ``fstar``, ``hk``, ``equigen`` and ``koszulfp``
+only a module.  ``fstar``, ``hk``, ``equigen``, ``koszulfp`` and
+``tangentcone`` need the local flavor.  A wrong target is a parse error; a
+``flavor`` line may follow the ``analyze`` line, so a wrong flavor gives an
+``error`` entry when the session runs.
+
 Reports are deterministic JSON documents; identical sessions and options
 produce byte-identical output.  Exit status: 0 all conclusive, 2 some
 result inconclusive at its cutoff, 1 error.  A command that fails with one
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import __version__
 from .complexes import NotAComplexError
@@ -39,20 +48,12 @@ from .herzog_kuhl import PreconditionError, cmd_equivalence_report, ring_local_i
 from .modules import (BridgeError, LocalModule, SubmoduleNotInMaximalIdeal, assoc_graded_module,
                       equigenerated_check, local_minimal_resolution)
 from .oracle import ModelSizeError, OracleWindowError
-from .poly import FreeLayout, PolyRing, Vector
+from .poly import NAME, FreeLayout, PolyRing, Vector
 from .purity import (INCONCLUSIVE, initial_complex_verdict, koszul_fibre_check, purity_verdict,
                      route_a_verdict)
 from .rings import GradedRing, LocalRing, ZeroInQuotientError
 
 DEFAULT_OPTIONS = {"truncation": 12, "max_homdeg": 8, "regbound": 10}
-
-KNOWN_COMMANDS = (
-    "purity", "betti", "hilbert", "invariants", "fstar", "hk", "equigen",
-    "koszulfp", "tangentcone",
-)
-RING_COMMANDS = ("hilbert", "invariants", "tangentcone", "betti")
-GRADED_MODULE_COMMANDS = ("betti", "hilbert", "invariants", "purity")
-LOCAL_MODULE_COMMANDS = tuple(c for c in KNOWN_COMMANDS if c != "tangentcone")
 
 
 class SessionError(ValueError):
@@ -132,9 +133,13 @@ def _split_columns(text, line_no):
     return cols
 
 
+def _check_new_name(ses, line_no, name):
+    if name in ses.frees or name in ses.submodules or name in ses.modules:
+        raise SessionError(line_no, f"{name!r} is already declared")
+
+
 def parse_session(text: str) -> Session:
     ses = Session()
-    declared = {"char": False, "vars": False}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,13 +155,16 @@ def parse_session(text: str) -> Session:
                 raise SessionError(line_no, f"characteristic {p} is not prime")
             _check_characteristic_bound(line_no, p)
             ses.characteristic = p
-            declared["char"] = True
         elif head == "vars":
             names = rest.split()
             if not names:
                 raise SessionError(line_no, "vars line needs at least one name")
+            for k, name in enumerate(names):
+                if not NAME.fullmatch(name):
+                    raise SessionError(line_no, f"bad variable name {name!r}")
+                if name in names[:k]:
+                    raise SessionError(line_no, f"variable {name!r} is declared twice")
             ses.variables = tuple(names)
-            declared["vars"] = True
         elif head == "flavor":
             if rest not in ("local", "graded"):
                 raise SessionError(line_no, f"flavor must be local or graded, got {rest!r}")
@@ -173,6 +181,7 @@ def parse_session(text: str) -> Session:
             body = body.strip()
             if not name or not body.startswith("rank"):
                 raise SessionError(line_no, "expected: free NAME : rank R")
+            _check_new_name(ses, line_no, name)
             try:
                 rank = int(body[len("rank"):].strip())
             except ValueError:
@@ -186,6 +195,7 @@ def parse_session(text: str) -> Session:
             if len(parts) != 3 or parts[1] != "in":
                 raise SessionError(line_no, "expected: submodule NAME in FREE : [..], [..]")
             name, free = parts[0], parts[2]
+            _check_new_name(ses, line_no, name)
             if free not in ses.frees:
                 raise SessionError(line_no, f"unknown free module {free!r}")
             cols = _split_columns(body.strip(), line_no) if body.strip() else []
@@ -197,6 +207,7 @@ def parse_session(text: str) -> Session:
             free, sub = free.strip(), sub.strip()
             if not name or not free or not sub:
                 raise SessionError(line_no, "expected: module NAME = FREE / SUBMODULE")
+            _check_new_name(ses, line_no, name)
             if free not in ses.frees:
                 raise SessionError(line_no, f"unknown free module {free!r}")
             if sub != "0":
@@ -204,6 +215,12 @@ def parse_session(text: str) -> Session:
                     raise SessionError(line_no, f"unknown submodule {sub!r}")
                 if ses.submodules[sub][0] != free:
                     raise SessionError(line_no, f"submodule {sub!r} lives in a different free module")
+                rank = ses.frees[free]
+                for colspec in ses.submodules[sub][1]:
+                    width = len(colspec.split(","))
+                    if width != rank:
+                        raise SessionError(
+                            line_no, f"column {colspec!r} has {width} entries, free rank is {rank}")
             ses.modules[name] = (free, None if sub == "0" else sub)
         elif head == "option":
             key, _, val = rest.partition(" ")
@@ -222,18 +239,18 @@ def parse_session(text: str) -> Session:
             if not cmds:
                 raise SessionError(line_no, "analyze needs at least one command")
             for c in cmds:
-                if c not in KNOWN_COMMANDS:
+                if c not in COMMANDS:
                     raise SessionError(line_no, f"unknown command {c!r}")
-                if target == "ring" and c not in RING_COMMANDS:
+                if target == "ring" and not COMMANDS[c].on_ring:
                     raise SessionError(line_no, f"command {c!r} needs a module target")
-                if target != "ring" and c not in LOCAL_MODULE_COMMANDS:
+                if target != "ring" and not COMMANDS[c].on_module:
                     raise SessionError(line_no, f"command {c!r} needs the ring target")
                 ses.commands.append((target, c))
             if target != "ring" and target not in ses.modules:
                 raise SessionError(line_no, f"unknown module {target!r}")
         else:
             raise SessionError(line_no, f"unknown directive {head!r}")
-    if not declared["vars"]:
+    if not ses.variables:
         raise SessionError(0, "missing vars line")
     return ses
 
@@ -266,15 +283,12 @@ class _Workspace:
             self.graded_ring = GradedRing(self.cover, ideal)
         self.modules = {}
         for name, (free, sub) in ses.modules.items():
-            rank = ses.frees[free]
-            layout = FreeLayout(rank)
+            layout = FreeLayout(ses.frees[free])
             cols = []
             if sub is not None:
                 for colspec in ses.submodules[sub][1]:
-                    entries = [e.strip() for e in colspec.split(",")]
-                    if len(entries) != rank:
-                        raise SessionError(0, f"column {colspec!r} has {len(entries)} entries, free rank is {rank}")
-                    cols.append(Vector.from_polys([self.cover.from_string(e or "0") for e in entries]))
+                    entries = [e.strip() or "0" for e in colspec.split(",")]
+                    cols.append(Vector.from_polys([self.cover.from_string(e) for e in entries]))
             if self.local:
                 self.modules[name] = LocalModule(self.ring, layout, cols)
             else:
@@ -411,30 +425,70 @@ def _koszulfp(ws, target):
 
 
 def _tangentcone(ws, target):
-    if not ws.local:
-        raise PreconditionError("tangentcone needs the local flavor")
     return {"generators": [str(g) for g in ws.ring.tangent_cone()]}, True
 
 
-# command -> handler(workspace, target) returning (payload dict, conclusive flag)
-HANDLERS = {
-    "purity": _purity, "betti": _betti, "hilbert": _hilbert, "invariants": _invariants,
-    "fstar": _fstar, "hk": _hk, "equigen": _equigen, "koszulfp": _koszulfp,
-    "tangentcone": _tangentcone,
+def _purity_summary(head, r):
+    # a local payload carries both routes and delta, whose delta_0 = 0
+    # even for M = 0; both flavors print the Betti table's pure type
+    v = r["verdict"]
+    if v == "pure":
+        degrees = r["route_a"]["type"] if "route_a" in r else r["type"]
+        return f"{head} -> PURE of type {tuple(degrees)}"
+    if v != "not-pure":
+        return f"{head} -> INCONCLUSIVE at cutoff"
+    if "route_a" not in r:
+        i, degrees = r["witness"]
+        return f"{head} -> NOT PURE -- witness: beta_{i} degrees {set(degrees)}"
+    bits = []
+    if r["route_a"]["witness"]:
+        w = r["route_a"]["witness"]
+        bits.append(f"beta_{w['position']} degrees {set(w['degrees'])}")
+    if r["route_b"]["homology_witness"]:
+        wb = r["route_b"]["homology_witness"]
+        bits.append(f"initial complex has homology at position {wb['position']}")
+    if not r["route_b"]["coker_matches"]:
+        bits.append("cokernel differs from the associated graded module")
+    return f"{head} -> NOT PURE -- witness: " + "; ".join(bits)
+
+
+@dataclass(frozen=True)
+class Command:
+    """What a session knows of one analyze command."""
+
+    on_ring: bool           # takes the ``ring`` target
+    on_module: bool         # takes a module target
+    local_only: bool        # needs the local flavor
+    run: Callable           # (workspace, target) -> (payload dict, conclusive flag)
+    summary: Callable       # (head, payload) -> the human-readable line
+
+
+# name -> Command(on_ring, on_module, local_only, run, summary)
+COMMANDS = {
+    "purity": Command(False, True, False, _purity, _purity_summary),
+    "betti": Command(True, True, False, _betti, lambda head, r: f"{head} ->\n{r['rendered']}"),
+    "hilbert": Command(True, True, False, _hilbert, lambda head, r: (
+        f"{head} -> {r['series']}; dim {r['dim']}; e {r['multiplicity']}")),
+    "invariants": Command(True, True, False, _invariants, lambda head, r: (
+        f"{head} -> dim {r['dim']}, depth {r['depth']}, cmd {r['cmd']}, "
+        f"codim {r['codim']}, e {r['multiplicity']}")),
+    "fstar": Command(False, True, True, _fstar, lambda head, r: (
+        f"{head} -> conclusion {r['conclusion']}; acyclic up to {r['acyclic_up_to']}; "
+        f"coker matches: {r['coker_matches']}; twists {r['delta']}")),
+    "hk": Command(False, True, True, _hk, lambda head, r: (
+        f"{head} -> cmd(M)=cmd(R): {r['conditions']['cmd_module_eq_cmd_ring']}, "
+        f"HK equations: {r['conditions']['betti_eq_hk']}, "
+        f"e(M) identity: {r['multiplicity_identity']} "
+        f"(sides {r['multiplicity_sides'][0]} = {r['multiplicity_sides'][1]})")),
+    "equigen": Command(False, True, True, _equigen, lambda head, r: (
+        f"{head} -> {'equigenerated' if r['verdict'] else 'NOT equigenerated'} "
+        f"(s={r['order']}, degrees {r['generator_degrees']})")),
+    "koszulfp": Command(False, True, True, _koszulfp, lambda head, r: (
+        f"{head} -> omega2 linear: {r['omega2_linear_within_cutoff']} "
+        f"(degrees {r['omega2_degrees']}); not-pure certificate: {r['not_pure_certificate']}")),
+    "tangentcone": Command(True, False, True, _tangentcone, lambda head, r: (
+        f"{head} -> <" + ", ".join(r["generators"]) + ">")),
 }
-
-
-def _run_command(ws: _Workspace, target: str, command: str):
-    """Returns (payload dict, conclusive flag)."""
-    if target == "ring":
-        allowed, message = RING_COMMANDS, "command {!r} not available on the ring"
-    elif ws.local:
-        allowed, message = LOCAL_MODULE_COMMANDS, "command {!r} needs the ring target"
-    else:
-        allowed, message = GRADED_MODULE_COMMANDS, "command {!r} needs the local flavor"
-    if command not in allowed:
-        raise PreconditionError(message.format(command))
-    return HANDLERS[command](ws, target)
 
 
 def execute(ses: Session, char_override=None, truncation=None, max_homdeg=None):
@@ -449,8 +503,11 @@ def execute(ses: Session, char_override=None, truncation=None, max_homdeg=None):
     status = 0
     for target, command in ses.commands:
         entry = {"command": command, "target": target}
+        spec = COMMANDS[command]
         try:
-            payload, conclusive = _run_command(ws, target, command)
+            if spec.local_only and not ws.local:
+                raise PreconditionError(f"command {command!r} needs the local flavor")
+            payload, conclusive = spec.run(ws, target)
             entry["result"] = payload
             entry["conclusive"] = conclusive
             if not conclusive and status == 0:
@@ -490,65 +547,6 @@ def summarize(report) -> str:
         head = f"{entry['target']} : {entry['command']}"
         if "error" in entry:
             lines.append(f"{head} -> ERROR: {entry['error']}")
-            continue
-        r = entry["result"]
-        if entry["command"] == "purity":
-            # a local payload carries both routes and delta, whose delta_0 = 0
-            # even for M = 0; both flavors print the Betti table's pure type
-            v = r["verdict"]
-            if v == "not-pure" and "route_a" not in r:
-                i, degrees = r["witness"]
-                lines.append(f"{head} -> NOT PURE -- witness: beta_{i} degrees {set(degrees)}")
-            elif v == "not-pure":
-                bits = []
-                if r["route_a"]["witness"]:
-                    w = r["route_a"]["witness"]
-                    bits.append(f"beta_{w['position']} degrees {set(w['degrees'])}")
-                if r["route_b"]["homology_witness"]:
-                    wb = r["route_b"]["homology_witness"]
-                    bits.append(f"initial complex has homology at position {wb['position']}")
-                if not r["route_b"]["coker_matches"]:
-                    bits.append("cokernel differs from the associated graded module")
-                lines.append(f"{head} -> NOT PURE -- witness: " + "; ".join(bits))
-            elif v == "pure":
-                degrees = r["route_a"]["type"] if "route_a" in r else r["type"]
-                lines.append(f"{head} -> PURE of type {tuple(degrees)}")
-            else:
-                lines.append(f"{head} -> INCONCLUSIVE at cutoff")
-        elif entry["command"] == "hilbert":
-            lines.append(f"{head} -> {r['series']}; dim {r['dim']}; e {r['multiplicity']}")
-        elif entry["command"] == "betti":
-            lines.append(f"{head} ->\n{r['rendered']}")
-        elif entry["command"] == "equigen":
-            lines.append(
-                f"{head} -> {'equigenerated' if r['verdict'] else 'NOT equigenerated'} "
-                f"(s={r['order']}, degrees {r['generator_degrees']})"
-            )
-        elif entry["command"] == "hk":
-            conds = r["conditions"]
-            lines.append(
-                f"{head} -> cmd(M)=cmd(R): {conds['cmd_module_eq_cmd_ring']}, "
-                f"HK equations: {conds['betti_eq_hk']}, "
-                f"e(M) identity: {r['multiplicity_identity']} "
-                f"(sides {r['multiplicity_sides'][0]} = {r['multiplicity_sides'][1]})"
-            )
-        elif entry["command"] == "tangentcone":
-            lines.append(f"{head} -> <" + ", ".join(r["generators"]) + ">")
-        elif entry["command"] == "invariants":
-            lines.append(
-                f"{head} -> dim {r['dim']}, depth {r['depth']}, cmd {r['cmd']}, "
-                f"codim {r['codim']}, e {r['multiplicity']}"
-            )
-        elif entry["command"] == "fstar":
-            lines.append(
-                f"{head} -> conclusion {r['conclusion']}; acyclic up to {r['acyclic_up_to']}; "
-                f"coker matches: {r['coker_matches']}; twists {r['delta']}"
-            )
-        elif entry["command"] == "koszulfp":
-            lines.append(
-                f"{head} -> omega2 linear: {r['omega2_linear_within_cutoff']} "
-                f"(degrees {r['omega2_degrees']}); not-pure certificate: {r['not_pure_certificate']}"
-            )
         else:
-            lines.append(f"{head} -> done")
+            lines.append(COMMANDS[entry["command"]].summary(head, entry["result"]))
     return "\n".join(lines)

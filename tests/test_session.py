@@ -274,6 +274,76 @@ def test_tangentcone_on_a_module_rejected_at_parse():
         parse_session(text)
 
 
+NEEDS_MODULE = "line {line}: command {command!r} needs a module target"
+NEEDS_RING = "line {line}: command {command!r} needs the ring target"
+NEEDS_LOCAL = "command {command!r} needs the local flavor"
+# target -> command -> (outcome under the local flavor, under the graded
+# flavor): a parse error, an error entry, or "result"
+COMMAND_OUTCOMES = {
+    "ring": {
+        "purity": (NEEDS_MODULE, NEEDS_MODULE), "betti": ("result", "result"),
+        "hilbert": ("result", "result"), "invariants": ("result", "result"),
+        "fstar": (NEEDS_MODULE, NEEDS_MODULE), "hk": (NEEDS_MODULE, NEEDS_MODULE),
+        "equigen": (NEEDS_MODULE, NEEDS_MODULE), "koszulfp": (NEEDS_MODULE, NEEDS_MODULE),
+        "tangentcone": ("result", NEEDS_LOCAL),
+    },
+    "M": {
+        "purity": ("result", "result"), "betti": ("result", "result"),
+        "hilbert": ("result", "result"), "invariants": ("result", "result"),
+        "fstar": ("result", NEEDS_LOCAL), "hk": ("result", NEEDS_LOCAL),
+        "equigen": ("result", NEEDS_LOCAL), "koszulfp": ("result", NEEDS_LOCAL),
+        "tangentcone": (NEEDS_RING, NEEDS_RING),
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OUTCOMES["M"]))
+@pytest.mark.parametrize("target", list(COMMAND_OUTCOMES))
+@pytest.mark.parametrize("position", ["before", "after"])
+@pytest.mark.parametrize("flavor", ["local", "graded"])
+def test_every_command_target_and_flavor(flavor, position, target, command):
+    # the flavor line may follow the analyze line, so a wrong flavor is an
+    # error entry at run time, while a wrong target is a parse error
+    flavor_line = f"flavor {flavor}\n"
+    text = ("vars x y\n" + (flavor_line if position == "before" else "")
+            + "ideal I : x^2\nfree F : rank 1\nsubmodule N in F : [y]\nmodule M = F / N\n"
+            + f"option max_homdeg 2\nanalyze {target} : {command}\n"
+            + (flavor_line if position == "after" else ""))
+    expected = COMMAND_OUTCOMES[target][command][flavor == "graded"].format(
+        line=8 if position == "before" else 7, command=command)
+    try:
+        ses = parse_session(text)
+    except SessionError as exc:
+        outcome = str(exc)
+    else:
+        report, status = execute(ses)
+        (entry,) = report["results"]
+        outcome = entry.get("error", "result")
+        assert status == (1 if "error" in entry else 0)
+    assert outcome == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    # a name no polynomial can spell would be a silent extra variable
+    ("vars X^2 Y\n", "line 1: bad variable name 'X^2'"),
+    ("vars 2 Y\n", "line 1: bad variable name '2'"),
+    ("vars X X\n", "line 1: variable 'X' is declared twice"),
+    ("vars x y\nfree F : rank 2\nsubmodule N in F : [x]\nmodule M = F / N\n",
+     "line 4: column 'x' has 1 entries, free rank is 2"),
+    # a redeclaration could change a rank or a column after the width check
+    ("vars x\nfree F : rank 1\nsubmodule N in F : [x]\nmodule M = F / N\nfree F : rank 2\n",
+     "line 5: 'F' is already declared"),
+    ("vars x\nfree F : rank 1\nsubmodule N in F : [x]\nmodule M = F / N\n"
+     "submodule N in F : [x, x]\n", "line 5: 'N' is already declared"),
+    ("vars x\nfree F : rank 1\nmodule M = F / 0\nmodule M = F / 0\n",
+     "line 4: 'M' is already declared"),
+])
+def test_declarations_checked_at_their_line(text, message):
+    with pytest.raises(SessionError) as err:
+        parse_session(text)
+    assert str(err.value) == message
+
+
 def test_characteristic_at_or_above_two_to_the_31_rejected():
     # 4294967311 is prime, but above the bound of the field
     with pytest.raises(SessionError, match="2\\^31"):
