@@ -38,11 +38,27 @@ Each index keeps the relative order of the linear scan it replaces and
 every key is unique, so the pairs and reducers are chosen in the same
 order as by a scan, and the bases come out term for term the same.
 ``tests/reference_checks.scan_weak_nf`` keeps the scan as the reference.
+
+Three shortcuts skip work whose result is known, and give the same result
+term for term, in the same dict order:
+
+- ``StandardBasis.reduce`` returns an irreducible column at once for a
+  rank-1 basis, before any heap, copy or moved reducer is built.  Under Mora
+  the column is irreducible when no lead divides its lead, and it comes back
+  unchanged.  Under a global order no lead may divide any term, and the
+  terms come back sorted by the key, lead first, as the remainder collects
+  them.  The test reads the leads' short exponent vectors;
+- ``_buchberger`` queues no pair of two single-term reducers: both are
+  monic, so their s-vector is zero.  The pair still takes part in the
+  minimal-lcm filter, so no other pair's fate changes;
+- ``syzygies`` keeps the elements whose lead lies past F: under the
+  elimination key these are exactly the elements with zero F-part.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from itertools import chain
 from operator import add
 
@@ -248,7 +264,8 @@ class StandardBasis:
     reduces columns of any rank modulo J*F (see ``moved``).
     """
 
-    __slots__ = ("ring", "layout", "order", "gens", "_key", "_wdeg", "_reds", "_index")
+    __slots__ = ("ring", "layout", "order", "gens", "_key", "_wdeg", "_reds", "_index", "_leads",
+                 "_column_keys")
 
     def __init__(self, ring, layout, order, gens):
         self.ring = ring
@@ -258,6 +275,17 @@ class StandardBasis:
         self._key, self._wdeg = _make_keys(order, layout.twists)
         self._reds = [_Red(g.terms, *_lead(g.terms, self._key, self._wdeg)) for g in gens]
         self._index = _index(self._reds)
+        self._leads = [(r.sev, r.lt[1]) for r in self._reds]
+        # keys for a column of any rank with untwisted components
+        self._column_keys = _make_keys(order, defaultdict(int))
+
+    def _divisible(self, exps):
+        """Whether a lead of this basis divides the monomial ``exps``."""
+        nsev = ~_sev(exps)
+        for sev, lead in self._leads:
+            if not sev & nsev and mon_divides(lead, exps):
+                return True
+        return False
 
     def moved(self, comps):
         """This rank-1 basis's index, its reducers g moved to g*e_c for each
@@ -279,16 +307,26 @@ class StandardBasis:
     def reduce(self, v):
         """The (weak, under a local order) normal form of the Vector v.  For a
         rank-1 basis v may have any rank and is reduced as a whole, under keys
-        built from its own components: O(terms), not O(rank)."""
+        that read only its own components: O(terms), not O(rank).
+
+        A rank-1 basis returns an irreducible v at once, as ``_weak_nf``
+        would: under Mora when no lead divides v's lead (v unchanged), under
+        a global order when no lead divides any term (v's terms from the
+        lead down, the order in which the remainder collects them)."""
         key, wdeg, index = self._key, self._wdeg, self._index
-        if self.layout.rank == 1 and v.rank > 1:
-            shifts = dict.fromkeys((c for c, _ in v.terms), 0)
-            key, wdeg = _make_keys(self.order, shifts)
-            index = self.moved(shifts)
-        h = _weak_nf(
-            dict(v.terms), index, key, wdeg, self.ring.p,
-            mora=self.order.is_local, tail=not self.order.is_local,
-        )[0]
+        mora = self.order.is_local
+        terms = v.terms
+        if self.layout.rank == 1:
+            if v.rank > 1:
+                key, wdeg = self._column_keys
+            if mora:
+                if not terms or not self._divisible(min(terms, key=key)[1]):
+                    return Vector(self.ring, v.rank, dict(terms))
+            elif not any(self._divisible(e) for _, e in terms):
+                return Vector(self.ring, v.rank, {t: terms[t] for t in sorted(terms, key=key)})
+            if v.rank > 1:
+                index = self.moved(c for c, _ in terms)
+        h = _weak_nf(dict(terms), index, key, wdeg, self.ring.p, mora=mora, tail=not mora)[0]
         return Vector(self.ring, v.rank, h)
 
     def contains(self, v):
@@ -327,7 +365,7 @@ def _pair_sugar(sug_i, red_i, sug_j, red_j, lcm_exps):
 def _buchberger(ring, rank, order, key, wdeg, frozen, seed):
     """Core loop.  frozen: reducers that are a standard basis as they stand
     (the quotient block); they open no pairs.  seed: list of Vector-term
-    dicts.  Returns list of monic term dicts forming a standard basis (not
+    dicts.  Returns the monic reducers (``_Red``) of a standard basis (not
     yet interreduced), the frozen ones first."""
     p = ring.p
     mora = order.is_local
@@ -364,6 +402,7 @@ def _buchberger(ring, rank, order, key, wdeg, frozen, seed):
                     break
             else:
                 kept.append((L, sev_L))
+        single = len(reds[new].terms) == 1
         for L, sev_L in kept:
             members = cand[L]
             # certified groups: product criterion (ideal case, global order)
@@ -372,6 +411,8 @@ def _buchberger(ring, rank, order, key, wdeg, frozen, seed):
             ):
                 continue
             i = min(members)
+            if single and len(reds[i].terms) == 1:
+                continue        # two monic terms: the s-vector is zero
             sug = _pair_sugar(sugars[i], reds[i], sugars[new], reds[new], L)
             live[(i, new)] = (sug, L, sev_L)
             heapq.heappush(queue, (sug, (i, new)))
@@ -408,35 +449,34 @@ def _buchberger(ring, rank, order, key, wdeg, frozen, seed):
         if h:
             append(_Red(_scale(h, pow(h[lt], -1, p), p), lt, ecart), sug)
 
-    # the frozen reducers' dicts are shared with the modulus: callers read them
-    return [r.terms for r in reds]
+    # the frozen reducers are shared with the modulus: callers only read them
+    return reds
 
 
-def _interreduce(dicts, key, wdeg, p, mora):
-    """Drop lead-dominated elements; tail-reduce under global orders."""
-    lts = [_lt(d, key) for d in dicts]
+def _interreduce(reds, key, wdeg, p, mora):
+    """Drop lead-dominated reducers; tail-reduce under global orders.
+    Returns term dicts."""
     kept = []
     kept_lts = {}     # lead component -> lead monomials kept so far
     # the smallest leads first; reverse=True keeps equal keys in input order
-    for i in sorted(range(len(dicts)), key=lambda i: key(lts[i]), reverse=True):
-        comp, exps = lts[i]
+    for red in sorted(reds, key=lambda r: key(r.lt), reverse=True):
+        comp, exps = red.lt
         if any(mon_divides(e, exps) for e in kept_lts.get(comp, ())):
             continue
         kept_lts.setdefault(comp, []).append(exps)
-        kept.append(dicts[i])
-    if not mora:
-        reds = [_Red(d, *_lead(d, key, wdeg)) for d in kept]
-        index = _index(reds)
-        out = []
-        for red in reds:
-            # reduce against every other kept element
-            same = index[red.lt[0]]
-            index[red.lt[0]] = [r for r in same if r is not red]
-            h, lt, _ = _weak_nf(dict(red.terms), index, key, wdeg, p, mora=False, tail=True)
-            index[red.lt[0]] = same
-            out.append(_scale(h, pow(h[lt], -1, p), p))
-        kept = out
-    return kept
+        kept.append(red)
+    if mora:
+        return [r.terms for r in kept]
+    index = _index(kept)
+    out = []
+    for red in kept:
+        # reduce against every other kept element
+        same = index[red.lt[0]]
+        index[red.lt[0]] = [r for r in same if r is not red]
+        h, lt, _ = _weak_nf(dict(red.terms), index, key, wdeg, p, mora=False, tail=True)
+        index[red.lt[0]] = same
+        out.append(_scale(h, pow(h[lt], -1, p), p))
+    return out
 
 
 def standard_basis(gens, order: OrderSpec, layout: FreeLayout = None, modulus=None):
@@ -455,8 +495,8 @@ def standard_basis(gens, order: OrderSpec, layout: FreeLayout = None, modulus=No
     key, wdeg = _make_keys(order, layout.twists)
     frozen = modulus.block(layout.rank) if modulus is not None else []
     seed = [dict(v.terms) for v in gens]
-    dicts = _buchberger(ring, layout.rank, order, key, wdeg, frozen, seed)
-    dicts = _interreduce(dicts, key, wdeg, ring.p, order.is_local)
+    reds = _buchberger(ring, layout.rank, order, key, wdeg, frozen, seed)
+    dicts = _interreduce(reds, key, wdeg, ring.p, order.is_local)
     vecs = [Vector(ring, layout.rank, d) for d in dicts]
     return StandardBasis(ring, layout, order, vecs)
 
@@ -492,11 +532,10 @@ def syzygies(cols, order: OrderSpec, layout: FreeLayout = None, modulus=None):
     zm = ring._zero_mon
     seed = [{**v.terms, (l + j, zm): 1} for j, v in enumerate(cols)]
     frozen = modulus.block(l) if modulus is not None else []
-    dicts = _buchberger(ring, l + k, order, key, wdeg, frozen, seed)
-    out = []
-    for d in dicts:
-        if any(c < l for (c, _) in d):
-            continue
-        out.append(Vector(ring, k, {(c - l, e): a for (c, e), a in d.items()}))
+    # the elimination key puts every term of F above the epsilon block, so an
+    # element has zero F-part exactly when its lead lies past F
+    kernel = [r.terms for r in _buchberger(ring, l + k, order, key, wdeg, frozen, seed)
+              if r.lt[0] >= l]
+    out = [Vector(ring, k, {(c - l, e): a for (c, e), a in d.items()}) for d in kernel]
     out.sort(key=lambda v: sorted(v.terms))
     return SyzygyMatrix(out, cols)

@@ -45,7 +45,9 @@ class _QuotientOps:
         ``v`` are a standard basis of I*F.  Globally it is the full
         remainder, each component its ``nf``; under Mora it is the weak
         normal form of the column, up to one unit for the whole column, with
-        an irreducible lead."""
+        an irreducible lead.  A column that is already in that form (no
+        reducible term globally, an irreducible lead under Mora) comes back
+        at once with the same terms, without a reduction."""
         sb = self.ideal_sb
         return Vector(v.ring, v.rank, dict(v.terms)) if sb is None else sb.reduce(v)
 

@@ -57,16 +57,17 @@ DEFAULT_OPTIONS = {"truncation": 12, "max_homdeg": 8, "regbound": 10}
 
 
 class SessionError(ValueError):
+    """A session that cannot run.  ``line_no`` is the line at fault, or None
+    when no line is: a command-line override, or a line that is missing."""
+
     def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-def _check_characteristic_bound(line_no, p):
+def _check_characteristic_bound(line_no, p, name="characteristic"):
     if p >= MAX_CHARACTERISTIC:
-        raise SessionError(
-            line_no, f"characteristic {p} is too large: the prime field needs p < 2^31"
-        )
+        raise SessionError(line_no, f"{name} {p} is too large: the prime field needs p < 2^31")
 
 
 # smallest accepted value of each bounded option: the oracle needs at least
@@ -74,10 +75,11 @@ def _check_characteristic_bound(line_no, p):
 OPTION_MINIMUM = {"truncation": 1, "max_homdeg": 0}
 
 
-def _check_option(line_no, key, value):
+def _check_option(line_no, key, value, name=None):
     low = OPTION_MINIMUM.get(key)
     if low is not None and value < low:
-        raise SessionError(line_no, f"option {key} must be at least {low}, got {value}")
+        name = name or f"option {key}"
+        raise SessionError(line_no, f"{name} must be at least {low}, got {value}")
 
 
 @dataclass
@@ -251,7 +253,7 @@ def parse_session(text: str) -> Session:
         else:
             raise SessionError(line_no, f"unknown directive {head!r}")
     if not ses.variables:
-        raise SessionError(0, "missing vars line")
+        raise SessionError(None, "session has no vars line")
     return ses
 
 
@@ -264,13 +266,16 @@ class _Workspace:
     def __init__(self, ses: Session, char_override=None, truncation=None, max_homdeg=None):
         self.session = ses
         self.options = dict(ses.options)
+        # the overrides come from the command line: errors name its flags
         for key, value in (("truncation", truncation), ("max_homdeg", max_homdeg)):
             if value is not None:
-                _check_option(0, key, value)
+                _check_option(None, key, value, "--" + key.replace("_", "-"))
                 self.options[key] = value
         self.cutoff = self.options["max_homdeg"]
-        p = char_override if char_override is not None else ses.characteristic
-        _check_characteristic_bound(0, p)
+        p = ses.characteristic
+        if char_override is not None:
+            _check_characteristic_bound(None, char_override, "--char")
+            p = char_override
         self.characteristic = p
         self.cover = PolyRing(ses.variables, p)
         ideal = [self.cover.from_string(s) for s in ses.ideal_strings]

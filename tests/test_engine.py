@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from aggraded import oracle
+from aggraded import engine, oracle
 from aggraded.engine import (StandardBasis, _index, _lead, _lt, _make_keys, _Red, _scale,
                              _weak_nf, normal_form, standard_basis, syzygies)
 from aggraded.orders import DS, GREVLEX
@@ -432,3 +432,118 @@ def test_local_nf_vector_keeps_each_column_up_to_one_unit(session_columns):
         assert _same_cyclic_submodule(ring, v, w), (v, w)
         checked += 1
     assert checked
+
+
+# ------------------------------------- the shortcuts for what cannot change
+
+
+def _reduce_by_weak_nf(sb, v):
+    """``StandardBasis.reduce`` of a rank-1 basis without its early return:
+    the column reduced by ``_weak_nf`` under keys over its own components."""
+    key, wdeg, index = sb._key, sb._wdeg, sb._index
+    if v.rank > 1:
+        shifts = dict.fromkeys((c for c, _ in v.terms), 0)
+        key, wdeg = _make_keys(sb.order, shifts)
+        index = sb.moved(shifts)
+    mora = sb.order.is_local
+    return _weak_nf(dict(v.terms), index, key, wdeg, sb.ring.p, mora, not mora)[0]
+
+
+def _shortcut_bases():
+    fibre = PolyRing(["x1", "x2", "x3", "y1", "y2", "y3"], 32003)
+    fibre_ideal = [fibre.gen(i) * fibre.gen(j) - fibre.gen(j) ** 2
+                   for i in range(3) for j in range(3, 6)]
+    return [standard_basis(EXAMPLE_IDEAL, DS), standard_basis(TANGENT_CONE, GREVLEX),
+            standard_basis(fibre_ideal, DS), standard_basis(fibre_ideal, GREVLEX)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_reduce_returns_irreducible_columns_as_weak_nf_does(rank):
+    # term for term and in dict order, reducible columns and irreducible ones
+    rng = random.Random(rank)
+    for sb in _shortcut_bases():
+        nvars = sb.ring.nvars
+        kept = changed = 0
+        for _ in range(150):
+            terms = _random_terms(rng, nvars, rank, rng.randint(0, 5), sb.ring.p)
+            want = _reduce_by_weak_nf(sb, Vector(sb.ring, rank, dict(terms)))
+            got = sb.reduce(Vector(sb.ring, rank, dict(terms)))
+            assert list(got.terms.items()) == list(want.items())
+            kept += want == terms
+            changed += want != terms
+        assert kept > 10 and changed > 10
+
+
+def test_reduce_returns_session_columns_as_weak_nf_does(session_columns):
+    # every column normal form of the bundled sessions' resolutions and of
+    # the agreement modules' generators
+    reductions, _ = session_columns
+    seen = set()
+    for sb, rank, terms in reductions:
+        k = (id(sb), rank, tuple(terms.items()))
+        if k in seen:
+            continue
+        seen.add(k)
+        want = _reduce_by_weak_nf(sb, Vector(sb.ring, rank, dict(terms)))
+        got = sb.reduce(Vector(sb.ring, rank, dict(terms)))
+        assert list(got.terms.items()) == list(want.items())
+    assert len(seen) > 100
+
+
+def test_irreducible_columns_skip_the_reduction(monkeypatch):
+    # under Mora a column whose lead is irreducible, under a global order a
+    # column with no reducible term: reduce never enters _weak_nf
+    local, graded = standard_basis(EXAMPLE_IDEAL, DS), standard_basis(TANGENT_CONE, GREVLEX)
+    cases = [
+        (local, Vector(R3, 1, {(0, (1, 1, 0)): 3, (0, (0, 0, 2)): 5})),     # X*Y + 5*Z^2
+        (local, Vector(R3, 3, {(2, (2, 0, 0)): 1, (0, (1, 0, 1)): 4})),     # lead X^2 e_2
+        (graded, Vector(R3, 1, {(0, (1, 0, 0)): 2, (0, (2, 3, 0)): 7})),
+        (graded, Vector(R3, 3, {(1, (0, 1, 0)): 1, (2, (3, 0, 0)): 6, (0, (0, 0, 1)): 9})),
+        (graded, Vector(R3, 2, {})),
+    ]
+    want = [_reduce_by_weak_nf(sb, v) for sb, v in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an irreducible column entered _weak_nf")
+
+    monkeypatch.setattr(engine, "_weak_nf", refuse)
+    for (sb, v), w in zip(cases, want):
+        got = sb.reduce(v)
+        assert list(got.terms.items()) == list(w.items())
+        assert got.terms is not v.terms
+    with pytest.raises(AssertionError, match="entered _weak_nf"):
+        graded.reduce(Vector(R3, 2, {(1, (1, 0, 1)): 1}))                  # X*Z e_1
+
+
+# Syzygies of monomial columns over the semigroup ring's tangent cone,
+# recorded before pairs of two single-term reducers were dropped (9 such
+# pairs in the rank-2 run and 5 in the rank-1 run built zero s-vectors).
+MONOMIAL_SYZYGIES = [
+    ([("X", "Y^2"), ("Y^2", "X*Y"), ("Z", "0"), ("X*Y", "Z"), ("0", "X^3")],
+     ["[Z, 0, 0, 0, 0]", "[Y^2, 0, 0, -Y, 0]", "[X*Y, -Y^2, 0, -X, 0]", "[0, Z, 0, 0, 0]",
+      "[0, Y^3, 0, 0, 0]", "[0, X^2, 0, -X*Y, -Y]", "[0, 0, Z, 0, 0]", "[0, 0, Y, 0, 0]",
+      "[0, 0, X, 0, 0]", "[0, 0, 0, Z, 0]", "[0, 0, 0, Y^3, 0]", "[0, 0, 0, X*Y^4, Y^4]",
+      "[0, 0, 0, 0, Z]"]),
+    ([("X",), ("Y^2",), ("Z",), ("X*Y",)],
+     ["[Z, 0, 0, 0]", "[-Y, 0, 0, 1]", "[-Y^2, X, 0, 0]", "[Y^4, 0, 0, 0]", "[0, Z, 0, 0]",
+      "[0, Y^2, 0, 0]", "[0, 0, Z, 0]", "[0, 0, Y, 0]", "[0, 0, X, 0]"]),
+]
+
+
+@pytest.mark.parametrize("entries, want", MONOMIAL_SYZYGIES)
+def test_monomial_syzygies_over_the_tangent_cone(entries, want, monkeypatch):
+    modulus = standard_basis(TANGENT_CONE, GREVLEX)
+    cols = [Vector.from_polys([R3.from_string(e) for e in col]) for col in entries]
+    built = []     # the term counts of the two reducers of each s-vector
+    sub_scaled = engine._sub_scaled
+
+    def recording(h, g_terms, shift, coeff, p):
+        built.append(len(g_terms))
+        return sub_scaled(h, g_terms, shift, coeff, p)
+
+    monkeypatch.setattr(engine, "_sub_scaled", recording)
+    sz = syzygies(cols, GREVLEX, FreeLayout(len(entries[0])), modulus=modulus)
+    assert [str(c) for c in sz.columns] == want
+    assert check_annihilates(sz, modulus=modulus)
+    pairs = list(zip(built[::2], built[1::2]))
+    assert pairs and (1, 1) not in pairs

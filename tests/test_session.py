@@ -162,6 +162,26 @@ def test_cli_usage_errors_exit_1_not_the_inconclusive_status(capsys, argv, code)
     assert ("usage: " in captured.out) != bool(code)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-homdeg", "-1", "error: --max-homdeg must be at least 0, got -1"),
+    ("--truncation", "0", "error: --truncation must be at least 1, got 0"),
+    ("--char", "4294967311",
+     "error: --char 4294967311 is too large: the prime field needs p < 2^31"),
+])
+def test_cli_bad_override_names_its_flag(capsys, flag, value, message):
+    assert main(["run", str(SESSIONS / "squares.session"), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+def test_cli_session_without_vars_line(tmp_path, capsys):
+    bad = tmp_path / "novars.session"
+    bad.write_text("char 5\nfree F : rank 1\n")
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: session has no vars line"]
+
+
 def _refuse_execute(monkeypatch):
     import aggraded.cli as cli
 
