@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .session import SessionError, execute, parse_session, render_report, summarize
@@ -52,7 +53,13 @@ def main(argv=None) -> int:
             out.write(render_report(report))
             out.write("\n")
     if report["results"]:
-        print(summarize(report))
+        try:
+            print(summarize(report), flush=True)
+        except BrokenPipeError:
+            # the reader closed early; keep the interpreter's exit flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: standard output closed before the summary", file=sys.stderr)
+            return 1
     if "error" in report.get("provenance", {}):
         print(f"error: {report['provenance']['error']}", file=sys.stderr)
     return status

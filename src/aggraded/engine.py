@@ -2,10 +2,10 @@
 
 One engine serves both flavors: Buchberger's algorithm under global orders,
 Mora's ecart-based variant under local ones.  Computations over a quotient
-ring P/I are performed at the polynomial level: I*F is the block of the
-reducers g*e_c that a rank-1 standard basis of I moves into each component
-c (``StandardBasis.moved``).  The block is a standard basis as it stands,
-so it opens no pairs.
+ring P/I are performed at the polynomial level, modulo I*F: the reducers g
+of a rank-1 standard basis of I act in place as g*e_c in any component c
+they reduce, with no copy (``_weak_nf``).  They are a standard basis of I*F
+as they stand, so they open no pairs among themselves.
 
 Syzygies are computed by the block-elimination construction: each column
 ``v_j`` is augmented to ``v_j + eps_j`` in ``F (+) R^k`` with the F-block
@@ -43,7 +43,7 @@ Three shortcuts skip work whose result is known, and give the same result
 term for term, in the same dict order:
 
 - ``StandardBasis.reduce`` returns an irreducible column at once for a
-  rank-1 basis, before any heap, copy or moved reducer is built.  Under Mora
+  rank-1 basis of an ideal, before any heap or dict is built.  Under Mora
   the column is irreducible when no lead divides its lead, and it comes back
   unchanged.  Under a global order no lead may divide any term, and the
   terms come back sorted by the key, lead first, as the remainder collects
@@ -113,10 +113,10 @@ def _sev(exps):
     return s
 
 
-def _sub_scaled(h, g_terms, shift, coeff, p):
-    """In place: h -= coeff * x^shift * g."""
+def _sub_scaled(h, g_terms, shift, coeff, p, off=0):
+    """In place: h -= coeff * x^shift * g, each term of g in component c + off."""
     for (c, e), a in g_terms.items():
-        t = (c, tuple(map(add, e, shift)))
+        t = (c + off, tuple(map(add, e, shift)))
         v = (h.get(t, 0) - coeff * a) % p
         if v:
             h[t] = v
@@ -155,10 +155,11 @@ def _index(reds):
     return index
 
 
-def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
-    """Reduce dict h against the reducers of ``index`` (see ``_index``);
-    returns (remainder dict, its lead term, its ecart), the last two None
-    when the remainder is zero.
+def _weak_nf(h, index, key, wdeg, p, mora, tail=False, ideal=(), below=0):
+    """Reduce dict h against the reducers of ``index`` (see ``_index``) and
+    the ideal's rank-1 reducers ``ideal``, acting as g*e_c in each component
+    c < ``below``; returns (remainder dict, its lead term, its ecart), the
+    last two None when the remainder is zero.
 
     mora=True: Mora weak normal form (intermediates may serve as reducers,
     so the result is valid up to a unit); lead-irreducible remainder, tail
@@ -170,8 +171,11 @@ def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
     of cancelled terms are dropped when they reach the top.  Under Mora,
     ``counts`` holds the number of terms of h per weighted degree, so the
     ecart of h is max(counts) - wdeg(lead).  The reducer chosen is the first
-    of least ecart whose lead divides the lead of h, reducers of ``index``
-    before intermediates, as a scan of h and of the candidates would choose.
+    of least ecart whose lead divides the lead of h, the ideal's reducers
+    before those of ``index`` and these before intermediates, as a scan of h
+    and of the candidates would choose.  A reducer's term in component c is
+    subtracted in component c + comp - (the reducer's lead component): in
+    comp for the ideal's reducers (lead component 0), in c for the others.
     """
     if not h:
         return h, None, None
@@ -192,6 +196,8 @@ def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
         comp, exps = lt
         nsev = ~_sev(exps)
         cands = index.get(comp, ())
+        if comp < below:
+            cands = chain(ideal, cands)
         if inter:
             cands = chain(cands, inter.get(comp, ()))
         best = None
@@ -216,8 +222,9 @@ def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
                     _Red(_scale(h, pow(coeff, -1, p), p), lt, h_ecart))
         # h -= coeff * x^shift * best, keeping the heap and the counts
         shift = mon_div(exps, best.lt[1])
+        off = comp - best.lt[0]
         for (c, e), a in best.terms.items():
-            t = (c, tuple(map(add, e, shift)))
+            t = (c + off, tuple(map(add, e, shift)))
             v = h.get(t)
             if v is None:
                 v = -coeff * a % p
@@ -258,20 +265,22 @@ def _weak_nf(h, index, key, wdeg, p, mora, tail=False):
 class StandardBasis:
     """A certified standard basis of a submodule of a free module.
 
-    ``gens`` are monic, lead-interreduced Vectors; they include the quotient
-    block when a modulus was supplied, so reduction against the basis is
-    reduction in the quotient ring.  A rank-1 basis of an ideal J also
-    reduces columns of any rank modulo J*F (see ``moved``).
+    ``gens`` are monic, lead-interreduced Vectors.  Over a quotient ring
+    ``modulus`` is the rank-1 basis of the defining ideal I, and reduction
+    against the basis is reduction against ``gens`` and I*F, whose reducers
+    act in place (``_weak_nf``); ``gens`` do not list I*F.  A rank-1 basis
+    of an ideal J also reduces columns of any rank modulo J*F.
     """
 
-    __slots__ = ("ring", "layout", "order", "gens", "_key", "_wdeg", "_reds", "_index", "_leads",
-                 "_column_keys")
+    __slots__ = ("ring", "layout", "order", "gens", "modulus", "_key", "_wdeg", "_reds",
+                 "_index", "_leads", "_column_keys")
 
-    def __init__(self, ring, layout, order, gens):
+    def __init__(self, ring, layout, order, gens, modulus=None):
         self.ring = ring
         self.layout = layout
         self.order = order
         self.gens = gens
+        self.modulus = modulus
         self._key, self._wdeg = _make_keys(order, layout.twists)
         self._reds = [_Red(g.terms, *_lead(g.terms, self._key, self._wdeg)) for g in gens]
         self._index = _index(self._reds)
@@ -287,36 +296,19 @@ class StandardBasis:
                 return True
         return False
 
-    def moved(self, comps):
-        """This rank-1 basis's index, its reducers g moved to g*e_c for each
-        c of ``comps`` (filled lazily, shared by every rank).  g*e_c keeps
-        g's lead and ecart under every module key: its terms share c."""
-        index = self._index
-        for c in comps:
-            if c not in index:
-                index[c] = [_Red({(c, e): a for (_, e), a in r.terms.items()}, (c, r.lt[1]),
-                                 r.ecart) for r in self._reds]
-        return index
-
-    def block(self, rank):
-        """The reducers g*e_c, c < rank, g outer and c inner: I*F for the
-        ideal I of this rank-1 basis."""
-        moved = self.moved(range(rank))
-        return [moved[c][i] for i in range(len(self._reds)) for c in range(rank)]
-
     def reduce(self, v):
         """The (weak, under a local order) normal form of the Vector v.  For a
-        rank-1 basis v may have any rank and is reduced as a whole, under keys
-        that read only its own components: O(terms), not O(rank).
+        rank-1 basis of an ideal v may have any rank and is reduced as a whole,
+        under keys that read only its own components: O(terms), not O(rank).
 
-        A rank-1 basis returns an irreducible v at once, as ``_weak_nf``
+        Such a basis returns an irreducible v at once, as ``_weak_nf``
         would: under Mora when no lead divides v's lead (v unchanged), under
         a global order when no lead divides any term (v's terms from the
         lead down, the order in which the remainder collects them)."""
-        key, wdeg, index = self._key, self._wdeg, self._index
+        key, wdeg, index, modulus = self._key, self._wdeg, self._index, self.modulus
         mora = self.order.is_local
         terms = v.terms
-        if self.layout.rank == 1:
+        if modulus is None and self.layout.rank == 1:
             if v.rank > 1:
                 key, wdeg = self._column_keys
             if mora:
@@ -324,9 +316,9 @@ class StandardBasis:
                     return Vector(self.ring, v.rank, dict(terms))
             elif not any(self._divisible(e) for _, e in terms):
                 return Vector(self.ring, v.rank, {t: terms[t] for t in sorted(terms, key=key)})
-            if v.rank > 1:
-                index = self.moved(c for c, _ in terms)
-        h = _weak_nf(dict(terms), index, key, wdeg, self.ring.p, mora=mora, tail=not mora)[0]
+            modulus, index = self, {}       # its reducers act in place, as a modulus's
+        ideal, below = (modulus._reds, v.rank) if modulus is not None else ((), 0)
+        h = _weak_nf(dict(terms), index, key, wdeg, self.ring.p, mora, not mora, ideal, below)[0]
         return Vector(self.ring, v.rank, h)
 
     def contains(self, v):
@@ -362,17 +354,19 @@ def _pair_sugar(sug_i, red_i, sug_j, red_j, lcm_exps):
     return max(di, dj)
 
 
-def _buchberger(ring, rank, order, key, wdeg, frozen, seed):
-    """Core loop.  frozen: reducers that are a standard basis as they stand
-    (the quotient block); they open no pairs.  seed: list of Vector-term
-    dicts.  Returns the monic reducers (``_Red``) of a standard basis (not
-    yet interreduced), the frozen ones first."""
+def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below):
+    """Core loop.  seed: list of Vector-term dicts.  ideal: the rank-1
+    reducers acting as g*e_c in each component c < below, at position
+    g*below + c; they open no pairs among themselves.  Returns the monic
+    reducers (``_Red``) after them, with I*F a standard basis (not yet
+    interreduced)."""
     p = ring.p
     mora = order.is_local
-    reds = []
-    sugars = []
-    index = {}        # lead component -> reducers, in insertion order
-    positions = {}    # lead component -> positions in reds, ascending
+    reds = [g for g in ideal for _ in range(below)]
+    sugars = [wdeg((c, g.lt[1])) + g.ecart for g in ideal for c in range(below)]
+    n = len(reds)
+    index = {}        # lead component -> reducers after the ideal's, in insertion order
+    positions = {c: list(range(c, n, below)) for c in range(below)}    # ascending
     pairs = {}        # lead component -> {(i, j): (sugar, lcm, sev of lcm)}, the live pairs
     queue = []        # heap of (sugar, (i, j)); may hold pruned pairs
 
@@ -417,17 +411,14 @@ def _buchberger(ring, rank, order, key, wdeg, frozen, seed):
             live[(i, new)] = (sug, L, sev_L)
             heapq.heappush(queue, (sug, (i, new)))
 
-    def append(red, sugar, pair=True):
+    def append(red, sugar):
         idx = len(reds)
         reds.append(red)
         sugars.append(sugar)
-        if pair:
-            add_pairs(idx)
+        add_pairs(idx)
         index.setdefault(red.lt[0], []).append(red)
         positions.setdefault(red.lt[0], []).append(idx)
 
-    for red in frozen:
-        append(red, wdeg(red.lt) + red.ecart, pair=False)
     for terms in seed:
         lt = _lt(terms, key)
         sugar = max(map(wdeg, terms))
@@ -435,33 +426,34 @@ def _buchberger(ring, rank, order, key, wdeg, frozen, seed):
 
     while queue:
         _, (i, j) = heapq.heappop(queue)
-        entry = pairs[reds[i].lt[0]].pop((i, j), None)
+        comp = reds[j].lt[0]        # j is newer than i: never a position of the ideal
+        entry = pairs[comp].pop((i, j), None)
         if entry is None:
             continue        # pruned after it was queued
         sug, L, _ = entry
-        # s-vector of monic reducers i and j
+        # s-vector of monic reducers i and j, both in component comp
         h = {}
-        _sub_scaled(h, reds[i].terms, mon_div(L, reds[i].lt[1]), p - 1, p)
+        _sub_scaled(h, reds[i].terms, mon_div(L, reds[i].lt[1]), p - 1, p, comp - reds[i].lt[0])
         _sub_scaled(h, reds[j].terms, mon_div(L, reds[j].lt[1]), 1, p)
         if not h:
             continue
-        h, lt, ecart = _weak_nf(h, index, key, wdeg, p, mora=mora, tail=False)
+        h, lt, ecart = _weak_nf(h, index, key, wdeg, p, mora, False, ideal, below)
         if h:
             append(_Red(_scale(h, pow(h[lt], -1, p), p), lt, ecart), sug)
 
-    # the frozen reducers are shared with the modulus: callers only read them
-    return reds
+    return reds[n:]
 
 
-def _interreduce(reds, key, wdeg, p, mora):
-    """Drop lead-dominated reducers; tail-reduce under global orders.
-    Returns term dicts."""
+def _interreduce(reds, key, wdeg, p, mora, ideal, below):
+    """Drop lead-dominated reducers, the leads of I*F included; tail-reduce
+    under global orders, the ideal acting in place.  Returns term dicts."""
     kept = []
     kept_lts = {}     # lead component -> lead monomials kept so far
     # the smallest leads first; reverse=True keeps equal keys in input order
     for red in sorted(reds, key=lambda r: key(r.lt), reverse=True):
         comp, exps = red.lt
-        if any(mon_divides(e, exps) for e in kept_lts.get(comp, ())):
+        if (comp < below and any(mon_divides(g.lt[1], exps) for g in ideal)
+                or any(mon_divides(e, exps) for e in kept_lts.get(comp, ()))):
             continue
         kept_lts.setdefault(comp, []).append(exps)
         kept.append(red)
@@ -473,7 +465,7 @@ def _interreduce(reds, key, wdeg, p, mora):
         # reduce against every other kept element
         same = index[red.lt[0]]
         index[red.lt[0]] = [r for r in same if r is not red]
-        h, lt, _ = _weak_nf(dict(red.terms), index, key, wdeg, p, mora=False, tail=True)
+        h, lt, _ = _weak_nf(dict(red.terms), index, key, wdeg, p, False, True, ideal, below)
         index[red.lt[0]] = same
         out.append(_scale(h, pow(h[lt], -1, p), p))
     return out
@@ -493,12 +485,12 @@ def standard_basis(gens, order: OrderSpec, layout: FreeLayout = None, modulus=No
         rank = gens[0].rank if gens else 1
         layout = FreeLayout(rank)
     key, wdeg = _make_keys(order, layout.twists)
-    frozen = modulus.block(layout.rank) if modulus is not None else []
+    ideal, below = (modulus._reds, layout.rank) if modulus is not None else ((), 0)
     seed = [dict(v.terms) for v in gens]
-    reds = _buchberger(ring, layout.rank, order, key, wdeg, frozen, seed)
-    dicts = _interreduce(reds, key, wdeg, ring.p, order.is_local)
+    reds = _buchberger(ring, layout.rank, order, key, wdeg, seed, ideal, below)
+    dicts = _interreduce(reds, key, wdeg, ring.p, order.is_local, ideal, below)
     vecs = [Vector(ring, layout.rank, d) for d in dicts]
-    return StandardBasis(ring, layout, order, vecs)
+    return StandardBasis(ring, layout, order, vecs, modulus)
 
 
 class SyzygyMatrix:
@@ -531,10 +523,10 @@ def syzygies(cols, order: OrderSpec, layout: FreeLayout = None, modulus=None):
     key, wdeg = _make_keys(order, shifts, elim_rank=l)
     zm = ring._zero_mon
     seed = [{**v.terms, (l + j, zm): 1} for j, v in enumerate(cols)]
-    frozen = modulus.block(l) if modulus is not None else []
+    ideal, below = (modulus._reds, l) if modulus is not None else ((), 0)
     # the elimination key puts every term of F above the epsilon block, so an
     # element has zero F-part exactly when its lead lies past F
-    kernel = [r.terms for r in _buchberger(ring, l + k, order, key, wdeg, frozen, seed)
+    kernel = [r.terms for r in _buchberger(ring, l + k, order, key, wdeg, seed, ideal, below)
               if r.lt[0] >= l]
     out = [Vector(ring, k, {(c - l, e): a for (c, e), a in d.items()}) for d in kernel]
     out.sort(key=lambda v: sorted(v.terms))

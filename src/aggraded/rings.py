@@ -9,8 +9,8 @@ Groebner basis of the defining ideal of the associated graded ring
 Power-series rings are represented through polynomial presentations
 localized at the origin; no power-series arithmetic exists here.  Reduction
 modulo I*F has one definition, ``nf_vector``: a column is reduced as a whole
-by the ideal's standard basis, whose reducers g move to g*e_c in each
-component c (``engine.StandardBasis.moved``).
+by the ideal's standard basis, whose reducers g act in place as g*e_c in
+each component c (``engine._weak_nf``).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class _QuotientOps:
 
     def nf_vector(self, v: Vector) -> Vector:
         """The column normal form: ``v`` reduced as a whole modulo I*F by the
-        ideal's standard basis, whose reducers g*e_c for the components c of
-        ``v`` are a standard basis of I*F.  Globally it is the full
+        ideal's standard basis, whose reducers act in place as g*e_c in the
+        components c of ``v``, a standard basis of I*F.  Globally it is the full
         remainder, each component its ``nf``; under Mora it is the weak
         normal form of the column, up to one unit for the whole column, with
         an irreducible lead.  A column that is already in that form (no

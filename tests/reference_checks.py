@@ -6,10 +6,10 @@ and oracle output that no computation in the package needs.
   ``_weak_nf`` (``scan_keys`` and ``ScanRed`` give it keys and reducers);
 - ``scan_reducer``: ``scan_weak_nf`` against a standard basis;
 - ``ideal_block``: I*F as its own standard basis, the columns g*e_c of
-  ``ideal_columns``, the reference for the reducers that an ideal's basis
-  moves into each component;
+  ``ideal_columns``, the reference for an ideal's reducers acting in place
+  in each component;
 - ``verify_certificate``: every s-vector of a standard basis reduces to zero
-  under ``scan_weak_nf``;
+  under ``scan_weak_nf``, I*F included over a quotient;
 - ``check_annihilates``: the target matrix times each syzygy column is zero;
 - ``variable_maps``: the truncated multiplication maps of a quotient model;
 - ``dense_rref_modp``: dense GF(p) row reduction, the reference for the
@@ -158,10 +158,14 @@ def ideal_block(sb: StandardBasis, rank):
 
 def verify_certificate(sb: StandardBasis):
     """Re-reduce every s-vector of ``sb`` to zero by ``scan_weak_nf``;
-    returns True or raises."""
+    returns True or raises.  Over a quotient the ``ideal_block`` of the
+    modulus joins the reducers and the pairs."""
     p = sb.ring.p
     key, wdeg = scan_keys(sb.order, sb.layout.twists)
-    reds = [ScanRed(g.terms, key, wdeg) for g in sb.gens]
+    gens = sb.gens
+    if sb.modulus is not None:
+        gens = ideal_block(sb.modulus, sb.layout.rank).gens + gens
+    reds = [ScanRed(g.terms, key, wdeg) for g in gens]
     index = _index(reds)
     for i, a in enumerate(reds):
         for j in range(i):

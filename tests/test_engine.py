@@ -1,3 +1,4 @@
+import functools
 import pathlib
 import random
 
@@ -6,10 +7,11 @@ import pytest
 from aggraded import engine, oracle
 from aggraded.engine import (StandardBasis, _index, _lead, _lt, _make_keys, _Red, _scale,
                              _weak_nf, normal_form, standard_basis, syzygies)
+from aggraded.modules import LocalModule
 from aggraded.orders import DS, GREVLEX
-from aggraded.poly import FreeLayout, PolyRing, Vector, ideal_columns, mon_divides
+from aggraded.poly import FreeLayout, PolyRing, Vector, mon_divides
 from aggraded.rings import GradedRing, LocalRing, _QuotientOps, ideals_equal
-from aggraded.session import execute, parse_session
+from aggraded.session import _Workspace, execute, parse_session
 from reference_checks import (ScanRed, agreement_modules, check_annihilates, dense, ideal_block,
                               rref_dense, scan_keys, scan_reducer, scan_weak_nf, variable_maps,
                               verify_certificate)
@@ -215,8 +217,8 @@ def test_nf_vector_reduces_the_whole_column_modulo_the_ideal(semigroup_ring, mon
     for g in semigroup_ring.ideal_sb.gens:
         assert not mon_divides(_lt(g.terms, key)[1], exps)
     assert _same_cyclic_submodule(semigroup_ring, v, w)
-    # the reducers g*e_c that nf_vector reduces against act as the old
-    # per-rank block, a standard basis of I*F
+    # the ideal's reducers, acting in place in each component, reduce as the
+    # old per-rank block, a standard basis of I*F
     assert ideal_block(semigroup_ring.ideal_sb, rank).reduce(v) == w
     for ring in (semigroup_ring, A):
         for r in (2, 3):
@@ -230,9 +232,7 @@ PIN_COLS = [("X", "Y^2"), ("Y", "X^2 + Z"), ("Z", "X*Y")]
 PINNED = {
     "local": (
         DS, EXAMPLE_IDEAL,
-        ["[0, Y^4 - X^5]", "[Y^4 - X^5, 0]", "[0, X*Y^3]", "[0, X^2*Y^2]", "[X^4, X*Y^2]",
-         "[Y^3, X^2*Y]", "[0, X^3]", "[0, Z^2 - X^3*Y^2]", "[Z^2 - X^3*Y^2, 0]",
-         "[0, Y*Z - X^4]", "[Y*Z - X^4, 0]", "[0, X*Z - Y^3]", "[X*Z - Y^3, 0]", "[Z, X*Y]",
+        ["[0, X*Y^3]", "[0, X^2*Y^2]", "[X^4, X*Y^2]", "[Y^3, X^2*Y]", "[0, X^3]", "[Z, X*Y]",
          "[Y, Z + X^2]", "[X, Y^2]"],
         2,
         ["[Z^2 - X^3*Y^2, -Y^2*Z + X^4*Y]", "[Y*Z - X^4, 0]", "[X*Z - Y^3, 0]",
@@ -241,8 +241,7 @@ PINNED = {
     ),
     "graded": (
         GREVLEX, TANGENT_CONE,
-        ["[0, Z^2]", "[Z^2, 0]", "[0, Y*Z]", "[Y*Z, 0]", "[0, X*Z]", "[X*Z, 0]", "[X, Y^2]",
-         "[Y^2, 0]", "[Z, X*Y]", "[Y, Z + X^2]", "[X^2, 0]"],
+        ["[X, Y^2]", "[Y^2, 0]", "[Z, X*Y]", "[Y, Z + X^2]", "[X^2, 0]"],
         3,
         ["[Z, 0, 0]", "[Y^2, -X*Y, X^2]", "[Y^4, 0, 0]", "[0, Z, 0]", "[0, -Y^3, X*Y^2]",
          "[0, Y^4, 0]", "[0, 0, Z]", "[0, 0, Y^3]"],
@@ -257,41 +256,71 @@ def test_standard_basis_and_syzygies_keep_their_order(flavor):
     cols = [Vector.from_polys([R3.from_string(a), R3.from_string(b)]) for a, b in PIN_COLS]
     sb = standard_basis(cols, order, FreeLayout(2), modulus=modulus)
     assert [str(g) for g in sb.gens] == basis
+    assert sb.modulus is modulus
+    assert verify_certificate(sb)
+    for g in modulus.gens:
+        for c in range(2):
+            assert sb.contains(Vector(R3, 2, {(c, e): a for (_, e), a in g.terms.items()}))
     sz = syzygies(cols[:n_syz_cols], order, FreeLayout(2), modulus=modulus)
     assert [str(c) for c in sz.columns] == syz
 
 
+# Seed columns whose leads an ideal lead divides: X*Z e_0 under both orders.
+# The bases are those the engine gave while it listed I*F among the
+# generators, without the columns g*e_c.
+REDUCIBLE_SEEDS = {
+    "local": (
+        DS, EXAMPLE_IDEAL, [("X*Z", "X*Y^2"), ("Y", "X^2 + Z")],
+        ["[Y^6, X^5*Y - X^4*Y*Z]", "[X^5*Y, X^6]", "[X^4, X*Y^3 + X^3*Y^2]", "[Y^3, X*Y^2]",
+         "[Y, Z + X^2]"],
+    ),
+    "graded": (GREVLEX, TANGENT_CONE, [("X*Z + X", "Y"), ("Y^4", "Z")], ["[0, Z]", "[X, Y]"]),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(REDUCIBLE_SEEDS))
+def test_seeds_with_reducible_leads_leave_a_quotient_basis(flavor):
+    order, ideal, entries, basis = REDUCIBLE_SEEDS[flavor]
+    modulus = standard_basis(ideal, order)
+    cols = [Vector.from_polys([R3.from_string(a), R3.from_string(b)]) for a, b in entries]
+    sb = standard_basis(cols, order, FreeLayout(2), modulus=modulus)
+    assert [str(g) for g in sb.gens] == basis
+    assert verify_certificate(sb)
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_moved_reducers_match_the_old_block(semigroup_ring, rank):
-    # The block that standard_basis and syzygies freeze, and that nf_vector
-    # reduces against, is the ideal basis's reducers moved into each
-    # component.  Field for field and in order it equals the old block, the
-    # columns of ideal_columns with leads and ecarts found under each key:
-    # nf_vector's, standard_basis's with a twist, and syzygies' elimination
-    # key with shifted epsilon components.
+def test_ideal_reducers_in_place_match_the_old_block(semigroup_ring, rank):
+    # The ideal's reducers g act in place in each component c as g*e_c.  That
+    # reduces as the old block, the columns of ideal_columns with leads and
+    # ecarts found under each key, term for term and in dict order: under
+    # nf_vector's key, standard_basis's with a twist, and syzygies'
+    # elimination key with shifted epsilon components, which I*F leaves alone.
     rng = random.Random(rank)
     fibre = PolyRing(["x1", "x2", "x3", "y1", "y2", "y3"], 32003)
     fibre_ring = LocalRing(fibre, [fibre.gen(i) * fibre.gen(j) for i in range(3) for j in range(3, 6)])
     for ring in (semigroup_ring, semigroup_ring.graded_cover, fibre_ring):
         sb = ring.ideal_sb
-        block = sb.block(rank)
+        p, mora, nvars = sb.ring.p, sb.order.is_local, sb.ring.nvars
+        for _ in range(20):
+            v = Vector(sb.ring, rank, _random_terms(rng, nvars, rank, rng.randint(1, 6), p))
+            assert list(sb.reduce(v).terms.items()) == list(_reduce_by_weak_nf(sb, v).items())
         twists = [rng.randint(1, 3) for _ in range(rank)]
         eps = [rng.randint(0, 4) for _ in range(3)]
-        keys = [_make_keys(sb.order, twists), _make_keys(sb.order, twists + eps, rank)]
-        refs = [ideal_block(sb, rank)._reds]
-        for key, wdeg in keys:
-            cols = ideal_columns([g.component(0) for g in sb.gens], rank)
-            refs.append([_Red(v.terms, *_lead(v.terms, key, wdeg)) for v in cols])
-            # the sugar that _buchberger gives a frozen reducer
-            assert all(wdeg(r.lt) + r.ecart == max(map(wdeg, r.terms)) for r in block)
-        for ref in refs:
-            assert ([(list(r.terms.items()), r.lt, r.ecart, r.sev) for r in block]
-                    == [(list(r.terms.items()), r.lt, r.ecart, r.sev) for r in ref])
-        # one table for every rank: the reducers are built once per component
-        n = len(sb.gens)
-        assert all(block[i * rank + c] is sb.moved([c])[c][i]
-                   for i in range(n) for c in range(rank))
-        assert sb.block(1) == sb._reds
+        for shifts, elim in ((twists, None), (twists + eps, rank)):
+            key, wdeg = _make_keys(sb.order, shifts, elim)
+            block = _block(sb, rank).gens
+            refs = [_Red(g.terms, *_lead(g.terms, key, wdeg)) for g in block]
+            # g*e_c keeps g's lead monomial, ecart and sugar under every key
+            assert [(r.lt, r.ecart, r.sev) for r in refs] == [
+                ((c, g.lt[1]), g.ecart, g.sev) for g in sb._reds for c in range(rank)]
+            assert all(max(map(wdeg, r.terms)) == wdeg(r.lt) + r.ecart for r in refs)
+            for _ in range(20):
+                h = _random_terms(rng, nvars, len(shifts), rng.randint(1, 6), p)
+                for tail in (False, True):
+                    want = _weak_nf(dict(h), _index(refs), key, wdeg, p, mora, tail)
+                    got = _weak_nf(dict(h), {}, key, wdeg, p, mora, tail, sb._reds, rank)
+                    assert list(got[0].items()) == list(want[0].items())
+                    assert got[1:] == want[1:]
 
 
 # ------------------------------------------- the heap loop against the scan
@@ -308,17 +337,24 @@ def _random_terms(rng, nvars, rank, n_terms, p, units=True):
     return terms
 
 
-def _heap_and_scan(reducers, h, order, shifts, elim_rank, tail, p):
+def _heap_and_scan(reducers, h, order, shifts, elim_rank, tail, p, modulus=None):
     """The remainders of h under the engine's ``_weak_nf`` and under
-    ``scan_weak_nf``, against the same monic reducers; checks the lead and
-    ecart that ``_weak_nf`` returns against a scan of its remainder."""
+    ``scan_weak_nf``, against the same monic reducers and, over a quotient,
+    I*F: the modulus's reducers in place on the heap side, the columns of its
+    ``ideal_block`` on the scan side.  Checks the lead and ecart that
+    ``_weak_nf`` returns against a scan of its remainder."""
     key, wdeg = _make_keys(order, shifts, elim_rank)
     skey, swdeg = scan_keys(order, shifts, elim_rank)
     monic = [_scale(d, pow(d[_lt(d, key)], -1, p), p) for d in reducers]
     heap_index = _index([_Red(d, *_lead(d, key, wdeg)) for d in monic])
-    scan_idx = _index([ScanRed(d, skey, swdeg) for d in monic])
+    ideal, below, block = (), 0, []
+    if modulus is not None:
+        ideal, below = modulus._reds, len(shifts)
+        # the ideal's reducers come first, as in the heap's candidates
+        block = [g.terms for g in ideal_block(modulus, below).gens]
+    scan_idx = _index([ScanRed(d, skey, swdeg) for d in block + monic])
     mora = order.is_local
-    got, lt, ecart = _weak_nf(dict(h), heap_index, key, wdeg, p, mora, tail)
+    got, lt, ecart = _weak_nf(dict(h), heap_index, key, wdeg, p, mora, tail, ideal, below)
     want = scan_weak_nf(dict(h), scan_idx, skey, swdeg, p, mora, tail)
     if want:
         slt = max(want, key=skey)
@@ -359,11 +395,25 @@ def test_heap_weak_nf_matches_scan_over_a_quotient(order):
         h = _random_terms(rng, 3, 2, rng.randint(1, 10), R3.p)
         for tail in (False, True):
             got, want = _heap_and_scan([g.terms for g in sb.gens], h, order, (0, 0), None,
-                                       tail, R3.p)
+                                       tail, R3.p, modulus)
             assert list(got.items()) == list(want.items())
 
 
 SESSIONS = pathlib.Path(__file__).resolve().parent.parent / "sessions"
+
+
+def test_local_bases_of_bundled_modules_are_certified():
+    # the DS basis over R that submodule_initial takes initial forms of
+    checked = 0
+    for path in sorted(SESSIONS.glob("*.session")):
+        for mod in _Workspace(parse_session(path.read_text())).modules.values():
+            if not isinstance(mod, LocalModule) or mod.is_free:
+                continue
+            sb = standard_basis(mod.gens, DS, mod.layout, modulus=mod.ring.ideal_sb)
+            assert sb.modulus is mod.ring.ideal_sb
+            assert verify_certificate(sb)
+            checked += sb.modulus is not None
+    assert checked
 
 
 @pytest.fixture(scope="module")
@@ -437,16 +487,19 @@ def test_local_nf_vector_keeps_each_column_up_to_one_unit(session_columns):
 # ------------------------------------- the shortcuts for what cannot change
 
 
+@functools.lru_cache(maxsize=None)
+def _block(sb, rank):
+    return ideal_block(sb, rank)
+
+
 def _reduce_by_weak_nf(sb, v):
     """``StandardBasis.reduce`` of a rank-1 basis without its early return:
-    the column reduced by ``_weak_nf`` under keys over its own components."""
-    key, wdeg, index = sb._key, sb._wdeg, sb._index
-    if v.rank > 1:
-        shifts = dict.fromkeys((c for c, _ in v.terms), 0)
-        key, wdeg = _make_keys(sb.order, shifts)
-        index = sb.moved(shifts)
+    the column reduced by ``_weak_nf`` against the ideal's ``ideal_block``
+    of the column's rank, under untwisted keys."""
+    block = _block(sb, v.rank)
     mora = sb.order.is_local
-    return _weak_nf(dict(v.terms), index, key, wdeg, sb.ring.p, mora, not mora)[0]
+    return _weak_nf(dict(v.terms), block._index, block._key, block._wdeg, sb.ring.p, mora,
+                    not mora)[0]
 
 
 def _shortcut_bases():
@@ -537,9 +590,9 @@ def test_monomial_syzygies_over_the_tangent_cone(entries, want, monkeypatch):
     built = []     # the term counts of the two reducers of each s-vector
     sub_scaled = engine._sub_scaled
 
-    def recording(h, g_terms, shift, coeff, p):
+    def recording(h, g_terms, shift, coeff, p, off=0):
         built.append(len(g_terms))
-        return sub_scaled(h, g_terms, shift, coeff, p)
+        return sub_scaled(h, g_terms, shift, coeff, p, off)
 
     monkeypatch.setattr(engine, "_sub_scaled", recording)
     sz = syzygies(cols, GREVLEX, FreeLayout(len(entries[0])), modulus=modulus)

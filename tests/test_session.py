@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import aggraded
 from aggraded.cli import main
 from aggraded.session import (SessionError, execute, parse_session, render_report,
                               summarize)
@@ -141,6 +145,24 @@ def test_cli_runs_the_bundled_graded_session(tmp_path, capsys):
     assert "Q : purity -> NOT PURE" in printed
     results = json.loads(out.read_text())["results"]
     assert all("error" not in e for e in results)
+
+
+def test_cli_exits_1_without_a_traceback_when_its_reader_closes_early(tmp_path):
+    # unbuffered, the parsed-session line is written before the session runs;
+    # the reader takes it and closes the pipe, so the summary finds it closed
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(aggraded.__file__).parent.parent),
+               PYTHONUNBUFFERED="1")
+    out = tmp_path / "report.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aggraded.cli", "run", str(SESSIONS / "squares.session"),
+         "--char", "2", "--verbose", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# parsed session")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: standard output closed before the summary\n"
+    assert json.loads(out.read_text())["results"]
 
 
 def test_cli_reports_parse_errors(tmp_path, capsys):
