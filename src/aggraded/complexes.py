@@ -19,20 +19,21 @@ step to every differential of a given complex.
 The normal-form contract: a stored column is in normal form.  A column is
 reduced as a whole modulo I*F by its ring's ``nf_vector`` (under Mora up to
 one unit for the column, so the module is the given one) once, where it is
-made -- the ``LocalModule`` and ``GradedModule`` constructors, and each
-syzygy or stripped column that ``min_gens_with_syz`` creates -- and never
-again, so ``resolve_bounded`` reduces none of its columns.  Both normal
-forms are idempotent and leave an irreducible lead, so orders, twists and
-initial matrices are read off the stored columns.
+made -- the one module constructor of both flavors, ``modules._Presentation``,
+and each syzygy or stripped column that ``min_gens_with_syz`` creates -- and
+never again, so ``resolve_bounded`` reduces none of its columns.  Both
+normal forms are idempotent and leave an irreducible lead, so orders, twists
+and initial matrices are read off the stored columns.
 
 ``resolve_cached`` is the one resolution cache of the local and the graded
-flavor, and the kept resolution grows, never restarts.  A FINITE result
-serves every cutoff, a truncated result serves every cutoff up to its own,
-and a deeper cutoff resumes it: ``resolve_bounded`` runs on the stripped
-syzygy columns of its last level (``ResolutionResult.rest``) for the missing
-levels only.  A level gets the same inputs either way, so the maps, status
-and pdim served at any cutoff are term for term what ``resolve_bounded``
-returns there.
+flavor.  It reads the columns, layout, ring and cache off the module, and
+the kept resolution grows, never restarts.  A FINITE result serves every
+cutoff, a truncated result serves every cutoff up to its own, and a deeper
+cutoff resumes it: ``resolve_bounded`` runs on the stripped syzygy columns
+of its last level (``ResolutionResult.rest``) for the missing levels only.
+A level gets the same inputs either way, so the maps, status and pdim
+served at any cutoff are term for term what ``resolve_bounded`` returns
+there.
 """
 
 from __future__ import annotations
@@ -239,17 +240,19 @@ def resolve_bounded(gens, layout, ctx, cutoff):
     return ResolutionResult(mats, status, pdim if pdim is not None else -1, cutoff, rest=rest)
 
 
-def resolve_cached(cache: dict, gens, layout, ctx, cutoff) -> ResolutionResult:
-    """``resolve_bounded`` of the same module, from the result kept in
-    ``cache``, which grows, never restarts: a call computes only the levels
-    that the kept result lacks (module docstring)."""
+def resolve_cached(mod, cutoff) -> ResolutionResult:
+    """``resolve_bounded`` of the module ``mod`` (its ``gens`` in its
+    ``layout`` over its ``ring``), from the result kept in its cache, which
+    grows, never restarts: a call computes only the levels that the kept
+    result lacks (module docstring)."""
     if cutoff < 0:
         raise ValueError("the homological cutoff must be nonnegative")
+    cache = mod._cache
     kept = cache.get("resolution")
     if kept is None:
-        cache["resolution"] = kept = resolve_bounded(gens, layout, ctx, cutoff)
+        cache["resolution"] = kept = resolve_bounded(mod.gens, mod.layout, mod.ring, cutoff)
     elif not kept.finite and cutoff > kept.cutoff:
-        more = resolve_bounded(*kept.rest, ctx, cutoff - kept.cutoff)
+        more = resolve_bounded(*kept.rest, mod.ring, cutoff - kept.cutoff)
         pdim = kept.cutoff + more.pdim if more.finite else -1
         cache["resolution"] = kept = ResolutionResult(kept.mats + more.mats, more.status, pdim,
                                                       cutoff, rest=more.rest)

@@ -265,7 +265,9 @@ def _weak_nf(h, index, key, wdeg, p, mora, tail=False, ideal=(), below=0):
 class StandardBasis:
     """A certified standard basis of a submodule of a free module.
 
-    ``gens`` are monic, lead-interreduced Vectors.  Over a quotient ring
+    ``gens`` are monic, lead-interreduced Vectors under either order: no
+    lead divides another lead of its component, nor a lead of I*F.  Under a
+    global order they are tail-reduced as well.  Over a quotient ring
     ``modulus`` is the rank-1 basis of the defining ideal I, and reduction
     against the basis is reduction against ``gens`` and I*F, whose reducers
     act in place (``_weak_nf``); ``gens`` do not list I*F.  A rank-1 basis
@@ -445,8 +447,9 @@ def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below):
 
 
 def _interreduce(reds, key, wdeg, p, mora, ideal, below):
-    """Drop lead-dominated reducers, the leads of I*F included; tail-reduce
-    under global orders, the ideal acting in place.  Returns term dicts."""
+    """Drop lead-dominated reducers, the leads of I*F included, keeping the
+    order of the rest; tail-reduce under global orders, the ideal acting in
+    place.  Returns term dicts."""
     kept = []
     kept_lts = {}     # lead component -> lead monomials kept so far
     # the smallest leads first; reverse=True keeps equal keys in input order
@@ -458,7 +461,9 @@ def _interreduce(reds, key, wdeg, p, mora, ideal, below):
         kept_lts.setdefault(comp, []).append(exps)
         kept.append(red)
     if mora:
-        return [r.terms for r in kept]
+        # the smallest leads came first, and under Mora they are the multiples
+        return [r.terms for r in kept
+                if not any(e != r.lt[1] and mon_divides(e, r.lt[1]) for e in kept_lts[r.lt[0]])]
     index = _index(kept)
     out = []
     for red in kept:

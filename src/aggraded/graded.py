@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import ResolutionResult, resolve_bounded, resolve_cached
-from .modules import BridgeError
-from .poly import FreeLayout, Polynomial, Vector, ideal_columns
+from .modules import BridgeError, _Presentation
+from .poly import FreeLayout, Vector, ideal_columns
 from .rings import GradedRing
 
 PDIM_FINITE = "finite"
@@ -157,33 +157,18 @@ class NumericInvariants:
 # ------------------------------------------------------------ the module
 
 
-class GradedModule:
+class GradedModule(_Presentation):
     """coker of homogeneous relation columns in a twisted free module."""
 
-    def __init__(self, ring: GradedRing, layout: FreeLayout, relations):
-        self.ring = ring
-        self.layout = layout
-        cleaned = []
-        for v in relations:
-            if isinstance(v, Polynomial):
-                v = Vector.from_polys([v])
-            v = ring.nf_vector(v)
-            if v.is_zero():
-                continue
-            if not v.is_homogeneous(layout):
-                raise ValueError("relations must be homogeneous for the layout")
-            if ring.unit_component(v) is not None:
-                raise ValueError("minimal presentation needs relations inside the irrelevant ideal")
-            cleaned.append(v)
-        self.relations = cleaned
-        self._cache = {}
+    def _check_column(self, v: Vector):
+        if not v.is_homogeneous(self.layout):
+            raise ValueError("relations must be homogeneous for the layout")
+        if self.ring.unit_component(v) is not None:
+            raise ValueError("minimal presentation needs relations inside the irrelevant ideal")
 
     @property
     def is_zero(self):
         return self.layout.rank == 0
-
-    def __repr__(self):
-        return f"GradedModule(rank {self.layout.rank} / {len(self.relations)} relations)"
 
 
 def betti_table(layout: FreeLayout, res: ResolutionResult, cutoff: int) -> BettiTable:
@@ -198,7 +183,7 @@ def betti_table(layout: FreeLayout, res: ResolutionResult, cutoff: int) -> Betti
 
 def minimal_graded_resolution(gmod: GradedModule, cutoff: int) -> BettiTable:
     """The Betti table of a minimal resolution over the quotient ring."""
-    res = resolve_cached(gmod._cache, gmod.relations, gmod.layout, gmod.ring, cutoff)
+    res = resolve_cached(gmod, cutoff)
     return betti_table(gmod.layout, res, cutoff)
 
 
@@ -229,7 +214,7 @@ def _presentation_over_cover(gmod: GradedModule):
     its relations and the ideal generators times each basis vector.  S has
     no ideal, so they are in normal form there, and ``GradedModule`` and
     ``GradedRing`` have checked that they are homogeneous and not units."""
-    return list(gmod.relations) + ideal_columns(gmod.ring.ideal, gmod.layout.rank)
+    return list(gmod.gens) + ideal_columns(gmod.ring.ideal, gmod.layout.rank)
 
 
 def cover_betti_table(gmod: GradedModule) -> BettiTable:

@@ -1,11 +1,13 @@
-"""Local module presentations and the local-to-graded bridge.
+"""Module presentations and the local-to-graded bridge.
 
-A module is presented as M = F/N with N inside m*F (columns of positive
-order; violating inputs are rejected, not normalized).  The initial
-submodule of N (generated by all initial forms of elements of N) is read
-off a certified local standard basis; this bridge is never taken on faith:
-generator degrees are cross-checked against the truncation oracle wherever
-a verdict depends on them, and disagreements raise BridgeError.
+A module is presented as M = F/N, N given by columns in normal form; the
+constructor ``_Presentation`` is shared by the local and the graded flavor.
+Over a local ring N lies inside m*F (columns of positive order; violating
+inputs are rejected, not normalized).  The initial submodule of N
+(generated by all initial forms of elements of N) is read off a certified
+local standard basis; this bridge is never taken on faith: generator
+degrees are cross-checked against the truncation oracle wherever a verdict
+depends on them, and disagreements raise BridgeError.
 """
 
 from __future__ import annotations
@@ -31,28 +33,44 @@ class SubmoduleNotInMaximalIdeal(ValueError):
     pass
 
 
-class LocalModule:
-    """M = F/N over a local ring, N a submodule of m*F."""
+class _Presentation:
+    """M = F/N over a ring presentation, N given by columns in F.
 
-    def __init__(self, ring: LocalRing, layout: FreeLayout, gens):
-        if any(t != 0 for t in layout.twists):
-            raise ValueError("local layouts carry zero twists")
+    The one constructor of both flavors: each column is put in normal form
+    (the ring's ``nf_vector``), zero columns are dropped, and each flavor's
+    ``_check_column`` checks the rest, which are kept as ``gens``.
+    """
+
+    def __init__(self, ring, layout: FreeLayout, gens):
         self.ring = ring
         self.layout = layout
-        cleaned = []
+        self.gens = []
         for g in gens:
             if isinstance(g, Polynomial):
                 g = Vector.from_polys([g])
             if g.rank != layout.rank:
                 raise ValueError("generator rank mismatch")
             g = ring.nf_vector(g)
-            if g.is_zero():
-                continue
-            if ring.unit_component(g) is not None:
-                raise SubmoduleNotInMaximalIdeal("N ⊆ mF required")
-            cleaned.append(g)
-        self.gens = cleaned
+            if g:
+                self._check_column(g)
+                self.gens.append(g)
         self._cache = {}
+
+    def __repr__(self):
+        return f"{type(self).__name__}(rank {self.layout.rank} / {len(self.gens)} relations)"
+
+
+class LocalModule(_Presentation):
+    """M = F/N over a local ring, N a submodule of m*F."""
+
+    def __init__(self, ring: LocalRing, layout: FreeLayout, gens):
+        if any(layout.twists):
+            raise ValueError("local layouts carry zero twists")
+        super().__init__(ring, layout, gens)
+
+    def _check_column(self, v: Vector):
+        if self.ring.unit_component(v) is not None:
+            raise SubmoduleNotInMaximalIdeal("N ⊆ mF required")
 
     @property
     def is_free(self):
@@ -63,9 +81,6 @@ class LocalModule:
         if not self.gens:
             raise ZeroInQuotientError("N = 0 has no order")
         return min(g.order() for g in self.gens)
-
-    def __repr__(self):
-        return f"LocalModule(rank {self.layout.rank} / {len(self.gens)} relations)"
 
 
 @dataclass
@@ -97,7 +112,7 @@ def submodule_initial(mpres: LocalModule) -> InitialData:
     A = ring.graded_cover
     sb = standard_basis(mpres.gens, DS, mpres.layout, modulus=ring.ideal_sb)
     gmod = GradedModule(A, mpres.layout, [g.initial_form() for g in sb.gens])
-    res = resolve_cached(gmod._cache, gmod.relations, gmod.layout, A, 1)
+    res = resolve_cached(gmod, 1)
     min_gens = res.mats[0].columns if res.mats else []
     degrees = tuple(sorted(v.degree_in(mpres.layout) for v in min_gens))
     s = mpres.order()
@@ -163,7 +178,7 @@ def local_minimal_resolution(mpres: LocalModule, cutoff: int) -> LocalResolution
 
     A free module is its own resolution (pdim 0) at every cutoff, 0 included.
     """
-    raw = resolve_cached(mpres._cache, mpres.gens, mpres.layout, mpres.ring, cutoff)
+    raw = resolve_cached(mpres, cutoff)
     return LocalResolution(raw.mats, raw.status, raw.pdim, raw.cutoff, mpres)
 
 

@@ -1,10 +1,16 @@
 """Ring presentations: local rings at the origin and standard graded rings.
 
+Both flavors are one presentation cover/I, ``_QuotientOps``: the flavor is
+its monomial order, ``DS`` for the local ring and ``GREVLEX`` for the graded
+one.  It keeps the ideal's generators, certifies their standard basis under
+that order on first use, and reduces against it.  The flavor classes keep
+only what differs: a local ring has its tangent cone and graded cover, a
+graded ring checks that its relations are homogeneous.
+
 A local ring is the localization of ``k[x_1..x_n]`` at the origin modulo a
-proper ideal I, carried as its generators plus a certified local standard
-basis.  Its tangent cone in(I) (initial forms of the certified basis) is a
-Groebner basis of the defining ideal of the associated graded ring
-``A = k[x]/in(I)``, which is carried as the graded cover.
+proper ideal I.  Its tangent cone in(I) (initial forms of the certified
+basis) is a Groebner basis of the defining ideal of the associated graded
+ring ``A = k[x]/in(I)``, which is carried as the graded cover.
 
 Power-series rings are represented through polynomial presentations
 localized at the origin; no power-series arithmetic exists here.  Reduction
@@ -29,11 +35,35 @@ class ZeroInQuotientError(ValueError):
 
 
 class _QuotientOps:
-    """Shared reduction helpers for ring presentations (duck-typed ctx)."""
+    """A ring presentation cover/I under ``order``: the local flavor under
+    ``DS``, the graded one under ``GREVLEX``.  It keeps I's nonzero
+    generators, certifies their standard basis under ``order`` on first use
+    and reduces polynomials and columns against it."""
+
+    def __init__(self, cover: PolyRing, ideal, order: OrderSpec):
+        self.cover = cover
+        self.order = order
+        self.ideal = [g for g in ideal if g]
+        for g in self.ideal:
+            self._check_generator(g)
+        self._sb = None
+        self.cache = {}
+
+    def _check_generator(self, g: Polynomial):
+        if g.constant_term():
+            raise UnitIdealError("defining ideal contains a unit")
+
+    @property
+    def nvars(self):
+        return self.cover.nvars
 
     @property
     def ideal_sb(self):
-        raise NotImplementedError
+        if self._sb is None and self.ideal:
+            self._sb = standard_basis(self.ideal, self.order)
+            for g in self._sb.gens:
+                self._check_generator(g.component(0))
+        return self._sb
 
     def nf(self, f: Polynomial) -> Polynomial:
         sb = self.ideal_sb
@@ -60,39 +90,17 @@ class _QuotientOps:
         zm = v.ring._zero_mon
         return min((c for c, e in v.terms if e == zm), default=None)
 
+    def __repr__(self):
+        gens = ", ".join(str(g) for g in self.ideal) or "0"
+        return f"{type(self).__name__}({','.join(self.cover.names)}; I=<{gens}>; p={self.cover.p})"
+
 
 class LocalRing(_QuotientOps):
     """Localization of a polynomial ring at the origin modulo a proper ideal."""
 
     def __init__(self, cover: PolyRing, ideal=(), fibre_factors=None):
-        self.cover = cover
-        self.order = DS
-        self.ideal = [g for g in ideal if g]
-        for g in self.ideal:
-            if g.constant_term():
-                raise UnitIdealError("defining ideal contains a unit")
+        super().__init__(cover, ideal, DS)
         self.fibre_factors = fibre_factors
-        self._sb = None
-        self._tcone = None
-        self._graded_cover = None
-        self.cache = {}
-
-    @property
-    def nvars(self):
-        return self.cover.nvars
-
-    @property
-    def characteristic(self):
-        return self.cover.p
-
-    @property
-    def ideal_sb(self):
-        if self._sb is None and self.ideal:
-            self._sb = standard_basis(self.ideal, DS)
-            for g in self._sb.gens:
-                if g.component(0).constant_term():
-                    raise UnitIdealError("defining ideal contains a unit")
-        return self._sb
 
     def tangent_cone(self):
         """Generators of in(I), the defining ideal of the associated graded ring.
@@ -100,55 +108,37 @@ class LocalRing(_QuotientOps):
         Initial forms of the certified local basis; returned inter-reduced as
         a Groebner basis under the global order.
         """
-        if self._tcone is None:
+        if "tangent_cone" not in self.cache:
             sb = self.ideal_sb
             if sb is None:
-                self._tcone = []
+                self.cache["tangent_cone"] = []
             else:
                 forms = [g.component(0).initial_form() for g in sb.gens]
                 gb = standard_basis(forms, GREVLEX)
-                self._tcone = sorted(
+                self.cache["tangent_cone"] = sorted(
                     (g.component(0) for g in gb.gens),
                     key=lambda f: GREVLEX.mon_key(f.leading_term(GREVLEX)[0]),
                 )
-        return self._tcone
+        return self.cache["tangent_cone"]
 
     @property
     def graded_cover(self) -> "GradedRing":
         """A = G_m(R) presented as cover/in(I)."""
-        if self._graded_cover is None:
-            self._graded_cover = GradedRing(self.cover, self.tangent_cone())
-        return self._graded_cover
-
-    def __repr__(self):
-        gens = ", ".join(str(g) for g in self.ideal) or "0"
-        return f"LocalRing({','.join(self.cover.names)}; I=<{gens}>; p={self.cover.p})"
+        if "graded_cover" not in self.cache:
+            self.cache["graded_cover"] = GradedRing(self.cover, self.tangent_cone())
+        return self.cache["graded_cover"]
 
 
 class GradedRing(_QuotientOps):
     """Standard graded algebra cover/J with J homogeneous."""
 
     def __init__(self, cover: PolyRing, ideal=()):
-        self.cover = cover
-        self.order = GREVLEX
-        self.ideal = [g for g in ideal if g]
-        for g in self.ideal:
-            if not g.is_homogeneous():
-                raise ValueError("graded ring needs homogeneous relations")
-            if g.constant_term():
-                raise UnitIdealError("defining ideal contains a unit")
-        self._gb = None
-        self.cache = {}
+        super().__init__(cover, ideal, GREVLEX)
 
-    @property
-    def nvars(self):
-        return self.cover.nvars
-
-    @property
-    def ideal_sb(self):
-        if self._gb is None and self.ideal:
-            self._gb = standard_basis(self.ideal, GREVLEX)
-        return self._gb
+    def _check_generator(self, g: Polynomial):
+        if not g.is_homogeneous():
+            raise ValueError("graded ring needs homogeneous relations")
+        super()._check_generator(g)
 
     @property
     def polynomial_cover(self) -> "GradedRing":
@@ -157,10 +147,6 @@ class GradedRing(_QuotientOps):
         if key not in self.cache:
             self.cache[key] = self if not self.ideal else GradedRing(self.cover, ())
         return self.cache[key]
-
-    def __repr__(self):
-        gens = ", ".join(str(g) for g in self.ideal) or "0"
-        return f"GradedRing({','.join(self.cover.names)}; J=<{gens}>; p={self.cover.p})"
 
     def __eq__(self, other):
         return (

@@ -15,6 +15,9 @@ Grammar (``#`` comments allowed)::
     analyze M : purity, betti, hilbert, fstar, hk, equigen
     analyze ring : hilbert, invariants, tangentcone
 
+``option regbound`` is only echoed into the report's ``options`` and
+``provenance``; no command reads it.
+
 Each command has one record in ``COMMANDS``.  ``betti``, ``hilbert`` and
 ``invariants`` take the ``ring`` target or a module, ``tangentcone`` only
 ``ring``, and ``purity``, ``fstar``, ``hk``, ``equigen`` and ``koszulfp``
@@ -280,24 +283,18 @@ class _Workspace:
         self.cover = PolyRing(ses.variables, p)
         ideal = [self.cover.from_string(s) for s in ses.ideal_strings]
         self.local = ses.flavor == "local"
-        if self.local:
-            self.ring = LocalRing(self.cover, ideal)
-            self.graded_ring = self.ring.graded_cover
-        else:
-            self.ring = None
-            self.graded_ring = GradedRing(self.cover, ideal)
+        ring_cls, module_cls = ((LocalRing, LocalModule) if self.local
+                                else (GradedRing, GradedModule))
+        self.ring = ring_cls(self.cover, ideal)
+        self.graded_ring = self.ring.graded_cover if self.local else self.ring
         self.modules = {}
         for name, (free, sub) in ses.modules.items():
-            layout = FreeLayout(ses.frees[free])
             cols = []
             if sub is not None:
                 for colspec in ses.submodules[sub][1]:
                     entries = [e.strip() or "0" for e in colspec.split(",")]
                     cols.append(Vector.from_polys([self.cover.from_string(e) for e in entries]))
-            if self.local:
-                self.modules[name] = LocalModule(self.ring, layout, cols)
-            else:
-                self.modules[name] = GradedModule(self.graded_ring, layout, cols)
+            self.modules[name] = module_cls(self.ring, FreeLayout(ses.frees[free]), cols)
 
     def graded_module(self, target):
         """The graded module a command reads: the ring itself, a graded

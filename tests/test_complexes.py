@@ -111,16 +111,20 @@ def _shape(res):
 
 
 def _cache_cases(squares_module):
-    from aggraded.modules import assoc_graded_module
+    from aggraded.graded import GradedModule
+    from aggraded.modules import LocalModule, assoc_graded_module
 
-    gm = assoc_graded_module(squares_module)
-    sq = (squares_module.gens, squares_module.layout, squares_module.ring)
     return [
-        (sq, (2, 3, 5)),                                   # pdim 3
-        ((gm.relations, gm.layout, gm.ring), (2, 3, 5)),   # pdim 3
-        (([], FreeLayout(2), S_LOC), (0, 2)),              # pdim 0
-        (([], FreeLayout(2), S_GR), (0, 2)),
+        (squares_module, (2, 3, 5)),                              # pdim 3
+        (assoc_graded_module(squares_module), (2, 3, 5)),         # pdim 3
+        (LocalModule(S_LOC, FreeLayout(2), []), (0, 2)),          # pdim 0
+        (GradedModule(S_GR, FreeLayout(2), []), (0, 2)),
     ]
+
+
+def _fresh(mod):
+    """The same presentation as ``mod``, with an empty cache."""
+    return type(mod)(mod.ring, mod.layout, mod.gens)
 
 
 def _count_levels(monkeypatch):
@@ -142,20 +146,20 @@ def test_resolution_cache_serves_every_cutoff_like_a_fresh_resolution(squares_mo
 
     levels = _count_levels(monkeypatch)
     fresh, depth = {}, {}
-    for (gens, layout, ctx), cutoffs in _cache_cases(squares_module):
+    for n, (mod, cutoffs) in enumerate(_cache_cases(squares_module)):
         for c in cutoffs:
             levels[:] = []
-            fresh[id(ctx), c] = _shape(resolve_bounded(gens, layout, ctx, c))
-            depth[id(ctx), c] = len(levels)
-    for (gens, layout, ctx), cutoffs in _cache_cases(squares_module):
+            fresh[n, c] = _shape(resolve_bounded(mod.gens, mod.layout, mod.ring, c))
+            depth[n, c] = len(levels)
+    for n, (mod, cutoffs) in enumerate(_cache_cases(squares_module)):
         for order in (cutoffs[::-1], cutoffs):
-            cache, deepest = {}, 0
+            mod, deepest = _fresh(mod), 0
             for c in order:
                 levels[:] = []
-                got = resolve_cached(cache, gens, layout, ctx, c)
-                assert _shape(got) == fresh[id(ctx), c], (ctx, order, c)
-                assert len(levels) == max(0, depth[id(ctx), c] - deepest), (ctx, order, c)
-                deepest = max(deepest, depth[id(ctx), c])
+                got = resolve_cached(mod, c)
+                assert _shape(got) == fresh[n, c], (mod, order, c)
+                assert len(levels) == max(0, depth[n, c] - deepest), (mod, order, c)
+                deepest = max(deepest, depth[n, c])
 
 
 def test_resolution_cache_resumes_every_bundled_resolution_like_a_fresh_one(monkeypatch):
@@ -166,22 +170,23 @@ def test_resolution_cache_resumes_every_bundled_resolution_like_a_fresh_one(monk
 
     levels = _count_levels(monkeypatch)
     for mod, gens in _bundled_modules():
-        cache = {}
-        resolve_cached(cache, gens, mod.layout, mod.ring, 0)
+        mod = _fresh(mod)
+        resolve_cached(mod, 0)
         for c in range(5):
             levels[:] = []
             fresh = _shape(resolve_bounded(gens, mod.layout, mod.ring, c + 1))
             computed = len(levels)
             levels[:] = []
-            assert _shape(resolve_cached(cache, gens, mod.layout, mod.ring, c + 1)) == fresh
+            assert _shape(resolve_cached(mod, c + 1)) == fresh
             assert len(levels) == (computed > c)
 
 
 def test_resolution_cache_rejects_a_negative_cutoff():
     from aggraded.complexes import resolve_cached
+    from aggraded.modules import LocalModule
 
     with pytest.raises(ValueError, match="nonnegative"):
-        resolve_cached({}, [col("x")], FreeLayout(1), S_LOC, -1)
+        resolve_cached(LocalModule(S_LOC, FreeLayout(1), [col("x")]), -1)
 
 
 def test_free_local_module_is_finite_at_every_cutoff(regular3):
@@ -207,7 +212,7 @@ def _bundled_modules():
             if isinstance(mod, LocalModule):
                 yield mod, mod.gens
                 mod = assoc_graded_module(mod)
-            yield mod, mod.relations
+            yield mod, mod.gens
 
 
 def _redundant(mod, gens):

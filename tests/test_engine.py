@@ -228,12 +228,13 @@ def test_nf_vector_reduces_the_whole_column_modulo_the_ideal(semigroup_ring, mon
 PIN_COLS = [("X", "Y^2"), ("Y", "X^2 + Z"), ("Z", "X*Y")]
 
 # Generators in the order the engine returned them before its pair queue and
-# reducer lookups were indexed; the indexes must not change that order.
+# reducer lookups were indexed; the indexes must not change that order.  The
+# local basis has since dropped [0, X*Y^3] and [0, X^2*Y^2], whose leads the
+# lead of [X^4, X*Y^2] divides; the others kept their order.
 PINNED = {
     "local": (
         DS, EXAMPLE_IDEAL,
-        ["[0, X*Y^3]", "[0, X^2*Y^2]", "[X^4, X*Y^2]", "[Y^3, X^2*Y]", "[0, X^3]", "[Z, X*Y]",
-         "[Y, Z + X^2]", "[X, Y^2]"],
+        ["[X^4, X*Y^2]", "[Y^3, X^2*Y]", "[0, X^3]", "[Z, X*Y]", "[Y, Z + X^2]", "[X, Y^2]"],
         2,
         ["[Z^2 - X^3*Y^2, -Y^2*Z + X^4*Y]", "[Y*Z - X^4, 0]", "[X*Z - Y^3, 0]",
          "[Y^4 - X^5, 0]", "[0, Z^2 - X^3*Y^2]", "[0, Y*Z - X^4]", "[0, X*Z - Y^3]",

@@ -36,7 +36,7 @@ def test_resolution_of_squares_is_pure_024_6():
     table = minimal_graded_resolution(gm, 6)
     assert table.entries == {(0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1}
     assert table.complete and table.pdim == 3
-    res = resolve_bounded(gm.relations, gm.layout, S3, 6)
+    res = resolve_bounded(gm.gens, gm.layout, S3, 6)
     FreeComplex([gm.layout] + [m.source for m in res.mats], res.mats).check_complex(S3.nf_vector)
 
 

@@ -91,11 +91,11 @@ def test_submodule_initial_of_zero_is_error(plane):
 
 def test_assoc_graded_module(semigroup_ring, plane):
     gm = assoc_graded_module(_mod(semigroup_ring, "X"))
-    degs = sorted(v.degree_in(gm.layout) for v in gm.relations)
+    degs = sorted(v.degree_in(gm.layout) for v in gm.gens)
     assert degs == [1, 3]
     free = LocalModule(plane, FreeLayout(2), [])
     gfree = assoc_graded_module(free)
-    assert gfree.relations == [] and gfree.layout.rank == 2
+    assert gfree.gens == [] and gfree.layout.rank == 2
     k = assoc_graded_module(_mod(plane, "x", "y"))
     assert hilbert_series(k).series(3) == [1, 0, 0, 0]
 
