@@ -40,7 +40,8 @@ order as by a scan, and the bases come out term for term the same.
 ``tests/reference_checks.scan_weak_nf`` keeps the scan as the reference.
 
 Three shortcuts skip work whose result is known, and give the same result
-term for term, in the same dict order:
+term for term, in the same dict order.  A fourth skips work whose result is
+redundant, and gives fewer syzygy columns that generate the same module:
 
 - ``StandardBasis.reduce`` returns an irreducible column at once for a
   rank-1 basis of an ideal, before any heap or dict is built.  Under Mora
@@ -52,7 +53,18 @@ term for term, in the same dict order:
   monic, so their s-vector is zero.  The pair still takes part in the
   minimal-lcm filter, so no other pair's fate changes;
 - ``syzygies`` keeps the elements whose lead lies past F: under the
-  elimination key these are exactly the elements with zero F-part.
+  elimination key these are exactly the elements with zero F-part;
+- in ``syzygies`` an element whose lead lies past F opens no pairs
+  (``_buchberger``'s ``pair_bound`` is the rank of F).  Such a pair's
+  s-vector has zero F-part and only adds a combination of kernel elements
+  already found.  The elements that lead in F, with I*F, still have all
+  their pairs reduced, so their F-parts are a standard basis of the image.
+  By Schreyer's theorem the lifted s-relations of that basis generate every
+  relation among its elements, up to a unit under Mora, and each of them
+  reduces to zero against the kernel elements kept, which are still
+  reducers (Greuel and Pfister, *A Singular Introduction to Commutative
+  Algebra*, section 2.5).  ``standard_basis`` passes its own rank, which no
+  lead reaches, so every element there opens its pairs as before.
 """
 
 from __future__ import annotations
@@ -356,11 +368,14 @@ def _pair_sugar(sug_i, red_i, sug_j, red_j, lcm_exps):
     return max(di, dj)
 
 
-def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below):
+def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below, pair_bound):
     """Core loop.  seed: list of Vector-term dicts.  ideal: the rank-1
     reducers acting as g*e_c in each component c < below, at position
-    g*below + c; they open no pairs among themselves.  Returns the monic
-    reducers (``_Red``) after them, with I*F a standard basis (not yet
+    g*below + c; they open no pairs among themselves.  An element whose lead
+    component is >= ``pair_bound`` opens no pairs: it is appended and reduces
+    later remainders, and with ``pair_bound == rank`` every element opens its
+    pairs.  Returns the monic reducers (``_Red``) after the ideal's; with
+    every pair opened they and I*F are a standard basis (not yet
     interreduced)."""
     p = ring.p
     mora = order.is_local
@@ -417,9 +432,10 @@ def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below):
         idx = len(reds)
         reds.append(red)
         sugars.append(sugar)
-        add_pairs(idx)
         index.setdefault(red.lt[0], []).append(red)
-        positions.setdefault(red.lt[0], []).append(idx)
+        if red.lt[0] < pair_bound:
+            add_pairs(idx)
+            positions.setdefault(red.lt[0], []).append(idx)
 
     for terms in seed:
         lt = _lt(terms, key)
@@ -492,7 +508,7 @@ def standard_basis(gens, order: OrderSpec, layout: FreeLayout = None, modulus=No
     key, wdeg = _make_keys(order, layout.twists)
     ideal, below = (modulus._reds, layout.rank) if modulus is not None else ((), 0)
     seed = [dict(v.terms) for v in gens]
-    reds = _buchberger(ring, layout.rank, order, key, wdeg, seed, ideal, below)
+    reds = _buchberger(ring, layout.rank, order, key, wdeg, seed, ideal, below, layout.rank)
     dicts = _interreduce(reds, key, wdeg, ring.p, order.is_local, ideal, below)
     vecs = [Vector(ring, layout.rank, d) for d in dicts]
     return StandardBasis(ring, layout, order, vecs, modulus)
@@ -530,9 +546,10 @@ def syzygies(cols, order: OrderSpec, layout: FreeLayout = None, modulus=None):
     seed = [{**v.terms, (l + j, zm): 1} for j, v in enumerate(cols)]
     ideal, below = (modulus._reds, l) if modulus is not None else ((), 0)
     # the elimination key puts every term of F above the epsilon block, so an
-    # element has zero F-part exactly when its lead lies past F
-    kernel = [r.terms for r in _buchberger(ring, l + k, order, key, wdeg, seed, ideal, below)
-              if r.lt[0] >= l]
+    # element has zero F-part exactly when its lead lies past F; such elements
+    # open no pairs (see the module docstring)
+    reds = _buchberger(ring, l + k, order, key, wdeg, seed, ideal, below, l)
+    kernel = [r.terms for r in reds if r.lt[0] >= l]
     out = [Vector(ring, k, {(c - l, e): a for (c, e), a in d.items()}) for d in kernel]
     out.sort(key=lambda v: sorted(v.terms))
     return SyzygyMatrix(out, cols)

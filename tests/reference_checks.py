@@ -11,6 +11,9 @@ and oracle output that no computation in the package needs.
 - ``verify_certificate``: every s-vector of a standard basis reduces to zero
   under ``scan_weak_nf``, I*F included over a quotient;
 - ``check_annihilates``: the target matrix times each syzygy column is zero;
+- ``check_generates``: a list of columns generates every reference column,
+  the check that syzygy columns recorded earlier still lie in the module
+  that the engine's columns now generate;
 - ``variable_maps``: the truncated multiplication maps of a quotient model;
 - ``dense_rref_modp``: dense GF(p) row reduction, the reference for the
   oracle's sparse ``rref_modp``;
@@ -201,6 +204,15 @@ def check_annihilates(syz, modulus=None):
         if not all(modulus.contains(Vector.from_polys([f])) for f in acc.components().values()):
             return False
     return True
+
+
+def check_generates(cols, reference, order, layout, modulus=None):
+    """Exact membership check: a standard basis of ``cols`` under ``order``
+    (over the quotient by ``modulus``, when given) contains every column of
+    ``reference``.  Under a local order this is membership in the localized
+    module, as the local flavor's syzygies are."""
+    sb = standard_basis(cols, order, layout, modulus=modulus)
+    return all(sb.contains(v) for v in reference)
 
 
 def _coords_of(model, index, vec: Vector):

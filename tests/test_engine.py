@@ -1,20 +1,22 @@
 import functools
 import pathlib
 import random
+import time
 
 import pytest
 
 from aggraded import engine, oracle
 from aggraded.engine import (StandardBasis, _index, _lead, _lt, _make_keys, _Red, _scale,
                              _weak_nf, normal_form, standard_basis, syzygies)
-from aggraded.modules import LocalModule
+from aggraded.modules import LocalModule, local_minimal_resolution
 from aggraded.orders import DS, GREVLEX
 from aggraded.poly import FreeLayout, PolyRing, Vector, mon_divides
+from aggraded.purity import NOT_PURE, purity_verdict
 from aggraded.rings import GradedRing, LocalRing, _QuotientOps, ideals_equal
 from aggraded.session import _Workspace, execute, parse_session
-from reference_checks import (ScanRed, agreement_modules, check_annihilates, dense, ideal_block,
-                              rref_dense, scan_keys, scan_reducer, scan_weak_nf, variable_maps,
-                              verify_certificate)
+from reference_checks import (ScanRed, agreement_modules, check_annihilates, check_generates,
+                              dense, ideal_block, rref_dense, scan_keys, scan_reducer, scan_weak_nf,
+                              variable_maps, verify_certificate)
 
 R3 = PolyRing(["X", "Y", "Z"], 32003)
 EXAMPLE_IDEAL = [
@@ -90,12 +92,35 @@ def test_check_annihilates_reduces_every_component_modulo_the_ideal():
     cols = [Vector.from_polys([R3.from_string(a), R3.from_string(b)])
             for a, b in (("X", "Y^2"), ("Y", "X^2 + Z"), ("Z", "X*Y"))]
     syz = syzygies(cols, GREVLEX, FreeLayout(2), modulus=A.ideal_sb)
-    assert len(syz.columns) == 8
+    assert len(syz.columns) == 6
     for col in syz.columns:
         product = sum((f * cols[j] for j, f in col.components().items()),
                       Vector(R3, 2, {}))
         assert A.nf_vector(product).is_zero()
-    assert check_annihilates(syz, modulus=A.ideal_sb)
+    # the same columns and ring as the graded entry of PINNED
+    *_, pinned, reference = PINNED["graded"]
+    _check_rebased(syz, pinned, reference, GREVLEX, A.ideal_sb)
+
+
+# Local computations that did not finish while elements leading past F
+# opened pairs: Mora swelled on s-vectors of two kernel elements.  Their
+# elapsed bounds leave a wide margin over the milliseconds they now take.
+def test_local_syzygies_over_the_semigroup_ring_finish(semigroup_ring):
+    cols = [Vector.from_polys([R3.from_string(a), R3.from_string(b)]) for a, b in PIN_COLS]
+    start = time.monotonic()
+    syz = syzygies(cols, DS, FreeLayout(2), modulus=semigroup_ring.ideal_sb)
+    assert time.monotonic() - start < 5
+    assert len(syz.columns) == 9
+    assert check_annihilates(syz, modulus=semigroup_ring.ideal_sb)
+
+
+def test_random_module_33_resolves_to_level_3_and_is_not_pure():
+    mod, _ = agreement_modules(60)[33]
+    start = time.monotonic()
+    res = local_minimal_resolution(mod, 3)
+    assert [m.source.rank for m in res.mats] == [3, 4, 8]
+    assert purity_verdict(mod, 3).verdict == NOT_PURE
+    assert time.monotonic() - start < 5
 
 
 def test_syzygy_of_x_over_semigroup_ring_is_trivial(semigroup_ring):
@@ -227,15 +252,38 @@ def test_nf_vector_reduces_the_whole_column_modulo_the_ideal(semigroup_ring, mon
 
 PIN_COLS = [("X", "Y^2"), ("Y", "X^2 + Z"), ("Z", "X*Y")]
 
+
+def _column(text):
+    """The column that ``str`` printed as ``text``."""
+    return Vector.from_polys([R3.from_string(e) for e in text[1:-1].split(", ")])
+
+
+def _check_rebased(sz, pinned, reference, order, modulus):
+    """The columns of ``sz`` are ``pinned``, term for term and in order, and
+    ``pinned`` is a sublist of ``reference``, the columns the engine returned
+    while elements leading past F still opened pairs.  The columns annihilate
+    their target and generate every reference column."""
+    assert [str(c) for c in sz.columns] == pinned
+    assert [c for c in reference if c in pinned] == pinned
+    assert check_annihilates(sz, modulus=modulus)
+    assert check_generates(sz.columns, [_column(c) for c in reference], order,
+                           FreeLayout(len(sz.target)), modulus)
+
+
 # Generators in the order the engine returned them before its pair queue and
 # reducer lookups were indexed; the indexes must not change that order.  The
 # local basis has since dropped [0, X*Y^3] and [0, X^2*Y^2], whose leads the
-# lead of [X^4, X*Y^2] divides; the others kept their order.
+# lead of [X^4, X*Y^2] divides; the others kept their order.  Each flavor's
+# syzygies are pinned, then listed as they were while elements leading past
+# F still opened pairs: the second list's [Y^4 - X^5, 0] and [0, Y^4 - X^5]
+# (local) and [Y^4, 0, 0] and [0, Y^4, 0] (graded) are gone.
 PINNED = {
     "local": (
         DS, EXAMPLE_IDEAL,
         ["[X^4, X*Y^2]", "[Y^3, X^2*Y]", "[0, X^3]", "[Z, X*Y]", "[Y, Z + X^2]", "[X, Y^2]"],
         2,
+        ["[Z^2 - X^3*Y^2, -Y^2*Z + X^4*Y]", "[Y*Z - X^4, 0]", "[X*Z - Y^3, 0]",
+         "[0, Z^2 - X^3*Y^2]", "[0, Y*Z - X^4]", "[0, X*Z - Y^3]"],
         ["[Z^2 - X^3*Y^2, -Y^2*Z + X^4*Y]", "[Y*Z - X^4, 0]", "[X*Z - Y^3, 0]",
          "[Y^4 - X^5, 0]", "[0, Z^2 - X^3*Y^2]", "[0, Y*Z - X^4]", "[0, X*Z - Y^3]",
          "[0, Y^4 - X^5]"],
@@ -244,6 +292,8 @@ PINNED = {
         GREVLEX, TANGENT_CONE,
         ["[X, Y^2]", "[Y^2, 0]", "[Z, X*Y]", "[Y, Z + X^2]", "[X^2, 0]"],
         3,
+        ["[Z, 0, 0]", "[Y^2, -X*Y, X^2]", "[0, Z, 0]", "[0, -Y^3, X*Y^2]", "[0, 0, Z]",
+         "[0, 0, Y^3]"],
         ["[Z, 0, 0]", "[Y^2, -X*Y, X^2]", "[Y^4, 0, 0]", "[0, Z, 0]", "[0, -Y^3, X*Y^2]",
          "[0, Y^4, 0]", "[0, 0, Z]", "[0, 0, Y^3]"],
     ),
@@ -252,7 +302,7 @@ PINNED = {
 
 @pytest.mark.parametrize("flavor", sorted(PINNED))
 def test_standard_basis_and_syzygies_keep_their_order(flavor):
-    order, ideal, basis, n_syz_cols, syz = PINNED[flavor]
+    order, ideal, basis, n_syz_cols, syz, syz_reference = PINNED[flavor]
     modulus = standard_basis(ideal, order)
     cols = [Vector.from_polys([R3.from_string(a), R3.from_string(b)]) for a, b in PIN_COLS]
     sb = standard_basis(cols, order, FreeLayout(2), modulus=modulus)
@@ -263,7 +313,7 @@ def test_standard_basis_and_syzygies_keep_their_order(flavor):
         for c in range(2):
             assert sb.contains(Vector(R3, 2, {(c, e): a for (_, e), a in g.terms.items()}))
     sz = syzygies(cols[:n_syz_cols], order, FreeLayout(2), modulus=modulus)
-    assert [str(c) for c in sz.columns] == syz
+    _check_rebased(sz, syz, syz_reference, order, modulus)
 
 
 # Seed columns whose leads an ideal lead divides: X*Z e_0 under both orders.
@@ -569,18 +619,25 @@ def test_irreducible_columns_skip_the_reduction(monkeypatch):
         graded.reduce(Vector(R3, 2, {(1, (1, 0, 1)): 1}))                  # X*Z e_1
 
 
-# Syzygies of monomial columns over the semigroup ring's tangent cone,
-# recorded before pairs of two single-term reducers were dropped (9 such
-# pairs in the rank-2 run and 5 in the rank-1 run built zero s-vectors).
+# Syzygies of monomial columns over the semigroup ring's tangent cone.  Each
+# ``want`` is the pinned list, then the list recorded while elements leading
+# past F still opened pairs and before pairs of two single-term reducers were
+# dropped (9 such pairs in the rank-2 run and 5 in the rank-1 run built zero
+# s-vectors).
 MONOMIAL_SYZYGIES = [
     ([("X", "Y^2"), ("Y^2", "X*Y"), ("Z", "0"), ("X*Y", "Z"), ("0", "X^3")],
-     ["[Z, 0, 0, 0, 0]", "[Y^2, 0, 0, -Y, 0]", "[X*Y, -Y^2, 0, -X, 0]", "[0, Z, 0, 0, 0]",
-      "[0, Y^3, 0, 0, 0]", "[0, X^2, 0, -X*Y, -Y]", "[0, 0, Z, 0, 0]", "[0, 0, Y, 0, 0]",
-      "[0, 0, X, 0, 0]", "[0, 0, 0, Z, 0]", "[0, 0, 0, Y^3, 0]", "[0, 0, 0, X*Y^4, Y^4]",
-      "[0, 0, 0, 0, Z]"]),
+     (["[Z, 0, 0, 0, 0]", "[Y^2, 0, 0, -Y, 0]", "[X*Y, -Y^2, 0, -X, 0]", "[0, Z, 0, 0, 0]",
+       "[0, X^2, 0, -X*Y, -Y]", "[0, 0, Z, 0, 0]", "[0, 0, Y, 0, 0]", "[0, 0, X, 0, 0]",
+       "[0, 0, 0, Z, 0]", "[0, 0, 0, Y^3, 0]", "[0, 0, 0, 0, Z]"],
+      ["[Z, 0, 0, 0, 0]", "[Y^2, 0, 0, -Y, 0]", "[X*Y, -Y^2, 0, -X, 0]", "[0, Z, 0, 0, 0]",
+       "[0, Y^3, 0, 0, 0]", "[0, X^2, 0, -X*Y, -Y]", "[0, 0, Z, 0, 0]", "[0, 0, Y, 0, 0]",
+       "[0, 0, X, 0, 0]", "[0, 0, 0, Z, 0]", "[0, 0, 0, Y^3, 0]", "[0, 0, 0, X*Y^4, Y^4]",
+       "[0, 0, 0, 0, Z]"])),
     ([("X",), ("Y^2",), ("Z",), ("X*Y",)],
-     ["[Z, 0, 0, 0]", "[-Y, 0, 0, 1]", "[-Y^2, X, 0, 0]", "[Y^4, 0, 0, 0]", "[0, Z, 0, 0]",
-      "[0, Y^2, 0, 0]", "[0, 0, Z, 0]", "[0, 0, Y, 0]", "[0, 0, X, 0]"]),
+     (["[Z, 0, 0, 0]", "[-Y, 0, 0, 1]", "[-Y^2, X, 0, 0]", "[0, Z, 0, 0]", "[0, Y^2, 0, 0]",
+       "[0, 0, Z, 0]", "[0, 0, Y, 0]", "[0, 0, X, 0]"],
+      ["[Z, 0, 0, 0]", "[-Y, 0, 0, 1]", "[-Y^2, X, 0, 0]", "[Y^4, 0, 0, 0]", "[0, Z, 0, 0]",
+       "[0, Y^2, 0, 0]", "[0, 0, Z, 0]", "[0, 0, Y, 0]", "[0, 0, X, 0]"])),
 ]
 
 
@@ -597,7 +654,7 @@ def test_monomial_syzygies_over_the_tangent_cone(entries, want, monkeypatch):
 
     monkeypatch.setattr(engine, "_sub_scaled", recording)
     sz = syzygies(cols, GREVLEX, FreeLayout(len(entries[0])), modulus=modulus)
-    assert [str(c) for c in sz.columns] == want
-    assert check_annihilates(sz, modulus=modulus)
+    monkeypatch.undo()      # the generation check builds a basis of its own
+    _check_rebased(sz, *want, GREVLEX, modulus)
     pairs = list(zip(built[::2], built[1::2]))
     assert pairs and (1, 1) not in pairs
