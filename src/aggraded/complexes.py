@@ -26,14 +26,15 @@ normal forms are idempotent and leave an irreducible lead, so orders, twists
 and initial matrices are read off the stored columns.
 
 ``resolve_cached`` is the one resolution cache of the local and the graded
-flavor.  It reads the columns, layout, ring and cache off the module, and
-the kept resolution grows, never restarts.  A FINITE result serves every
-cutoff, a truncated result serves every cutoff up to its own, and a deeper
-cutoff resumes it: ``resolve_bounded`` runs on the stripped syzygy columns
-of its last level (``ResolutionResult.rest``) for the missing levels only.
-A level gets the same inputs either way, so the maps, status and pdim
-served at any cutoff are term for term what ``resolve_bounded`` returns
-there.
+flavor, the resolution over the polynomial cover included.  It reads the
+columns, layout, ring and ``cache`` off the module, keeps the resolution
+there under its own name, and the kept resolution grows, never restarts.
+A FINITE result serves every cutoff, a truncated result serves every cutoff
+up to its own, and a deeper cutoff resumes it: ``resolve_bounded`` runs on
+the stripped syzygy columns of its last level (``ResolutionResult.rest``)
+for the missing levels only.  A level gets the same inputs either way, so
+the maps, status and pdim served at any cutoff are term for term what
+``resolve_bounded`` returns there.
 """
 
 from __future__ import annotations
@@ -247,15 +248,15 @@ def resolve_cached(mod, cutoff) -> ResolutionResult:
     result lacks (module docstring)."""
     if cutoff < 0:
         raise ValueError("the homological cutoff must be nonnegative")
-    cache = mod._cache
-    kept = cache.get("resolution")
+    cache = mod.cache
+    kept = cache.get(resolve_cached)
     if kept is None:
-        cache["resolution"] = kept = resolve_bounded(mod.gens, mod.layout, mod.ring, cutoff)
+        cache[resolve_cached] = kept = resolve_bounded(mod.gens, mod.layout, mod.ring, cutoff)
     elif not kept.finite and cutoff > kept.cutoff:
         more = resolve_bounded(*kept.rest, mod.ring, cutoff - kept.cutoff)
         pdim = kept.cutoff + more.pdim if more.finite else -1
-        cache["resolution"] = kept = ResolutionResult(kept.mats + more.mats, more.status, pdim,
-                                                      cutoff, rest=more.rest)
+        cache[resolve_cached] = kept = ResolutionResult(kept.mats + more.mats, more.status, pdim,
+                                                        cutoff, rest=more.rest)
     if cutoff == kept.cutoff or kept.finite and cutoff >= kept.pdim:
         return kept
     return ResolutionResult(kept.mats[:cutoff], TRUNCATED, -1, cutoff)

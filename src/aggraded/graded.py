@@ -5,9 +5,10 @@ twists of a resolution's free modules into a ``BettiTable``, and a graded
 resolution reaches callers only as that table.
 
 Hilbert series, dimension and depth are computed through the polynomial
-cover S (always a finite resolution there, by Hilbert's syzygy theorem),
-whose Betti table is kept per module: H = sum_i (-1)^i sum_j beta_{i,j} z^j
-/ (1-z)^n, cancelled to lowest terms; depth = n - pdim_S by
+cover S (always a finite resolution there, by Hilbert's syzygy theorem):
+the module presented over S is resolved like any graded module, and its
+Betti table is kept per module (``rings.cached``): H = sum_i (-1)^i sum_j
+beta_{i,j} z^j / (1-z)^n, cancelled to lowest terms; depth = n - pdim_S by
 Auslander-Buchsbaum.  Projective dimension over the quotient ring itself may
 be infinite and is only ever reported with its cutoff status.
 """
@@ -17,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import ResolutionResult, resolve_bounded, resolve_cached
+from .complexes import ResolutionResult, resolve_cached
 from .modules import BridgeError, _Presentation
 from .poly import FreeLayout, Vector, ideal_columns
-from .rings import GradedRing
+from .rings import GradedRing, cached
 
 PDIM_FINITE = "finite"
 PDIM_AT_LEAST = "at_least"
@@ -209,35 +210,26 @@ def betti_analysis(table: BettiTable) -> PurityReport:
 # ------------------------------------------------------- Hilbert / numbers
 
 
-def _presentation_over_cover(gmod: GradedModule):
-    """The relation columns of the same module over the polynomial cover S:
-    its relations and the ideal generators times each basis vector.  S has
-    no ideal, so they are in normal form there, and ``GradedModule`` and
-    ``GradedRing`` have checked that they are homogeneous and not units."""
-    return list(gmod.gens) + ideal_columns(gmod.ring.ideal, gmod.layout.rank)
-
-
+@cached
 def cover_betti_table(gmod: GradedModule) -> BettiTable:
-    """The Betti table of the module over the polynomial cover S."""
-    if "cover_betti" not in gmod._cache:
-        n = gmod.ring.nvars
-        res = resolve_bounded(_presentation_over_cover(gmod), gmod.layout,
-                              gmod.ring.polynomial_cover, n + 1)
-        if not res.finite:
-            raise BridgeError("resolution over the polynomial cover must be finite")
-        gmod._cache["cover_betti"] = betti_table(gmod.layout, res, n + 1)
-    return gmod._cache["cover_betti"]
+    """The Betti table of the module over the polynomial cover S, where it
+    is presented by its relations and the ideal generators times each basis
+    vector."""
+    n = gmod.ring.nvars
+    cover = GradedModule(gmod.ring.polynomial_cover, gmod.layout,
+                         gmod.gens + ideal_columns(gmod.ring.ideal, gmod.layout.rank))
+    table = minimal_graded_resolution(cover, n + 1)
+    if not table.complete:
+        raise BridgeError("resolution over the polynomial cover must be finite")
+    return table
 
 
+@cached
 def hilbert_series(gmod: GradedModule) -> HilbertSeries:
     """Cancelled Hilbert series, read off the Betti table over the cover."""
-    if "hilbert" in gmod._cache:
-        return gmod._cache["hilbert"]
     n = gmod.ring.nvars
     if gmod.is_zero:
-        hs = HilbertSeries((), -1)
-        gmod._cache["hilbert"] = hs
-        return hs
+        return HilbertSeries((), -1)
     entries = cover_betti_table(gmod).entries
     shift = min(j for (_, j) in entries)
     numer = [0] * (max(j for (_, j) in entries) - shift + 1)
@@ -249,24 +241,19 @@ def hilbert_series(gmod: GradedModule) -> HilbertSeries:
         numer = zpoly_trim(zpoly_div_one_minus_z(numer))
         d -= 1
     if not numer:
-        hs = HilbertSeries((), -1)
-    else:
-        if sum(numer) <= 0:
-            raise BridgeError("Hilbert numerator must be positive at z=1 for a nonzero module")
-        hs = HilbertSeries(tuple(numer), d, shift)
-    gmod._cache["hilbert"] = hs
-    return hs
+        return HilbertSeries((), -1)
+    if sum(numer) <= 0:
+        raise BridgeError("Hilbert numerator must be positive at z=1 for a nonzero module")
+    return HilbertSeries(tuple(numer), d, shift)
 
 
 def pdim_over_cover(gmod: GradedModule) -> int:
     return cover_betti_table(gmod).pdim
 
 
+@cached
 def ring_as_module(gring: GradedRing) -> GradedModule:
-    key = "self_module"
-    if key not in gring.cache:
-        gring.cache[key] = GradedModule(gring, FreeLayout(1), [])
-    return gring.cache[key]
+    return GradedModule(gring, FreeLayout(1), [])
 
 
 def numeric_invariants(gmod: GradedModule, cutoff: int = 8) -> NumericInvariants:

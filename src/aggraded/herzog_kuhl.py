@@ -22,7 +22,7 @@ from .modules import (BridgeError, LocalModule, LocalResolution, assoc_graded_mo
                       local_minimal_resolution)
 from .poly import FreeLayout
 from .purity import NOT_PURE, PURE, purity_verdict
-from .rings import LocalRing
+from .rings import LocalRing, cached
 
 
 class PreconditionError(ValueError):
@@ -59,29 +59,26 @@ def hk_coefficients(delta) -> HKCoefficients:
 # ------------------------------------------------------- local invariants
 
 
+@cached
 def ring_pdim_over_cover(ring: LocalRing) -> int:
     """pdim of R over the localized polynomial cover (finite, <= n)."""
-    if "pdim_cover" not in ring.cache:
-        if not ring.ideal:
-            ring.cache["pdim_cover"] = 0
-        else:
-            base = LocalRing(ring.cover, ())
-            mod = LocalModule(base, FreeLayout(1), list(ring.ideal))
-            res = local_minimal_resolution(mod, ring.nvars + 1)
-            if not res.finite:
-                raise BridgeError("resolution over a regular cover must be finite")
-            ring.cache["pdim_cover"] = res.pdim
-    return ring.cache["pdim_cover"]
+    if not ring.ideal:
+        return 0
+    base = LocalRing(ring.cover, ())
+    mod = LocalModule(base, FreeLayout(1), list(ring.ideal))
+    res = local_minimal_resolution(mod, ring.nvars + 1)
+    if not res.finite:
+        raise BridgeError("resolution over a regular cover must be finite")
+    return res.pdim
 
 
+@cached
 def ring_local_invariants(ring: LocalRing):
     """(dim R, depth R, cmd R, e R): dimension and multiplicity through the
     associated graded ring, depth through Auslander-Buchsbaum over the cover."""
-    if "local_inv" not in ring.cache:
-        hs = hilbert_series(ring_as_module(ring.graded_cover))
-        depth = ring.nvars - ring_pdim_over_cover(ring)
-        ring.cache["local_inv"] = (hs.dim, depth, hs.dim - depth, hs.multiplicity)
-    return ring.cache["local_inv"]
+    hs = hilbert_series(ring_as_module(ring.graded_cover))
+    depth = ring.nvars - ring_pdim_over_cover(ring)
+    return hs.dim, depth, hs.dim - depth, hs.multiplicity
 
 
 def module_local_invariants(mpres: LocalModule, pdim: int):

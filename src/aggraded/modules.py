@@ -21,7 +21,7 @@ from .complexes import resolve_bounded  # noqa: F401  (public name; perfbench bi
 from .engine import StandardBasis, standard_basis
 from .orders import DS, GREVLEX
 from .poly import FreeLayout, Polynomial, Vector
-from .rings import LocalRing, ZeroInQuotientError
+from .rings import LocalRing, ZeroInQuotientError, cached
 
 
 class BridgeError(RuntimeError):
@@ -38,7 +38,8 @@ class _Presentation:
 
     The one constructor of both flavors: each column is put in normal form
     (the ring's ``nf_vector``), zero columns are dropped, and each flavor's
-    ``_check_column`` checks the rest, which are kept as ``gens``.
+    ``_check_column`` checks the rest, which are kept as ``gens``.  Derived
+    data is kept in ``cache`` (``rings.cached``).
     """
 
     def __init__(self, ring, layout: FreeLayout, gens):
@@ -54,7 +55,7 @@ class _Presentation:
             if g:
                 self._check_column(g)
                 self.gens.append(g)
-        self._cache = {}
+        self.cache = {}
 
     def __repr__(self):
         return f"{type(self).__name__}(rank {self.layout.rank} / {len(self.gens)} relations)"
@@ -92,18 +93,18 @@ class InitialData:
     input_is_standard_basis: bool
     generator_degrees: tuple        # sorted multiset of minimal generator degrees
     basis: StandardBasis            # GREVLEX standard basis of the generators, over A
+    module: _Presentation           # G(M) = F/N*, a GradedModule over A
 
 
+@cached
 def submodule_initial(mpres: LocalModule) -> InitialData:
     """Initial forms of a certified basis of N, minimalized over A.
 
     The forms present G(M) = F/N* over A, built once as a ``GradedModule``
-    (whose constructor is their one normal form) and kept as
-    ``assoc_graded_module``'s result.  N*'s minimal generators are the first
-    differential of G(M)'s cached resolution, which later cutoffs extend.
+    (whose constructor is their one normal form) and kept as the data's
+    ``module``.  N*'s minimal generators are the first differential of
+    G(M)'s cached resolution, which later cutoffs extend.
     """
-    if "initial" in mpres._cache:
-        return mpres._cache["initial"]
     if mpres.is_free:
         raise ZeroInQuotientError("N = 0 has no initial data")
     from .graded import GradedModule
@@ -125,23 +126,18 @@ def submodule_initial(mpres: LocalModule) -> InitialData:
     basis_full = standard_basis(min_gens, GREVLEX, mpres.layout, modulus=A.ideal_sb)
     if not all(basis_full.contains(v) for v in given):
         raise BridgeError("initial forms of generators escape the initial submodule")
-    data = InitialData(s, min_gens, flag, degrees, basis_full)
-    mpres._cache["assoc"] = gmod
-    mpres._cache["initial"] = data
-    return data
+    return InitialData(s, min_gens, flag, degrees, basis_full, gmod)
 
 
+@cached
 def assoc_graded_module(mpres: LocalModule):
     """G(M) = F/N* over A: the module that ``submodule_initial`` builds and
     checks, or the free module F when N = 0."""
-    if "assoc" not in mpres._cache:
-        if mpres.is_free:
-            from .graded import GradedModule
+    if not mpres.is_free:
+        return submodule_initial(mpres).module
+    from .graded import GradedModule
 
-            mpres._cache["assoc"] = GradedModule(mpres.ring.graded_cover, mpres.layout, [])
-        else:
-            submodule_initial(mpres)
-    return mpres._cache["assoc"]
+    return GradedModule(mpres.ring.graded_cover, mpres.layout, [])
 
 
 # ------------------------------------------------------------- resolutions

@@ -17,13 +17,34 @@ localized at the origin; no power-series arithmetic exists here.  Reduction
 modulo I*F has one definition, ``nf_vector``: a column is reduced as a whole
 by the ideal's standard basis, whose reducers g act in place as g*e_c in
 each component c (``engine._weak_nf``).
+
+Derived data of one ring or module (standard basis, tangent cone, G(M),
+Betti tables, Hilbert series, invariants) is computed once and kept in that
+object's ``cache`` dict, keyed by the function that computes it: ``cached``.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .engine import normal_form, standard_basis
 from .orders import DS, GREVLEX, OrderSpec
 from .poly import PolyRing, Polynomial, Vector
+
+
+def cached(fn):
+    """``fn(obj)``, computed once and kept in ``obj.cache`` under ``fn``; a
+    call that raises keeps nothing.  ``@property`` stacks on top."""
+
+    @functools.wraps(fn)
+    def get(obj):
+        try:
+            return obj.cache[fn]
+        except KeyError:
+            value = obj.cache[fn] = fn(obj)
+            return value
+
+    return get
 
 
 class UnitIdealError(ValueError):
@@ -46,7 +67,6 @@ class _QuotientOps:
         self.ideal = [g for g in ideal if g]
         for g in self.ideal:
             self._check_generator(g)
-        self._sb = None
         self.cache = {}
 
     def _check_generator(self, g: Polynomial):
@@ -58,12 +78,15 @@ class _QuotientOps:
         return self.cover.nvars
 
     @property
+    @cached
     def ideal_sb(self):
-        if self._sb is None and self.ideal:
-            self._sb = standard_basis(self.ideal, self.order)
-            for g in self._sb.gens:
-                self._check_generator(g.component(0))
-        return self._sb
+        """The certified standard basis of I under ``order``; None for I = 0."""
+        if not self.ideal:
+            return None
+        sb = standard_basis(self.ideal, self.order)
+        for g in sb.gens:
+            self._check_generator(g.component(0))
+        return sb
 
     def nf(self, f: Polynomial) -> Polynomial:
         sb = self.ideal_sb
@@ -102,31 +125,26 @@ class LocalRing(_QuotientOps):
         super().__init__(cover, ideal, DS)
         self.fibre_factors = fibre_factors
 
+    @cached
     def tangent_cone(self):
         """Generators of in(I), the defining ideal of the associated graded ring.
 
         Initial forms of the certified local basis; returned inter-reduced as
         a Groebner basis under the global order.
         """
-        if "tangent_cone" not in self.cache:
-            sb = self.ideal_sb
-            if sb is None:
-                self.cache["tangent_cone"] = []
-            else:
-                forms = [g.component(0).initial_form() for g in sb.gens]
-                gb = standard_basis(forms, GREVLEX)
-                self.cache["tangent_cone"] = sorted(
-                    (g.component(0) for g in gb.gens),
-                    key=lambda f: GREVLEX.mon_key(f.leading_term(GREVLEX)[0]),
-                )
-        return self.cache["tangent_cone"]
+        sb = self.ideal_sb
+        if sb is None:
+            return []
+        forms = [g.component(0).initial_form() for g in sb.gens]
+        gb = standard_basis(forms, GREVLEX)
+        return sorted((g.component(0) for g in gb.gens),
+                      key=lambda f: GREVLEX.mon_key(f.leading_term(GREVLEX)[0]))
 
     @property
+    @cached
     def graded_cover(self) -> "GradedRing":
         """A = G_m(R) presented as cover/in(I)."""
-        if "graded_cover" not in self.cache:
-            self.cache["graded_cover"] = GradedRing(self.cover, self.tangent_cone())
-        return self.cache["graded_cover"]
+        return GradedRing(self.cover, self.tangent_cone())
 
 
 class GradedRing(_QuotientOps):
@@ -141,12 +159,10 @@ class GradedRing(_QuotientOps):
         super()._check_generator(g)
 
     @property
+    @cached
     def polynomial_cover(self) -> "GradedRing":
         """The ambient polynomial ring as a graded ring (J = 0)."""
-        key = "poly_cover"
-        if key not in self.cache:
-            self.cache[key] = self if not self.ideal else GradedRing(self.cover, ())
-        return self.cache[key]
+        return self if not self.ideal else GradedRing(self.cover, ())
 
     def __eq__(self, other):
         return (

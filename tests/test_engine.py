@@ -316,6 +316,22 @@ def test_standard_basis_and_syzygies_keep_their_order(flavor):
     _check_rebased(sz, syz, syz_reference, order, modulus)
 
 
+def test_local_syzygies_modulo_the_ideal_are_pinned_and_generate():
+    # The local case of PINNED has only syzygies in I*F, so its generation
+    # check cannot fail.  [X], [Y] over k[[t^4,t^5,t^11]] have syzygies that
+    # are nonzero modulo I.  Dropping any of the first three columns loses a
+    # syzygy; [-X^4, Y^3] is X*[-X^3, Z] modulo I, the one redundant column.
+    modulus = standard_basis(EXAMPLE_IDEAL, DS)
+    sz = syzygies([Vector.from_polys([R3.gen(i)]) for i in (0, 1)], DS, modulus=modulus)
+    assert [str(c) for c in sz.columns] == ["[Z, -Y^2]", "[-Y, X]", "[-X^3, Z]", "[-X^4, Y^3]"]
+    assert check_annihilates(sz, modulus=modulus)
+    layout = FreeLayout(2)
+    assert check_generates(sz.columns, sz.columns, DS, layout, modulus)
+    drops = [check_generates(sz.columns[:k] + sz.columns[k + 1:], sz.columns, DS, layout, modulus)
+             for k in range(4)]
+    assert drops == [False, False, False, True]
+
+
 # Seed columns whose leads an ideal lead divides: X*Z e_0 under both orders.
 # The bases are those the engine gave while it listed I*F among the
 # generators, without the columns g*e_c.

@@ -471,14 +471,20 @@ def test_infinite_cover_resolution_becomes_an_internal_disagreement_entry(monkey
     import dataclasses
 
     import aggraded.complexes as complexes
-    import aggraded.graded as graded
 
-    def truncated(*args, **kwargs):
-        return dataclasses.replace(complexes.resolve_bounded(*args, **kwargs),
-                                   status=complexes.TRUNCATED)
+    real = complexes.resolve_bounded
+    covers = []
 
-    monkeypatch.setattr(graded, "resolve_bounded", truncated)
+    def truncated(gens, layout, ctx, cutoff):
+        res = real(gens, layout, ctx, cutoff)
+        if ctx.order.is_local or ctx.ideal:
+            return res
+        covers.append(ctx)          # the polynomial cover S: no ideal, graded
+        return dataclasses.replace(res, status=complexes.TRUNCATED)
+
+    monkeypatch.setattr(complexes, "resolve_bounded", truncated)
     error = _single_command(_squares_with("hilbert"))
+    assert covers
     assert error.startswith("internal disagreement") and "must be finite" in error
 
 
