@@ -15,11 +15,11 @@ from .field import PrimeField, DEFAULT_CHARACTERISTIC
 from .orders import OrderSpec, GLOBAL, LOCAL, GREVLEX, DS
 from .poly import FreeLayout, PolyRing, Polynomial, Vector
 from .engine import StandardBasis, SyzygyMatrix, normal_form, standard_basis, syzygies
-from .complexes import FreeComplex, Matrix, minimalize, resolve_bounded
+from .complexes import FreeComplex, Matrix, ResolutionResult, minimalize, resolve_bounded
 from .rings import GradedRing, LocalRing, ideals_equal
 from .modules import (BridgeError, EquigenReport, InitialData, LocalModule,
-                      LocalResolution, assoc_graded_module, equigenerated_check,
-                      initial_matrix, local_minimal_resolution, submodule_initial)
+                      assoc_graded_module, equigenerated_check, initial_matrix,
+                      local_minimal_resolution, submodule_initial)
 from .graded import (BettiTable, GradedModule, HilbertSeries, NumericInvariants,
                      PurityReport, betti_analysis, hilbert_series,
                      minimal_graded_resolution, numeric_invariants, ring_as_module)

@@ -29,17 +29,18 @@ and initial matrices are read off the stored columns.
 flavor, the resolution over the polynomial cover included.  It reads the
 columns, layout, ring and ``cache`` off the module, keeps the resolution
 there under its own name, and the kept resolution grows, never restarts.
-A FINITE result serves every cutoff, a truncated result serves every cutoff
-up to its own, and a deeper cutoff resumes it: ``resolve_bounded`` runs on
-the stripped syzygy columns of its last level (``ResolutionResult.rest``)
-for the missing levels only.  A level gets the same inputs either way, so
-the maps, status and pdim served at any cutoff are term for term what
-``resolve_bounded`` returns there.
+A finite result (pdim not None) serves every cutoff, a truncated result
+serves every cutoff up to its own, and a deeper cutoff resumes it:
+``resolve_bounded`` runs on the stripped syzygy columns of its last level
+(``ResolutionResult.rest``) for the missing levels only.  A level gets the
+same inputs either way, so the record served at any cutoff is term for term
+what ``resolve_bounded`` returns there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .engine import syzygies
 from .poly import FreeLayout, Vector
@@ -158,26 +159,45 @@ def minimalize(cx: FreeComplex, ctx) -> FreeComplex:
 
 # ---------------------------------------------------- bounded resolutions
 
-FINITE = "finite"
-TRUNCATED = "truncated"
-
-
 @dataclass
 class ResolutionResult:
+    """A minimal free resolution F_0 <- F_1 <- ... of one flavor, up to a
+    homological cutoff.  ``pdim`` is None unless the resolution is certified
+    finite within the cutoff.  Orders and twists are read off the stored
+    columns, which are in normal form."""
+
+    layout: FreeLayout    # F_0
     mats: list            # Matrix phi_1 .. phi_k (minimal)
-    status: str           # FINITE | TRUNCATED
-    pdim: int             # meaningful when status == FINITE
     cutoff: int
-    # TRUNCATED: the next level's candidates and their layout, to resume from
+    pdim: int | None = None
+    # not finite: the next level's candidates and their layout, to resume from
     rest: tuple = field(default=None, kw_only=True, repr=False)
+
+    @property
+    def finite(self):
+        return self.pdim is not None
 
     @property
     def betti(self):
         return [m.source.rank for m in self.mats]
 
     @property
-    def finite(self):
-        return self.status == FINITE
+    def ranks(self):
+        return [self.layout.rank] + self.betti
+
+    def column_orders(self, i):
+        """Orders of the columns of phi_i (1-based)."""
+        return [v.order() for v in self.mats[i - 1].columns]
+
+    @property
+    def s(self):
+        """s_i = nu(phi_i), per homological degree 1..len."""
+        return [min(self.column_orders(i)) for i in range(1, len(self.mats) + 1)]
+
+    @property
+    def delta(self):
+        """delta_i = s_1 + ... + s_i with delta_0 = 0."""
+        return list(accumulate(self.s, initial=0))
 
 
 def min_gens_with_syz(cand, layout, ctx):
@@ -212,20 +232,20 @@ def resolve_bounded(gens, layout, ctx, cutoff):
     degrees; over the local flavor all twists are zero.  ``ctx`` supplies
     order, ideal_sb, nf_vector and unit_component.  The generators are in
     normal form (stored columns); zero ones are dropped, and a free
-    cokernel (none left) is FINITE of pdim 0 at every cutoff.  Each level is
+    cokernel (none left) has pdim 0 at every cutoff.  Each level is
     ``min_gens_with_syz``: its unit-stripped syzygies are the next level's
     candidates.
     """
     cand = [v for v in gens if v]
     if not cand:
-        return ResolutionResult([], FINITE, 0, cutoff)
+        return ResolutionResult(layout, [], cutoff, 0)
     cur_layout = layout
     mats = []
-    status, pdim = TRUNCATED, None
+    pdim = None
     for step in range(1, cutoff + 1):
         cols, syz = min_gens_with_syz(cand, cur_layout, ctx)
         if not cols:
-            status, pdim = FINITE, step - 1
+            pdim = step - 1
             break
         if ctx.order.is_local:
             twists = (0,) * len(cols)
@@ -234,11 +254,11 @@ def resolve_bounded(gens, layout, ctx, cutoff):
         src = FreeLayout(len(cols), twists)
         mats.append(Matrix(cur_layout, src, cols))
         if not syz:
-            status, pdim = FINITE, step
+            pdim = step
             break
         cand, cur_layout = syz, src
-    rest = (cand, cur_layout) if status == TRUNCATED else None
-    return ResolutionResult(mats, status, pdim if pdim is not None else -1, cutoff, rest=rest)
+    rest = (cand, cur_layout) if pdim is None else None
+    return ResolutionResult(layout, mats, cutoff, pdim, rest=rest)
 
 
 def resolve_cached(mod, cutoff) -> ResolutionResult:
@@ -254,9 +274,11 @@ def resolve_cached(mod, cutoff) -> ResolutionResult:
         cache[resolve_cached] = kept = resolve_bounded(mod.gens, mod.layout, mod.ring, cutoff)
     elif not kept.finite and cutoff > kept.cutoff:
         more = resolve_bounded(*kept.rest, mod.ring, cutoff - kept.cutoff)
-        pdim = kept.cutoff + more.pdim if more.finite else -1
-        cache[resolve_cached] = kept = ResolutionResult(kept.mats + more.mats, more.status, pdim,
-                                                        cutoff, rest=more.rest)
-    if cutoff == kept.cutoff or kept.finite and cutoff >= kept.pdim:
+        pdim = kept.cutoff + more.pdim if more.finite else None
+        cache[resolve_cached] = kept = ResolutionResult(mod.layout, kept.mats + more.mats, cutoff,
+                                                        pdim, rest=more.rest)
+    if cutoff == kept.cutoff:
         return kept
-    return ResolutionResult(kept.mats[:cutoff], TRUNCATED, -1, cutoff)
+    if kept.finite and cutoff >= kept.pdim:
+        return replace(kept, cutoff=cutoff)
+    return ResolutionResult(mod.layout, kept.mats[:cutoff], cutoff)

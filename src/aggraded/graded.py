@@ -10,7 +10,8 @@ the module presented over S is resolved like any graded module, and its
 Betti table is kept per module (``rings.cached``): H = sum_i (-1)^i sum_j
 beta_{i,j} z^j / (1-z)^n, cancelled to lowest terms; depth = n - pdim_S by
 Auslander-Buchsbaum.  Projective dimension over the quotient ring itself may
-be infinite and is only ever reported with its cutoff status.
+be infinite: it is reported as None unless the resolution ends within the
+cutoff, and never guessed beyond it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from .complexes import ResolutionResult, resolve_cached
 from .modules import BridgeError, _Presentation
 from .poly import FreeLayout, Vector, ideal_columns
 from .rings import GradedRing, cached
-
-PDIM_FINITE = "finite"
-PDIM_AT_LEAST = "at_least"
 
 
 # --------------------------------------------------- small Z[z] helpers
@@ -57,8 +55,11 @@ class BettiTable:
 
     entries: dict                 # (i, j) -> positive count
     cutoff: int
-    complete: bool                # True when pdim < cutoff is certified
-    pdim: int = -1                # valid when complete
+    pdim: int | None = None       # None unless finite within the cutoff
+
+    @property
+    def complete(self):
+        return self.pdim is not None
 
     @property
     def max_i(self):
@@ -152,7 +153,7 @@ class NumericInvariants:
     codim: int
     cmd: int
     multiplicity: int
-    pdim_status: tuple               # (PDIM_FINITE, p) or (PDIM_AT_LEAST, cutoff+1)
+    pdim: int | None                 # over the ring; None unless finite within the cutoff
 
 
 # ------------------------------------------------------------ the module
@@ -172,20 +173,19 @@ class GradedModule(_Presentation):
         return self.layout.rank == 0
 
 
-def betti_table(layout: FreeLayout, res: ResolutionResult, cutoff: int) -> BettiTable:
-    """beta_{i,j} of a resolution of coker(F_1 -> F_0), F_0 = ``layout``:
-    the number of twists j of its i-th free module."""
+def betti_table(res: ResolutionResult) -> BettiTable:
+    """beta_{i,j} of a resolution: the number of twists j of its i-th free
+    module, with the resolution's cutoff and pdim."""
     entries = {}
-    for i, twists in enumerate([layout.twists] + [m.source.twists for m in res.mats]):
+    for i, twists in enumerate([res.layout.twists] + [m.source.twists for m in res.mats]):
         for j in twists:
             entries[(i, j)] = entries.get((i, j), 0) + 1
-    return BettiTable(entries, cutoff, res.finite, res.pdim if res.finite else -1)
+    return BettiTable(entries, res.cutoff, res.pdim)
 
 
 def minimal_graded_resolution(gmod: GradedModule, cutoff: int) -> BettiTable:
     """The Betti table of a minimal resolution over the quotient ring."""
-    res = resolve_cached(gmod, cutoff)
-    return betti_table(gmod.layout, res, cutoff)
+    return betti_table(resolve_cached(gmod, cutoff))
 
 
 def betti_analysis(table: BettiTable) -> PurityReport:
@@ -257,21 +257,18 @@ def ring_as_module(gring: GradedRing) -> GradedModule:
 
 
 def numeric_invariants(gmod: GradedModule, cutoff: int = 8) -> NumericInvariants:
-    """dim / depth / codim / cmd / multiplicity, plus pdim status over the ring."""
+    """dim / depth / codim / cmd / multiplicity, plus pdim over the ring
+    within the cutoff."""
     hs = hilbert_series(gmod)
     ring_hs = hilbert_series(ring_as_module(gmod.ring))
     if gmod.is_zero:
-        return NumericInvariants(-1, -1, 0, 0, 0, (PDIM_FINITE, 0))
+        return NumericInvariants(-1, -1, 0, 0, 0, 0)
     n = gmod.ring.nvars
     depth = n - pdim_over_cover(gmod)
     dim = hs.dim
     cmd = dim - depth
     codim = ring_hs.dim - dim
-    table = minimal_graded_resolution(gmod, cutoff)
-    if table.complete:
-        status = (PDIM_FINITE, table.pdim)
-    else:
-        status = (PDIM_AT_LEAST, cutoff + 1)
+    pdim = minimal_graded_resolution(gmod, cutoff).pdim
     if cmd < 0 or depth > dim:
         raise BridgeError(f"depth {depth} exceeds dimension {dim}")
-    return NumericInvariants(dim, depth, codim, cmd, hs.multiplicity, status)
+    return NumericInvariants(dim, depth, codim, cmd, hs.multiplicity, pdim)

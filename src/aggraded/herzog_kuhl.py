@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .complexes import ResolutionResult
 from .graded import hilbert_series, numeric_invariants, ring_as_module
-from .modules import (BridgeError, LocalModule, LocalResolution, assoc_graded_module,
-                      local_minimal_resolution)
+from .modules import BridgeError, LocalModule, assoc_graded_module, local_minimal_resolution
 from .poly import FreeLayout
 from .purity import NOT_PURE, PURE, purity_verdict
 from .rings import LocalRing, cached
@@ -81,17 +81,17 @@ def ring_local_invariants(ring: LocalRing):
     return hs.dim, depth, hs.dim - depth, hs.multiplicity
 
 
-def module_local_invariants(mpres: LocalModule, pdim: int):
-    """(dim M, depth M, cmd M) for a module of finite projective dimension."""
-    gm = assoc_graded_module(mpres)
-    dim_m = hilbert_series(gm).dim
-    _, depth_r, _, _ = ring_local_invariants(mpres.ring)
-    depth_m = depth_r - pdim
-    return dim_m, depth_m, dim_m - depth_m
-
-
-def multiplicity_of_module(mpres: LocalModule) -> int:
-    return hilbert_series(assoc_graded_module(mpres)).multiplicity
+def _finite_pdim_data(mpres: LocalModule, cutoff: int):
+    """(resolution of M, invariants of G(M), invariants of A, cmd M) for a
+    module whose projective dimension is finite within the cutoff.  dim M and
+    e(M) are those of G(M); depth M = depth R - pdim M."""
+    res = local_minimal_resolution(mpres, cutoff)
+    if not res.finite:
+        raise PreconditionError(f"pdim not finite within cutoff {cutoff}")
+    inv_gm = numeric_invariants(assoc_graded_module(mpres), cutoff)
+    inv_a = numeric_invariants(ring_as_module(mpres.ring.graded_cover), cutoff)
+    depth_m = ring_local_invariants(mpres.ring)[1] - res.pdim
+    return res, inv_gm, inv_a, inv_gm.dim - depth_m
 
 
 @dataclass
@@ -105,10 +105,11 @@ class HKIdentities:
         return Fraction(self.multiplicity_sides[0]) == self.multiplicity_sides[1]
 
 
-def hk_identities(res: LocalResolution, e_ring: int) -> HKIdentities:
+def hk_identities(res: ResolutionResult, e_ring: int, e_module: int) -> HKIdentities:
     """The Herzog-Kuhl equations and the multiplicity identity of a finite
-    resolution, e(R) = ``e_ring``.  At p = 0 there is no b_i and the right
-    side is e(R) * beta_0 (0! = 1, empty product)."""
+    resolution of M, e(R) = ``e_ring`` and e(M) = ``e_module``.  At p = 0
+    there is no b_i and the right side is e(R) * beta_0 (0! = 1, empty
+    product)."""
     p = res.pdim
     betti = res.ranks
     hk = hk_coefficients(res.delta)
@@ -116,14 +117,7 @@ def hk_identities(res: LocalResolution, e_ring: int) -> HKIdentities:
     rhs = Fraction(e_ring * betti[0], factorial(p))
     for d in hk.delta[1:]:
         rhs *= d
-    return HKIdentities(hk, holds, (multiplicity_of_module(res.module), rhs))
-
-
-def _finite_resolution(mpres: LocalModule, cutoff: int):
-    res = local_minimal_resolution(mpres, cutoff)
-    if not res.finite:
-        raise PreconditionError(f"pdim not finite within cutoff {cutoff}")
-    return res
+    return HKIdentities(hk, holds, (e_module, rhs))
 
 
 # ------------------------------------------------------------ the theorems
@@ -151,16 +145,11 @@ def cmd_equivalence_report(mpres: LocalModule, cutoff: int = 8) -> HKReport:
         raise PreconditionError("associated graded module does not have a pure resolution")
     if pv.verdict != PURE:
         raise PreconditionError("purity inconclusive at this cutoff")
-    res = _finite_resolution(mpres, cutoff)
-    p = res.pdim
-    if p == 0:
+    res, inv_gm, inv_a, cmd_m = _finite_pdim_data(mpres, cutoff)
+    if res.pdim == 0:
         raise PreconditionError("free module: the degree type is empty")
-    _, _, cmd_m = module_local_invariants(mpres, p)
     _, _, cmd_r, e_r = ring_local_invariants(mpres.ring)
-    ident = hk_identities(res, e_r)
-    gm = assoc_graded_module(mpres)
-    inv_gm = numeric_invariants(gm, cutoff)
-    inv_a = numeric_invariants(ring_as_module(mpres.ring.graded_cover), cutoff)
+    ident = hk_identities(res, e_r, inv_gm.multiplicity)
     cond1 = cmd_m == cmd_r
     cond2 = ident.betti_holds
     cond3 = inv_gm.cmd == inv_a.cmd
@@ -186,12 +175,8 @@ class CMPurityReport:
 
 
 def cm_purity_report(mpres: LocalModule, cutoff: int = 8) -> CMPurityReport:
-    res = _finite_resolution(mpres, cutoff)
+    res, inv_gm, inv_a, cmd_m = _finite_pdim_data(mpres, cutoff)
     pv = purity_verdict(mpres, cutoff)
-    gm = assoc_graded_module(mpres)
-    inv_gm = numeric_invariants(gm, cutoff)
-    inv_a = numeric_invariants(ring_as_module(mpres.ring.graded_cover), cutoff)
-    _, _, cmd_m = module_local_invariants(mpres, res.pdim)
     a_cm = inv_a.cmd == 0
     m_cm = cmd_m == 0
     gm_cm = inv_gm.cmd == 0
@@ -200,7 +185,7 @@ def cm_purity_report(mpres: LocalModule, cutoff: int = 8) -> CMPurityReport:
     cond_i = None if pure is None and gm_cm else (bool(pure) and gm_cm)
     # (ii): the resolution is finite, so route B checked every position
     acyclic = pv.route_b.homology_witness is None
-    ident = hk_identities(res, ring_local_invariants(mpres.ring)[3])
+    ident = hk_identities(res, ring_local_invariants(mpres.ring)[3], inv_gm.multiplicity)
     cond_ii = a_cm and acyclic and ident.betti_holds and ident.multiplicity_holds
     cond_iii = None if pure is None and (a_cm and m_cm) else (bool(pure) and a_cm and m_cm)
     concl = [c for c in (cond_i, cond_ii, cond_iii) if c is not None]
@@ -233,19 +218,10 @@ def finite_pdim_consequences(mpres: LocalModule, cutoff: int = 8) -> FinitePdimR
     """codim(M) <= pdim(M) under matching projective dimensions, and ring
     Cohen-Macaulayness when the module is CM; inconclusive when the graded
     pdim is unresolved within the cutoff."""
-    res = _finite_resolution(mpres, cutoff)
-    p = res.pdim
-    gm = assoc_graded_module(mpres)
-    inv_gm = numeric_invariants(gm, cutoff)
-    inv_a = numeric_invariants(ring_as_module(mpres.ring.graded_cover), cutoff)
-    if inv_gm.pdim_status[0] == "finite":
-        pdim_graded = inv_gm.pdim_status[1]
-        hypothesis = pdim_graded == p
-    else:
-        pdim_graded = None
-        hypothesis = None
+    res, inv_gm, inv_a, cmd_m = _finite_pdim_data(mpres, cutoff)
+    p, pdim_graded = res.pdim, inv_gm.pdim
+    hypothesis = None if pdim_graded is None else pdim_graded == p
     codim = inv_a.dim - inv_gm.dim
-    _, _, cmd_m = module_local_invariants(mpres, p)
     m_cm = cmd_m == 0
     codim_le = None
     ring_cm = None

@@ -13,7 +13,6 @@ depends on them, and disagreements raise BridgeError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from . import oracle
 from .complexes import Matrix, ResolutionResult, resolve_cached
@@ -143,39 +142,12 @@ def assoc_graded_module(mpres: LocalModule):
 # ------------------------------------------------------------- resolutions
 
 
-@dataclass
-class LocalResolution(ResolutionResult):
-    """A minimal free resolution over the local ring, up to a cutoff."""
-
-    module: LocalModule
-
-    @property
-    def ranks(self):
-        return [self.module.layout.rank] + self.betti
-
-    def column_orders(self, i):
-        """Orders of the columns of phi_i (1-based), read off the stored
-        columns, which are in normal form."""
-        return [v.order() for v in self.mats[i - 1].columns]
-
-    @property
-    def s(self):
-        """s_i = nu(phi_i), per homological degree 1..len."""
-        return [min(self.column_orders(i)) for i in range(1, len(self.mats) + 1)]
-
-    @property
-    def delta(self):
-        """delta_i = s_1 + ... + s_i with delta_0 = 0."""
-        return list(accumulate(self.s, initial=0))
-
-
-def local_minimal_resolution(mpres: LocalModule, cutoff: int) -> LocalResolution:
+def local_minimal_resolution(mpres: LocalModule, cutoff: int) -> ResolutionResult:
     """Iterated minimal syzygies over R, stopping at the homological cutoff.
 
     A free module is its own resolution (pdim 0) at every cutoff, 0 included.
     """
-    raw = resolve_cached(mpres, cutoff)
-    return LocalResolution(raw.mats, raw.status, raw.pdim, raw.cutoff, mpres)
+    return resolve_cached(mpres, cutoff)
 
 
 def initial_matrix(mat: Matrix, ring: LocalRing):

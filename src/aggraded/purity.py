@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import oracle
-from .complexes import FreeComplex, Matrix
+from .complexes import FreeComplex, Matrix, ResolutionResult
 from .engine import standard_basis, syzygies
 from .graded import PurityReport, betti_analysis, minimal_graded_resolution
-from .modules import (BridgeError, LocalModule, LocalResolution, assoc_graded_module,
-                      initial_matrix, local_minimal_resolution, submodule_initial)
+from .modules import (BridgeError, LocalModule, assoc_graded_module, initial_matrix,
+                      local_minimal_resolution, submodule_initial)
 from .orders import GREVLEX
 from .poly import FreeLayout, Polynomial, PolyRing
 from .rings import GradedRing, LocalRing, ideals_equal
@@ -41,19 +41,21 @@ class InitialComplex:
 
     complex: FreeComplex          # over A; layouts twisted by -delta_i
     delta: tuple
-    resolution: LocalResolution
+    module: LocalModule
+    resolution: ResolutionResult  # of ``module``
 
     @property
     def ring(self) -> GradedRing:
-        return self.resolution.module.ring.graded_cover
+        return self.module.ring.graded_cover
 
 
-def initial_complex(res: LocalResolution) -> InitialComplex:
-    """Initial matrices with twists delta_i; the complex property is asserted."""
-    ring = res.module.ring
+def initial_complex(mpres: LocalModule, res: ResolutionResult) -> InitialComplex:
+    """Initial matrices of ``res``, a minimal resolution of ``mpres``, with
+    twists delta_i; the complex property is asserted."""
+    ring = mpres.ring
     A = ring.graded_cover
     delta = tuple(res.delta)
-    layouts = [FreeLayout(res.module.layout.rank)]
+    layouts = [res.layout]          # F_0, untwisted as every local layout
     mats = []
     for mat, d in zip(res.mats, delta[1:]):
         _, cols = initial_matrix(mat, ring)
@@ -62,7 +64,7 @@ def initial_complex(res: LocalResolution) -> InitialComplex:
         layouts.append(src)
     cx = FreeComplex(layouts, mats)
     cx.check_complex(A.nf_vector)
-    return InitialComplex(cx, delta, res)
+    return InitialComplex(cx, delta, mpres, res)
 
 
 @dataclass
@@ -87,7 +89,7 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
     A; the kernel of the last differential is checked directly when the
     source resolution is finite.
     """
-    res = fs.resolution
+    res, mpres = fs.resolution, fs.module
     A = fs.ring
     mats = fs.complex.mats
     n = len(mats)
@@ -109,10 +111,10 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
             break
         acyclic_up_to = i
     # cokernel: the columns of the first initial matrix generate the initial submodule
-    if res.module.is_free:
+    if mpres.is_free:
         coker = True
     else:
-        init = submodule_initial(res.module)
+        init = submodule_initial(mpres)
         first_cols = [v for v in mats[0].columns if v] if mats else []
         if first_cols:
             b1 = standard_basis(first_cols, GREVLEX, mats[0].target, modulus=A.ideal_sb)
@@ -142,7 +144,7 @@ def initial_complex_verdict(mpres: LocalModule, cutoff: int):
     The resolution goes one step further than the checks, so that homology
     at the cutoff position is compared with the image of the next map.
     """
-    fs = initial_complex(local_minimal_resolution(mpres, cutoff + 1))
+    fs = initial_complex(mpres, local_minimal_resolution(mpres, cutoff + 1))
     return fs, verify_initial_complex(fs, cutoff)
 
 

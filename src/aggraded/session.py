@@ -316,10 +316,15 @@ def _betti(ws, target):
     return {
         "entries": [[i, j, c] for (i, j), c in sorted(table.entries.items())],
         "complete": table.complete,
-        "pdim": table.pdim if table.complete else None,
+        "pdim": table.pdim,
         "cutoff": table.cutoff,
         "rendered": table.render(),
     }, table.complete
+
+
+def _pdim_status(pdim, cutoff):
+    """A projective dimension read within the cutoff, as a payload."""
+    return ["at_least", cutoff + 1] if pdim is None else ["finite", pdim]
 
 
 def _invariants(ws, target):
@@ -329,10 +334,10 @@ def _invariants(ws, target):
                "cmd": inv.cmd, "multiplicity": inv.multiplicity}
     if target != "ring" and ws.local:
         res = local_minimal_resolution(ws.modules[target], cutoff)
-        payload["pdim_status_graded"] = list(inv.pdim_status)
-        payload["pdim_status_local"] = ["finite", res.pdim] if res.finite else ["at_least", cutoff + 1]
-        return payload, inv.pdim_status[0] == "finite" and res.finite
-    payload["pdim_status"] = list(inv.pdim_status)
+        payload["pdim_status_graded"] = _pdim_status(inv.pdim, cutoff)
+        payload["pdim_status_local"] = _pdim_status(res.pdim, cutoff)
+        return payload, inv.pdim is not None and res.finite
+    payload["pdim_status"] = _pdim_status(inv.pdim, cutoff)
     if target == "ring" and ws.local:
         dim_r, depth_r, cmd_r, e_r = ring_local_invariants(ws.ring)
         payload["local_ring"] = {"dim": dim_r, "depth": depth_r, "cmd": cmd_r, "multiplicity": e_r}
@@ -497,7 +502,7 @@ def execute(ses: Session, char_override=None, truncation=None, max_homdeg=None):
     """Run all analyze commands; returns (report dict, exit_status)."""
     try:
         ws = _Workspace(ses, char_override, truncation, max_homdeg)
-    except (SessionError, SubmoduleNotInMaximalIdeal, ValueError) as exc:
+    except (SessionError, SubmoduleNotInMaximalIdeal, ValueError, EngineError) as exc:
         report = {"session": ses.describe(), "options": dict(ses.options),
                   "results": [], "provenance": {"error": str(exc)}}
         return report, 1

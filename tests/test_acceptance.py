@@ -11,7 +11,6 @@ from math import comb
 import pytest
 
 from aggraded import oracle
-from aggraded.complexes import FINITE
 from aggraded.graded import hilbert_series, numeric_invariants, ring_as_module
 from aggraded.herzog_kuhl import cmd_equivalence_report, hk_coefficients
 from aggraded.modules import (LocalModule, equigenerated_check,
@@ -62,8 +61,8 @@ def test_criterion_02_initial_submodule_structure(semigroup_ring):
 def test_criterion_03_purity_negative_semigroup(semigroup_module):
     stop = _clock(5.0)
     res = local_minimal_resolution(semigroup_module, 8)
-    assert res.status == FINITE and res.ranks == [1, 1]
-    fs = initial_complex(res)
+    assert res.finite and res.pdim == 1 and res.ranks == [1, 1]
+    fs = initial_complex(semigroup_module, res)
     assert fs.delta == (0, 1)
     vr = verify_initial_complex(fs, 8)
     assert vr.homology_witness is not None and vr.homology_witness[0] == 1
@@ -146,7 +145,7 @@ def test_criterion_09_composition_invariant(semigroup_module, squares_module, fi
     checked = 0
     for mod in mods:
         res = local_minimal_resolution(mod, 4 if mod is not fibre_module else 3)
-        fs = initial_complex(res)  # asserts the complex property on build
+        fs = initial_complex(mod, res)  # asserts the complex property on build
         A = mod.ring.graded_cover
         for a, b in zip(fs.complex.mats, fs.complex.mats[1:]):
             assert a.compose(b).is_zero_mod(A.nf_vector)

@@ -1,7 +1,7 @@
 import pytest
 
-from aggraded.complexes import (FINITE, FreeComplex, Matrix, NotAComplexError,
-                                min_gens_with_syz, minimalize, resolve_bounded)
+from aggraded.complexes import (FreeComplex, Matrix, NotAComplexError, min_gens_with_syz,
+                                minimalize, resolve_bounded)
 from aggraded.poly import FreeLayout, PolyRing, Vector
 from aggraded.rings import GradedRing, LocalRing
 
@@ -90,8 +90,8 @@ def test_resolution_betti_match_nakayama_counts(squares_module):
     from aggraded.modules import local_minimal_resolution
 
     res = local_minimal_resolution(squares_module, 5)
-    assert res.status == FINITE and res.betti == [3, 3, 1]
-    ring = squares_module.module.ring if hasattr(squares_module, "module") else squares_module.ring
+    assert res.finite and res.pdim == 3 and res.betti == [3, 3, 1]
+    ring = squares_module.ring
     fm = oracle.FreeModel(ring, 1, 9)
     _, mus = oracle.submodule_layer_data(fm, squares_module.gens, 4)
     assert sum(mus.values()) == 3
@@ -101,24 +101,28 @@ def test_graded_resolution_of_residue_field_one_var():
     P1 = PolyRing(["x"], 32003)
     S1 = GradedRing(P1, [])
     res = resolve_bounded([Vector.from_polys([P1.gen(0)])], FreeLayout(1), S1, 4)
-    assert res.status == FINITE and res.pdim == 1
+    assert res.finite and res.pdim == 1
     assert res.mats[0].source.twists == (1,)
 
 
 def _shape(res):
     return ([(m.target.twists, m.source.twists, m.columns) for m in res.mats],
-            res.status, res.pdim)
+            res.layout, res.cutoff, res.pdim)
 
 
 def _cache_cases(squares_module):
+    """(module, {cutoff: the pdim served there}): None until the
+    resolution is certified finite within the cutoff."""
     from aggraded.graded import GradedModule
     from aggraded.modules import LocalModule, assoc_graded_module
 
+    squares = {c: None if c < 3 else 3 for c in range(9)}
     return [
-        (squares_module, (2, 3, 5)),                              # pdim 3
-        (assoc_graded_module(squares_module), (2, 3, 5)),         # pdim 3
-        (LocalModule(S_LOC, FreeLayout(2), []), (0, 2)),          # pdim 0
-        (GradedModule(S_GR, FreeLayout(2), []), (0, 2)),
+        (squares_module, {2: None, 3: 3, 5: 3}),
+        (assoc_graded_module(squares_module), {2: None, 3: 3, 5: 3}),
+        (LocalModule(S_LOC, FreeLayout(2), []), {0: 0, 2: 0}),
+        (GradedModule(S_GR, FreeLayout(2), []), {0: 0, 2: 0}),
+        (squares_module, squares),
     ]
 
 
@@ -146,12 +150,15 @@ def test_resolution_cache_serves_every_cutoff_like_a_fresh_resolution(squares_mo
 
     levels = _count_levels(monkeypatch)
     fresh, depth = {}, {}
-    for n, (mod, cutoffs) in enumerate(_cache_cases(squares_module)):
-        for c in cutoffs:
+    for n, (mod, pdims) in enumerate(_cache_cases(squares_module)):
+        for c, pdim in pdims.items():
             levels[:] = []
-            fresh[n, c] = _shape(resolve_bounded(mod.gens, mod.layout, mod.ring, c))
+            res = resolve_bounded(mod.gens, mod.layout, mod.ring, c)
+            assert (res.pdim, res.finite) == (pdim, pdim is not None), (mod, c)
+            fresh[n, c] = _shape(res)
             depth[n, c] = len(levels)
-    for n, (mod, cutoffs) in enumerate(_cache_cases(squares_module)):
+    for n, (mod, pdims) in enumerate(_cache_cases(squares_module)):
+        cutoffs = tuple(pdims)
         for order in (cutoffs[::-1], cutoffs):
             mod, deepest = _fresh(mod), 0
             for c in order:
@@ -195,7 +202,7 @@ def test_free_local_module_is_finite_at_every_cutoff(regular3):
     free = LocalModule(regular3, FreeLayout(2), [])
     for c in (3, 0, 1):
         res = local_minimal_resolution(free, c)
-        assert (res.mats, res.status, res.pdim, res.ranks) == ([], FINITE, 0, [2])
+        assert (res.mats, res.finite, res.pdim, res.ranks, res.cutoff) == ([], True, 0, [2], c)
 
 
 def _bundled_modules():
@@ -323,7 +330,7 @@ def test_stored_columns_are_in_normal_form_and_never_reduced_again(monkeypatch):
     for mod, gens in _bundled_modules():
         if isinstance(mod, LocalModule):
             res = local_minimal_resolution(mod, 3)
-            resolutions.append(res)
+            resolutions.append((mod, res))
         else:
             res = complexes.resolve_bounded(gens, mod.layout, mod.ring, 3)
         stored += gens + [v for mat in res.mats for v in mat.columns]
@@ -338,8 +345,8 @@ def test_stored_columns_are_in_normal_form_and_never_reduced_again(monkeypatch):
         raise AssertionError("a stored column was normal-formed again")
 
     monkeypatch.setattr(_QuotientOps, "nf_vector", refuse)
-    for res in resolutions:
-        ring = res.module.ring
+    for mod, res in resolutions:
+        ring = mod.ring
         assert len(res.delta) == len(res.mats) + 1
         for i, mat in enumerate(res.mats, start=1):
             assert initial_matrix(mat, ring)[0] == res.s[i - 1] == min(res.column_orders(i))

@@ -109,7 +109,7 @@ def test_numeric_invariants_examples(semigroup_ring):
 
     inv2 = numeric_invariants(squares_gmod(), cutoff=6)
     assert (inv2.dim, inv2.depth, inv2.cmd, inv2.multiplicity) == (0, 0, 0, 8)
-    assert inv2.codim == 3 and inv2.pdim_status == ("finite", 3)
+    assert inv2.codim == 3 and inv2.pdim == 3
 
     free = GradedModule(S3, FreeLayout(2), [])
     inv3 = numeric_invariants(free, cutoff=6)

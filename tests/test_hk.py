@@ -3,11 +3,13 @@ from math import comb
 
 import pytest
 
-from aggraded.herzog_kuhl import (PreconditionError, cm_purity_report,
+from aggraded.herzog_kuhl import (CMPurityReport, FinitePdimReport, HKReport,
+                                  PreconditionError, cm_purity_report,
                                   cmd_equivalence_report, finite_pdim_consequences,
                                   hk_coefficients, ring_local_invariants)
 from aggraded.modules import LocalModule
-from aggraded.poly import FreeLayout
+from aggraded.poly import FreeLayout, PolyRing
+from aggraded.rings import LocalRing
 
 P = 32003
 
@@ -57,8 +59,41 @@ def test_cmd_equivalence_all_conditions_fail_together(plane):
 
 
 def test_cmd_equivalence_requires_purity(semigroup_module):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="does not have a pure resolution"):
         cmd_equivalence_report(semigroup_module, 6)
+
+
+NOT_PURE = "associated graded module does not have a pure resolution"
+NOT_FINITE = "pdim not finite within cutoff 3"
+
+
+@pytest.mark.parametrize("name, cmd, cm_purity, finite_pdim", [
+    ("free", "free module: the degree type is empty", None, None),
+    ("semigroup R/(X)", NOT_PURE, None, None),
+    ("semigroup residue field", NOT_PURE, NOT_FINITE, NOT_FINITE),
+    ("node modulo (x)", "purity inconclusive at this cutoff", NOT_FINITE, NOT_FINITE),
+])
+def test_theorem_preconditions_fail_in_their_order(plane, semigroup_ring, name, cmd, cm_purity,
+                                                   finite_pdim):
+    """Each theorem's first unmet precondition, by message, at cutoff 3;
+    None: the theorem returns a report."""
+    cover = PolyRing(["x", "y"], P)
+    node = LocalRing(cover, [cover.from_string("x*y")])
+    mod = {
+        "free": lambda: LocalModule(plane, FreeLayout(1), []),
+        "semigroup R/(X)": lambda: _mod(semigroup_ring, "X"),
+        "semigroup residue field": lambda: _mod(semigroup_ring, "X", "Y", "Z"),
+        "node modulo (x)": lambda: _mod(node, "x"),
+    }[name]()
+    for theorem, message, report in ((cmd_equivalence_report, cmd, HKReport),
+                                     (cm_purity_report, cm_purity, CMPurityReport),
+                                     (finite_pdim_consequences, finite_pdim, FinitePdimReport)):
+        if message is None:
+            assert isinstance(theorem(mod, 3), report)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                theorem(mod, 3)
+            assert str(err.value) == message
 
 
 def test_cm_purity_positive(squares_module):

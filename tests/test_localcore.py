@@ -1,7 +1,7 @@
 import pytest
 
 from aggraded import oracle
-from aggraded.complexes import FINITE, min_gens_with_syz
+from aggraded.complexes import min_gens_with_syz
 from aggraded.graded import hilbert_series
 from aggraded.modules import (LocalModule, SubmoduleNotInMaximalIdeal,
                               assoc_graded_module, equigenerated_check,
@@ -141,7 +141,7 @@ def test_filtration_lemma_when_equigenerated(plane):
 
 def test_local_minimal_resolution_examples(semigroup_ring, squares_module, plane):
     res = local_minimal_resolution(_mod(semigroup_ring, "X"), 8)
-    assert res.status == FINITE and res.pdim == 1
+    assert res.finite and res.pdim == 1
     assert res.ranks == [1, 1] and res.s == [1]
 
     res2 = local_minimal_resolution(squares_module, 8)

@@ -480,7 +480,7 @@ def test_infinite_cover_resolution_becomes_an_internal_disagreement_entry(monkey
         if ctx.order.is_local or ctx.ideal:
             return res
         covers.append(ctx)          # the polynomial cover S: no ideal, graded
-        return dataclasses.replace(res, status=complexes.TRUNCATED)
+        return dataclasses.replace(res, pdim=None)
 
     monkeypatch.setattr(complexes, "resolve_bounded", truncated)
     error = _single_command(_squares_with("hilbert"))
@@ -492,7 +492,7 @@ def test_nonpositive_hilbert_numerator_becomes_an_internal_disagreement_entry(mo
     import aggraded.graded as graded
 
     # beta_{0,0} = 1 and beta_{1,0} = 2 over the cover: numerator 1 - 2z^0 = -1
-    fake = graded.BettiTable({(0, 0): 1, (1, 0): 2}, 4, True, 1)
+    fake = graded.BettiTable({(0, 0): 1, (1, 0): 2}, 4, 1)
     monkeypatch.setattr(graded, "cover_betti_table", lambda gmod: fake)
     error = _single_command(_squares_with("hilbert"))
     assert error.startswith("internal disagreement") and "numerator" in error
@@ -502,6 +502,26 @@ def test_unit_in_the_defining_ideal_is_a_setup_error():
     report, status = execute(parse_session(SQUARES.replace("ideal I :", "ideal I : 1 + x1")))
     assert status == 1 and not report["results"]
     assert report["provenance"]["error"] == "defining ideal contains a unit"
+
+
+def test_engine_error_while_setting_up_is_a_setup_error(monkeypatch):
+    # the workspace certifies the ideal's standard basis and the tangent cone
+    import aggraded.engine as engine
+
+    monkeypatch.setattr(engine, "MAX_REDUCTION_STEPS", 0)
+    report, status = execute(parse_session(SEMIGROUP))
+    assert status == 1 and not report["results"]
+    assert report["provenance"]["error"] == "reduction step limit exceeded"
+
+
+def test_cli_engine_error_while_setting_up_exits_1_without_a_traceback(monkeypatch, capsys):
+    import aggraded.engine as engine
+
+    monkeypatch.setattr(engine, "MAX_REDUCTION_STEPS", 0)
+    assert main(["run", str(SESSIONS / "semigroup.session")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: reduction step limit exceeded"]
+    assert captured.out == ""
 
 
 def test_oracle_window_becomes_an_error_entry():
