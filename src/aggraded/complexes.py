@@ -13,15 +13,22 @@ denominator-free (a column with entry a beside the pivot becomes
 ``resolve_bounded`` builds minimal resolutions level by level: syzygy
 generators of a minimal generating set are unit-stripped by that step
 (Nakayama) in ``min_gens_with_syz``, and the stripped syzygy matrix doubles
-as the next level's candidate generators.  ``minimalize`` applies the same
-step to every differential of a given complex.
+as the next level's candidate generators.  The last level's syzygies are
+reported nowhere, so it skips them when ``_minimal_and_not_free``
+certifies that no candidate would be stripped (one degree or one order, and
+linearly independent over GF(p)) and that a syzygy exists (more candidates
+than rows, McCoy): it keeps its candidates, and its record is term for term
+the one that eliminating it would give.  ``minimalize`` applies the
+Nakayama step to every differential of a given complex.
 
 The normal-form contract: a stored column is in normal form.  A column is
 reduced as a whole modulo I*F by its ring's ``nf_vector`` (under Mora up to
 one unit for the column, so the module is the given one) once, where it is
 made -- the one module constructor of both flavors, ``modules._Presentation``,
-and each syzygy or stripped column that ``min_gens_with_syz`` creates -- and
-never again, so ``resolve_bounded`` reduces none of its columns.  Both
+each syzygy column (``_syzygy_columns``) and each stripped column that
+``min_gens_with_syz`` creates -- and never again, so ``resolve_bounded``
+reduces none of its columns (the local certificate normal-forms initial
+forms over G(R), which are not stored).  Both
 normal forms are idempotent and leave an irreducible lead, so orders, twists
 and initial matrices are read off the stored columns.
 
@@ -32,9 +39,12 @@ there under its own name, and the kept resolution grows, never restarts.
 A finite result (pdim not None) serves every cutoff, a truncated result
 serves every cutoff up to its own, and a deeper cutoff resumes it:
 ``resolve_bounded`` runs on the stripped syzygy columns of its last level
-(``ResolutionResult.rest``) for the missing levels only.  A level gets the
-same inputs either way, so the record served at any cutoff is term for term
-what ``resolve_bounded`` returns there.
+(``ResolutionResult.rest``) for the missing levels only.  A certified last
+level keeps its columns there with their syzygies pending; the resume first
+computes them (``_syzygy_columns``), which is what ``min_gens_with_syz``
+returns for a level that strips nothing.  A level gets the same inputs
+either way, so the record served at any cutoff is term for term what
+``resolve_bounded`` returns there.
 """
 
 from __future__ import annotations
@@ -170,7 +180,9 @@ class ResolutionResult:
     mats: list            # Matrix phi_1 .. phi_k (minimal)
     cutoff: int
     pdim: int | None = None
-    # not finite: the next level's candidates and their layout, to resume from
+    # not finite, to resume from: (columns, layout, pending), the next level's
+    # candidates in their layout, or, pending, the last level's own columns in
+    # its target, whose syzygies are the next level's candidates
     rest: tuple = field(default=None, kw_only=True, repr=False)
 
     @property
@@ -200,6 +212,13 @@ class ResolutionResult:
         return list(accumulate(self.s, initial=0))
 
 
+def _syzygy_columns(cand, layout, ctx):
+    """The nonzero normal forms of the syzygy generators of ``cand`` in
+    ``layout``, the next level's candidates of a minimal level."""
+    syz = syzygies(cand, ctx.order, layout, modulus=ctx.ideal_sb)
+    return [w for w in (ctx.nf_vector(v) for v in syz.columns) if w]
+
+
 def min_gens_with_syz(cand, layout, ctx):
     """Minimal generating subset of <cand> and generators of its syzygies.
 
@@ -213,8 +232,7 @@ def min_gens_with_syz(cand, layout, ctx):
     cand = list(cand)
     if not cand:
         return [], []
-    syz = syzygies(cand, ctx.order, layout, modulus=ctx.ideal_sb)
-    cols = [w for w in (ctx.nf_vector(v) for v in syz.columns) if w]
+    cols = _syzygy_columns(cand, layout, ctx)
     while True:
         spot = next(((k, j) for k, v in enumerate(cols)
                      if (j := ctx.unit_component(v)) is not None), None)
@@ -223,6 +241,60 @@ def min_gens_with_syz(cand, layout, ctx):
         k, j = spot
         del cand[j]
         cols = [v for v in _cancel_unit(cols, k, j, ctx) if v]
+
+
+def _independent(vectors, p):
+    """Whether the vectors' coefficient dicts are linearly independent over
+    GF(p): a sparse elimination whose stored rows have their largest key as
+    pivot, with pivot coefficient 1."""
+    pivots = {}
+    for v in vectors:
+        row = dict(v.terms)
+        while row:
+            key = max(row)
+            pivot = pivots.get(key)
+            if pivot is None:
+                inv = pow(row[key], -1, p)
+                pivots[key] = {t: a * inv % p for t, a in row.items()}
+                break
+            c = row[key]
+            for t, a in pivot.items():
+                b = (row.get(t, 0) - c * a) % p
+                if b:
+                    row[t] = b
+                else:
+                    del row[t]
+        else:
+            return False
+    return True
+
+
+def _minimal_and_not_free(cand, layout, ctx):
+    """A certificate that ``min_gens_with_syz`` would keep ``cand`` whole
+    and return a nonzero syzygy, without computing the syzygies.
+
+    Not free (McCoy): more columns than rows have a nonzero syzygy over any
+    commutative ring.  Minimal (Nakayama), for one degree or order only: a
+    syzygy with a unit entry gives a GF(p)-linear relation with a nonzero
+    coefficient among the columns of one degree d, which are fully reduced
+    modulo I*F (graded); among the degree-s parts of the columns of order s,
+    normal-formed over A = G(R), since m*K lies in m^{s+1}F (local).  So
+    their independence leaves no unit entry to strip.
+    """
+    if len(cand) <= layout.rank:
+        return False
+    if ctx.order.is_local:
+        s = cand[0].order()
+        if any(v.order() != s for v in cand):
+            return False
+        A = ctx.graded_cover
+        forms = [A.nf_vector(v.initial_form()) for v in cand]
+    else:
+        d = layout.degree_of(*next(iter(cand[0].terms)))
+        if any(layout.degree_of(c, e) != d for v in cand for c, e in v.terms):
+            return False
+        forms = cand
+    return _independent(forms, ctx.cover.p)
 
 
 def resolve_bounded(gens, layout, ctx, cutoff):
@@ -234,7 +306,8 @@ def resolve_bounded(gens, layout, ctx, cutoff):
     normal form (stored columns); zero ones are dropped, and a free
     cokernel (none left) has pdim 0 at every cutoff.  Each level is
     ``min_gens_with_syz``: its unit-stripped syzygies are the next level's
-    candidates.
+    candidates.  The last level skips it when ``_minimal_and_not_free``
+    holds: it keeps its candidates, and its syzygies stay pending.
     """
     cand = [v for v in gens if v]
     if not cand:
@@ -242,8 +315,10 @@ def resolve_bounded(gens, layout, ctx, cutoff):
     cur_layout = layout
     mats = []
     pdim = None
+    pending = False
     for step in range(1, cutoff + 1):
-        cols, syz = min_gens_with_syz(cand, cur_layout, ctx)
+        pending = step == cutoff and _minimal_and_not_free(cand, cur_layout, ctx)
+        cols, syz = (cand, None) if pending else min_gens_with_syz(cand, cur_layout, ctx)
         if not cols:
             pdim = step - 1
             break
@@ -253,11 +328,13 @@ def resolve_bounded(gens, layout, ctx, cutoff):
             twists = tuple(v.degree_in(cur_layout) for v in cols)
         src = FreeLayout(len(cols), twists)
         mats.append(Matrix(cur_layout, src, cols))
+        if pending:
+            break
         if not syz:
             pdim = step
             break
         cand, cur_layout = syz, src
-    rest = (cand, cur_layout) if pdim is None else None
+    rest = (cand, cur_layout, pending) if pdim is None else None
     return ResolutionResult(layout, mats, cutoff, pdim, rest=rest)
 
 
@@ -273,7 +350,10 @@ def resolve_cached(mod, cutoff) -> ResolutionResult:
     if kept is None:
         cache[resolve_cached] = kept = resolve_bounded(mod.gens, mod.layout, mod.ring, cutoff)
     elif not kept.finite and cutoff > kept.cutoff:
-        more = resolve_bounded(*kept.rest, mod.ring, cutoff - kept.cutoff)
+        cand, layout, pending = kept.rest
+        if pending:
+            cand, layout = _syzygy_columns(cand, layout, mod.ring), kept.mats[-1].source
+        more = resolve_bounded(cand, layout, mod.ring, cutoff - kept.cutoff)
         pdim = kept.cutoff + more.pdim if more.finite else None
         cache[resolve_cached] = kept = ResolutionResult(mod.layout, kept.mats + more.mats, cutoff,
                                                         pdim, rest=more.rest)

@@ -100,9 +100,10 @@ class _QuotientOps:
         normal form of the column, up to one unit for the whole column, with
         an irreducible lead.  A column that is already in that form (no
         reducible term globally, an irreducible lead under Mora) comes back
-        at once with the same terms, without a reduction."""
+        at once with the same terms, without a reduction; over a ring without
+        an ideal it comes back as it is."""
         sb = self.ideal_sb
-        return Vector(v.ring, v.rank, dict(v.terms)) if sb is None else sb.reduce(v)
+        return v if sb is None else sb.reduce(v)
 
     def unit_component(self, v: Vector):
         """The smallest component of ``v`` whose entry is a unit, or None.

@@ -16,7 +16,8 @@ Grammar (``#`` comments allowed)::
     analyze ring : hilbert, invariants, tangentcone
 
 ``option regbound`` is only echoed into the report's ``options`` and
-``provenance``; no command reads it.
+``provenance``; no command reads it.  An exponent written in an ``ideal`` or
+``submodule`` line is at most ``MAX_EXPONENT``.
 
 Each command has one record in ``COMMANDS``.  ``betti``, ``hilbert`` and
 ``invariants`` take the ``ring`` target or a module, ``tangentcone`` only
@@ -38,6 +39,7 @@ disagreement, never a verdict.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -143,6 +145,23 @@ def _check_new_name(ses, line_no, name):
         raise SessionError(line_no, f"{name!r} is already declared")
 
 
+# the largest exponent an ideal or submodule line may write.  A two-variable
+# session with exponents of 10,000 runs every command in seconds, and its
+# Betti table has about that many degree rows; without the bound an exponent
+# of 10^20 reaches BettiTable.render, which loops over every degree row
+MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"\^\s*(\d+)")
+
+
+def _check_exponents(line_no, text):
+    for m in _EXPONENT.finditer(text):
+        digits = m.group(1).lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            shown = digits if len(digits) <= 20 else digits[:20] + "..."
+            raise SessionError(
+                line_no, f"exponent {shown} is too large: exponents are at most {MAX_EXPONENT}")
+
+
 def parse_session(text: str) -> Session:
     ses = Session()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -179,6 +198,7 @@ def parse_session(text: str) -> Session:
             body = body.strip()
             if not name.strip():
                 raise SessionError(line_no, "ideal needs a name")
+            _check_exponents(line_no, body)
             ses.ideal_strings = tuple(s.strip() for s in body.split(",") if s.strip()) if body else ()
         elif head == "free":
             name, _, body = rest.partition(":")
@@ -203,6 +223,7 @@ def parse_session(text: str) -> Session:
             _check_new_name(ses, line_no, name)
             if free not in ses.frees:
                 raise SessionError(line_no, f"unknown free module {free!r}")
+            _check_exponents(line_no, body)
             cols = _split_columns(body.strip(), line_no) if body.strip() else []
             ses.submodules[name] = (free, cols)
         elif head == "module":

@@ -22,6 +22,9 @@ and oracle output that no computation in the package needs.
 - ``dense``: an oracle echelon form written out as its matrix;
 - ``strip_units``: the Nakayama strip loop that ``complexes`` once ran
   inline, the reference for ``min_gens_with_syz``;
+- ``eliminating_resolution``: ``resolve_bounded`` with every level, the
+  last one included, run through ``min_gens_with_syz``, the reference for
+  the certificate that leaves the last level's syzygies pending;
 - ``agreement_modules``: the first nontrivial modules that the agreement
   suite draws for a seed;
 - ``initial_generators``: N*'s minimal generators as ``min_gens_with_syz``
@@ -39,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from aggraded import randomized
-from aggraded.complexes import min_gens_with_syz
+from aggraded.complexes import Matrix, ResolutionResult, min_gens_with_syz
 from aggraded.engine import (MAX_REDUCTION_STEPS, EngineError, StandardBasis, _index, _scale,
                              _sub_scaled, standard_basis, syzygies)
 from aggraded.graded import (betti_analysis, hilbert_series, minimal_graded_resolution,
@@ -340,6 +343,29 @@ def strip_units(cand, layout, ctx):
             for col in out
         ]
     return cand, cols
+
+
+def eliminating_resolution(gens, layout, ctx, cutoff):
+    """``complexes.resolve_bounded`` with no certificate: every level, the
+    last one included, computes its syzygies and strips its redundant
+    candidates, and pdim is the first level whose syzygies are zero."""
+    cand = [v for v in gens if v]
+    if not cand:
+        return ResolutionResult(layout, [], cutoff, 0)
+    cur_layout, mats, pdim = layout, [], None
+    for step in range(1, cutoff + 1):
+        cols, syz = min_gens_with_syz(cand, cur_layout, ctx)
+        if not cols:
+            pdim = step - 1
+            break
+        twists = tuple(0 if ctx.order.is_local else v.degree_in(cur_layout) for v in cols)
+        src = FreeLayout(len(cols), twists)
+        mats.append(Matrix(cur_layout, src, cols))
+        if not syz:
+            pdim = step
+            break
+        cand, cur_layout = syz, src
+    return ResolutionResult(layout, mats, cutoff, pdim)
 
 
 def agreement_modules(count, seed=randomized.DEFAULT_SEED, p=32003):

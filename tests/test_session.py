@@ -9,8 +9,8 @@ import pytest
 
 import aggraded
 from aggraded.cli import main
-from aggraded.session import (SessionError, execute, parse_session, render_report,
-                              summarize)
+from aggraded.session import (MAX_EXPONENT, SessionError, execute, parse_session,
+                              render_report, summarize)
 
 SESSIONS = pathlib.Path(__file__).resolve().parent.parent / "sessions"
 
@@ -404,6 +404,33 @@ def test_deep_semigroup_report_matches_benchmark_golden():
         report, _ = execute(parse_session((SESSIONS / f"{name}.session").read_text()), **overrides)
         digest = hashlib.sha256(render_report(report).encode()).hexdigest()
         assert digest == golden, (name, overrides)
+
+
+def _exponent_session(ideal, column):
+    return ("vars x y\nflavor local\n"
+            f"ideal I : {ideal}\nfree F : rank 1\nsubmodule N in F : [{column}]\n"
+            "module M = F / N\noption max_homdeg 2\nanalyze M : betti\n")
+
+
+def test_exponents_up_to_the_bound_run():
+    report, status = execute(parse_session(_exponent_session("", f"x^{MAX_EXPONENT}")))
+    assert status == 0 and report["results"][0]["result"]["pdim"] == 1
+    report, status = execute(parse_session(_exponent_session(f"y ^ {MAX_EXPONENT}", "x")))
+    assert status == 0 and "error" not in report["results"][0]
+
+
+@pytest.mark.parametrize("ideal, column, line, exponent", [
+    ("", f"x^{MAX_EXPONENT + 1}", 5, str(MAX_EXPONENT + 1)),
+    (f"x*y^{MAX_EXPONENT + 1}", "x", 3, str(MAX_EXPONENT + 1)),
+    ("y ^ 00010001", "x", 3, "10001"),
+    ("", "x^99999999999999999999", 5, "99999999999999999999"),
+    ("", "x^" + "9" * 5000, 5, "9" * 20 + "..."),
+])
+def test_an_exponent_above_the_bound_is_rejected_at_its_line(ideal, column, line, exponent):
+    with pytest.raises(SessionError) as err:
+        parse_session(_exponent_session(ideal, column))
+    assert str(err.value) == (f"line {line}: exponent {exponent} is too large: "
+                              f"exponents are at most {MAX_EXPONENT}")
 
 
 @pytest.mark.parametrize("line", ["option max_homdeg -1", "option truncation 0"])
