@@ -25,7 +25,7 @@ The normal-form contract: a stored column is in normal form.  A column is
 reduced as a whole modulo I*F by its ring's ``nf_vector`` (under Mora up to
 one unit for the column, so the module is the given one) once, where it is
 made -- the one module constructor of both flavors, ``modules._Presentation``,
-each syzygy column (``_syzygy_columns``) and each stripped column that
+each syzygy column (``syzygy_columns``) and each stripped column that
 ``min_gens_with_syz`` creates -- and never again, so ``resolve_bounded``
 reduces none of its columns (the local certificate normal-forms initial
 forms over G(R), which are not stored).  Both
@@ -41,7 +41,7 @@ serves every cutoff up to its own, and a deeper cutoff resumes it:
 ``resolve_bounded`` runs on the stripped syzygy columns of its last level
 (``ResolutionResult.rest``) for the missing levels only.  A certified last
 level keeps its columns there with their syzygies pending; the resume first
-computes them (``_syzygy_columns``), which is what ``min_gens_with_syz``
+computes them (``syzygy_columns``), which is what ``min_gens_with_syz``
 returns for a level that strips nothing.  A level gets the same inputs
 either way, so the record served at any cutoff is term for term what
 ``resolve_bounded`` returns there.
@@ -158,7 +158,7 @@ def minimalize(cx: FreeComplex, ctx) -> FreeComplex:
         mats[i] = _cancel_unit(mats[i], k, j, ctx)
         for n, w in enumerate(mats[i + 1] if i + 1 < len(mats) else ()):
             rows = Vector(w.ring, w.rank, {t: a for t, a in w.terms.items() if t[0] in unscaled})
-            mats[i + 1][n] = _drop(ctx.nf_vector(w + (u - 1) * rows), k)
+            mats[i + 1][n] = _drop(ctx.nf_vector(w - rows + u * rows), k)
         if i > 0:
             del mats[i - 1][j]
         del twists[i][j], twists[i + 1][k]
@@ -212,9 +212,10 @@ class ResolutionResult:
         return list(accumulate(self.s, initial=0))
 
 
-def _syzygy_columns(cand, layout, ctx):
+def syzygy_columns(cand, layout, ctx):
     """The nonzero normal forms of the syzygy generators of ``cand`` in
-    ``layout``, the next level's candidates of a minimal level."""
+    ``layout`` over ``ctx``: the next level's candidates of a minimal level,
+    and route B's kernel generators of a differential."""
     syz = syzygies(cand, ctx.order, layout, modulus=ctx.ideal_sb)
     return [w for w in (ctx.nf_vector(v) for v in syz.columns) if w]
 
@@ -232,7 +233,7 @@ def min_gens_with_syz(cand, layout, ctx):
     cand = list(cand)
     if not cand:
         return [], []
-    cols = _syzygy_columns(cand, layout, ctx)
+    cols = syzygy_columns(cand, layout, ctx)
     while True:
         spot = next(((k, j) for k, v in enumerate(cols)
                      if (j := ctx.unit_component(v)) is not None), None)
@@ -352,7 +353,7 @@ def resolve_cached(mod, cutoff) -> ResolutionResult:
     elif not kept.finite and cutoff > kept.cutoff:
         cand, layout, pending = kept.rest
         if pending:
-            cand, layout = _syzygy_columns(cand, layout, mod.ring), kept.mats[-1].source
+            cand, layout = syzygy_columns(cand, layout, mod.ring), kept.mats[-1].source
         more = resolve_bounded(cand, layout, mod.ring, cutoff - kept.cutoff)
         pdim = kept.cutoff + more.pdim if more.finite else None
         cache[resolve_cached] = kept = ResolutionResult(mod.layout, kept.mats + more.mats, cutoff,

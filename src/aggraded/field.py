@@ -1,9 +1,11 @@
-"""Prime-field scalar arithmetic.
+"""The prime field of coefficients: its characteristic and the checks on it.
 
 Coefficients everywhere in the package are plain python ints kept reduced
-into ``[0, p)``; a :class:`PrimeField` instance carries the modulus and the
-few operations that need it.  Keeping elements unboxed is what makes the
-standard-basis engine usable in pure python.
+into ``[0, p)``; a :class:`PrimeField` instance carries the modulus, which
+it accepts only when prime and below ``MAX_CHARACTERISTIC``.  The arithmetic
+is done inline where it is needed (inverses as ``pow(a, -1, p)``).  Keeping
+elements unboxed is what makes the standard-basis engine usable in pure
+python.
 """
 
 from __future__ import annotations
@@ -64,9 +66,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return pow(a, -1, self.p)

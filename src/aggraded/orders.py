@@ -1,7 +1,9 @@
-"""Monomial and module-monomial orders.
+"""The flavors of the monomial and module-monomial orders.
 
-Two flavors are supported, both with the reverse-lexicographic tie-break on
-exponent vectors (variables in declaration order):
+An ``OrderSpec`` names a flavor; the order itself, as sort keys on module
+terms, is ``engine._make_keys``.  Two flavors are supported, both with the
+reverse-lexicographic tie-break on exponent vectors (variables in
+declaration order):
 
 * ``global``: degree-compatible (graded reverse lex); a well-order, the
   leading term of a polynomial has maximal total degree.
@@ -9,13 +11,11 @@ exponent vectors (variables in declaration order):
   strictly larger in the order, so the leading term has *minimal* total
   degree and picks out the initial form.
 
-Module monomials ``(component, exponents)`` are compared term-over-position
-by the one module order, ``engine._make_keys``: first by shifted degree
-``deg + shift[component]``, then by the same reverse-lex tie-break, with
-ascending component index as the final tie-break.
-
-Monomial orders are exposed as sort *keys* (larger key = larger monomial) so
-that python's tuple comparison does the work in C.
+Module monomials ``(component, exponents)`` are compared term-over-position:
+first by shifted degree ``deg + shift[component]``, then by the same
+reverse-lex tie-break, with ascending component index as the final
+tie-break.  The keys are tuples, so python's tuple comparison does the work
+in C.
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ GLOBAL = "global"
 LOCAL = "local"
 
 
-def _negrev(exps):
-    return tuple(-e for e in reversed(exps))
-
-
 @dataclass(frozen=True)
 class OrderSpec:
-    """A total, multiplicative (module-)monomial order."""
+    """The flavor of a total, multiplicative (module-)monomial order, whose
+    sort keys are ``engine._make_keys``."""
 
     flavor: str = GLOBAL
 
@@ -43,10 +40,6 @@ class OrderSpec:
     @property
     def is_local(self) -> bool:
         return self.flavor == LOCAL
-
-    def mon_key(self, exps):
-        d = sum(exps)
-        return (-d if self.is_local else d, _negrev(exps))
 
 
 GREVLEX = OrderSpec(GLOBAL)

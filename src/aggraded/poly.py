@@ -1,9 +1,14 @@
 """Sparse polynomials and free-module elements over a prime field.
 
-Terms are stored as dicts keyed by exponent tuples (polynomials) or by
-``(component, exponent-tuple)`` pairs (vectors), with int coefficients in
-``[0, p)``.  Values are immutable by convention: every operation builds a
-fresh dict.  Orders are supplied per call; a value is not bound to one.
+Values are term containers: dicts keyed by exponent tuples (polynomials) or
+by ``(component, exponent-tuple)`` pairs (vectors), with int coefficients in
+``[0, p)``, built by the parser, ``PolyRing.poly`` and ``Vector.from_polys``
+and compared by value.  The engine and every computation work on the term
+dicts directly.  The only arithmetic left is column ``+``, column ``-`` and
+polynomial x column (``Vector.__rmul__``), which the Nakayama step
+``complexes._cancel_unit``, ``complexes.minimalize`` and ``Matrix.compose``
+use.  Values are immutable by convention: every operation builds a fresh
+dict.  No value is bound to a monomial order.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from operator import add, le, sub
 
 from .field import PrimeField
-from .orders import OrderSpec
 
 # ---------------------------------------------------------------- monomials
 
@@ -89,21 +93,6 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing({','.join(self.names)}; p={self.p})"
 
-    def zero(self):
-        return Polynomial(self, {})
-
-    def one(self):
-        return Polynomial(self, {self._zero_mon: 1})
-
-    def const(self, c):
-        c %= self.p
-        return Polynomial(self, {self._zero_mon: c} if c else {})
-
-    def gen(self, i):
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, {tuple(e): 1})
-
     def poly(self, terms):
         """Build a polynomial from an {exps: coeff} mapping, reducing mod p."""
         out = {}
@@ -120,6 +109,19 @@ class PolyRing:
 # a variable name: one identifier token of the polynomial parser
 NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9']*")
 _TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|(\^|\*|\+|-))")
+# digits per int() call when a coefficient is read modulo p, below the
+# interpreter's limit on converting long decimal strings
+_DIGIT_CHUNK = 1000
+
+
+def _residue(digits, p):
+    """The decimal numeral ``digits`` modulo p, read chunk by chunk, so a
+    coefficient of any length is reduced without converting it whole."""
+    r = 0
+    for i in range(0, len(digits), _DIGIT_CHUNK):
+        chunk = digits[i:i + _DIGIT_CHUNK]
+        r = (r * pow(10, len(chunk), p) + int(chunk)) % p
+    return r
 
 
 def _parse_poly(ring, text):
@@ -159,7 +161,7 @@ def _parse_poly(ring, text):
             num, name, op = tokens[i]
             if expect_factor:
                 if num is not None:
-                    coeff *= int(num)
+                    coeff *= _residue(num, ring.p)
                     i += 1
                 elif name is not None:
                     if name not in var_index:
@@ -214,70 +216,8 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
-        p = self.ring.p
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = (out.get(e, 0) + c) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, {e: p - c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
-        return self.__add__(other.__neg__())
-
-    def __rsub__(self, other):
-        return self.__neg__().__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            c = other % self.ring.p
-            if not c:
-                return self.ring.zero()
-            p = self.ring.p
-            return Polynomial(self.ring, {e: a * c % p for e, a in self.terms.items()})
-        if isinstance(other, Vector):
-            return other.__rmul__(self)
-        p = self.ring.p
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mon_mul(e1, e2)
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, k):
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def constant_term(self):
         return self.terms.get(self.ring._zero_mon, 0)
-
-    def degree(self):
-        """Maximal total degree of the support; -1 for zero."""
-        return max((mon_deg(e) for e in self.terms), default=-1)
 
     def order(self):
         """Minimal total degree of the support (the m-adic order in k[x])."""
@@ -294,12 +234,6 @@ class Polynomial:
     def is_homogeneous(self):
         degs = {mon_deg(e) for e in self.terms}
         return len(degs) <= 1
-
-    def leading_term(self, order: OrderSpec):
-        if not self.terms:
-            raise ValueError("leading term of zero")
-        e = max(self.terms, key=order.mon_key)
-        return e, self.terms[e]
 
     def __str__(self):
         if not self.terms:
@@ -411,13 +345,7 @@ class Vector:
         return self.__add__(other.__neg__())
 
     def __rmul__(self, other):
-        """Scalar or polynomial times vector."""
-        if isinstance(other, int):
-            c = other % self.ring.p
-            p = self.ring.p
-            if not c:
-                return Vector(self.ring, self.rank, {})
-            return Vector(self.ring, self.rank, {t: a * c % p for t, a in self.terms.items()})
+        """Polynomial times vector."""
         p = self.ring.p
         out = {}
         for e1, c1 in other.terms.items():
@@ -429,8 +357,6 @@ class Vector:
                 else:
                     out.pop(t, None)
         return Vector(self.ring, self.rank, out)
-
-    __mul__ = __rmul__
 
     def order(self):
         """Minimal total degree over the support (zero twists)."""

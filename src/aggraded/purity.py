@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import oracle
-from .complexes import FreeComplex, Matrix, ResolutionResult
-from .engine import standard_basis, syzygies
+from .complexes import FreeComplex, Matrix, ResolutionResult, syzygy_columns
+from .engine import standard_basis
 from .graded import PurityReport, betti_analysis, minimal_graded_resolution
 from .modules import (BridgeError, LocalModule, assoc_graded_module, initial_matrix,
                       local_minimal_resolution, submodule_initial)
@@ -97,9 +97,7 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
     witness = None
     acyclic_up_to = 0
     for i in range(1, maxpos + 1):
-        cols_i = mats[i - 1].columns
-        syz = syzygies(cols_i, GREVLEX, mats[i - 1].target, modulus=A.ideal_sb)
-        kernel_gens = [v for v in (A.nf_vector(w) for w in syz.columns) if v]
+        kernel_gens = syzygy_columns(mats[i - 1].columns, mats[i - 1].target, A)
         next_cols = [v for v in mats[i].columns if v] if i < n else []
         if next_cols:
             basis = standard_basis(next_cols, GREVLEX, mats[i].target, modulus=A.ideal_sb)
@@ -277,7 +275,7 @@ def fiber_product(r1: LocalRing, r2: LocalRing) -> LocalRing:
             e[a] = 1
             e[n1 + b] = 1
             mixed.append(Polynomial(cover, {tuple(e): 1}))
-    ring = LocalRing(cover, ideal + mixed, fibre_factors=(r1, r2))
+    ring = LocalRing(cover, ideal + mixed)
     expected = (
         [embed(g, 0, n1) for g in r1.tangent_cone()]
         + [embed(g, n1, n2) for g in r2.tangent_cone()]
@@ -298,13 +296,15 @@ class KoszulFibreReport:
     cutoff: int
 
 
-def koszul_fibre_check(mpres: LocalModule, cutoff: int, force: bool = False) -> KoszulFibreReport:
+def koszul_fibre_check(mpres: LocalModule, cutoff: int) -> KoszulFibreReport:
     """Necessary conditions for purity over a fibre product of Koszul rings:
     the second graded syzygy must have a linear resolution, and every column
     of phi_j must have order 1 for j > 2.  Either failing certifies
-    non-purity without the full pipeline."""
-    if mpres.ring.fibre_factors is None and not force:
-        raise ValueError("ring was not constructed as a fibre product (pass force=True to override)")
+    non-purity without the full pipeline.
+
+    The ring is not checked: the report is computed over any local ring, and
+    its certificate means non-purity only over such a fibre product, which
+    the caller vouches for, as a session's ``koszulfp`` line does."""
     gm = assoc_graded_module(mpres)
     table = minimal_graded_resolution(gm, max(cutoff, 3))
     degs2 = tuple(table.degrees(2))

@@ -122,24 +122,22 @@ class _QuotientOps:
 class LocalRing(_QuotientOps):
     """Localization of a polynomial ring at the origin modulo a proper ideal."""
 
-    def __init__(self, cover: PolyRing, ideal=(), fibre_factors=None):
+    def __init__(self, cover: PolyRing, ideal=()):
         super().__init__(cover, ideal, DS)
-        self.fibre_factors = fibre_factors
 
     @cached
     def tangent_cone(self):
         """Generators of in(I), the defining ideal of the associated graded ring.
 
         Initial forms of the certified local basis; returned inter-reduced as
-        a Groebner basis under the global order.
+        a Groebner basis under the global order, GREVLEX leads ascending, the
+        order in which ``standard_basis`` emits them.
         """
         sb = self.ideal_sb
         if sb is None:
             return []
         forms = [g.component(0).initial_form() for g in sb.gens]
-        gb = standard_basis(forms, GREVLEX)
-        return sorted((g.component(0) for g in gb.gens),
-                      key=lambda f: GREVLEX.mon_key(f.leading_term(GREVLEX)[0]))
+        return [g.component(0) for g in standard_basis(forms, GREVLEX).gens]
 
     @property
     @cached
@@ -164,16 +162,6 @@ class GradedRing(_QuotientOps):
     def polynomial_cover(self) -> "GradedRing":
         """The ambient polynomial ring as a graded ring (J = 0)."""
         return self if not self.ideal else GradedRing(self.cover, ())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedRing)
-            and other.cover == self.cover
-            and other.ideal == self.ideal
-        )
-
-    def __hash__(self):
-        return hash((self.cover, tuple(frozenset(g.terms.items()) for g in self.ideal)))
 
 
 def ideals_equal(gens_a, gens_b, order: OrderSpec = GREVLEX):

@@ -442,7 +442,7 @@ def _equigen(ws, target):
 
 
 def _koszulfp(ws, target):
-    rep = koszul_fibre_check(ws.modules[target], ws.cutoff, force=True)
+    rep = koszul_fibre_check(ws.modules[target], ws.cutoff)
     return {
         "omega2_equigenerated": rep.omega2_equigenerated,
         "omega2_degrees": list(rep.omega2_degrees),

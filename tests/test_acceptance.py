@@ -140,7 +140,7 @@ def test_criterion_09_composition_invariant(semigroup_module, squares_module, fi
         semigroup_module,
         squares_module,
         fibre_module,
-        LocalModule(plane, FreeLayout(1), [plane.cover.gen(0), plane.cover.gen(1)]),
+        LocalModule(plane, FreeLayout(1), [plane.cover.from_string("x"), plane.cover.from_string("y")]),
     ]
     checked = 0
     for mod in mods:
@@ -159,9 +159,9 @@ def test_criterion_10_route_agreement(semigroup_module, squares_module, fibre_mo
         semigroup_module,
         squares_module,
         fibre_module,
-        LocalModule(plane, FreeLayout(1), [cover.gen(0), cover.gen(1)]),
+        LocalModule(plane, FreeLayout(1), [cover.from_string("x"), cover.from_string("y")]),
         LocalModule(plane, FreeLayout(1), [cover.from_string("x^2"), cover.from_string("x*y")]),
-        LocalModule(plane, FreeLayout(2), [Vector.from_polys([cover.gen(0), cover.gen(1)])]),
+        LocalModule(plane, FreeLayout(2), [Vector.from_polys([cover.from_string("x"), cover.from_string("y")])]),
     ]
     agreements = 0
     for mod in mods:

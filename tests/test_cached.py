@@ -37,7 +37,7 @@ WORK = ("standard_basis", "syzygies", "resolve_bounded")
 def _fresh(semigroup_ring):
     """The semigroup ring and R/<X> again, with nothing cached."""
     ring = LocalRing(semigroup_ring.cover, semigroup_ring.ideal)
-    return ring, LocalModule(ring, FreeLayout(1), [ring.cover.gen(0)])
+    return ring, LocalModule(ring, FreeLayout(1), [ring.cover.from_string("X")])
 
 
 def _count_work(monkeypatch):
@@ -73,7 +73,7 @@ def test_a_second_call_returns_the_kept_object_and_does_no_work(name, semigroup_
 
 def test_two_modules_over_one_ring_do_not_share_entries(semigroup_ring, monkeypatch):
     ring, mod = _fresh(semigroup_ring)
-    twin = LocalModule(ring, FreeLayout(1), [ring.cover.gen(0)])
+    twin = LocalModule(ring, FreeLayout(1), [ring.cover.from_string("X")])
     assert mod.cache is not twin.cache
     data = submodule_initial(mod)
     calls = _count_work(monkeypatch)

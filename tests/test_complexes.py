@@ -24,12 +24,11 @@ def test_minimalize_mixed_diagonal():
     mat = Matrix(FreeLayout(2), FreeLayout(2), [col("1", "0"), col("0", "x")])
     out = minimalize(FreeComplex([FreeLayout(2), FreeLayout(2)], [mat]), S_LOC)
     assert [l.rank for l in out.layouts] == [1, 1]
-    assert out.mats[0].columns[0].component(0) == P.gen(0)
+    assert out.mats[0].columns[0].component(0) == P.from_string("x")
 
 
 def test_minimalize_keeps_koszul():
-    sq = [P.gen(i) ** 2 for i in range(3)]
-    res = resolve_bounded([Vector.from_polys([f]) for f in sq], FreeLayout(1), S_LOC, 5)
+    res = resolve_bounded([col("x^2"), col("y^2"), col("z^2")], FreeLayout(1), S_LOC, 5)
     cx = FreeComplex([FreeLayout(1)] + [m.source for m in res.mats], res.mats)
     out = minimalize(cx, S_LOC)
     assert [l.rank for l in out.layouts] == [l.rank for l in cx.layouts]
@@ -50,15 +49,14 @@ def test_minimalize_cancels_across_adjacent_differentials():
     # the Koszul resolution of (x^2, y^2, z^2) plus a trivial summand R -1-> R
     # in positions 1-2, mixed in by e_3 -> e_3 + c*e_0 on F_1: d_1 gains the
     # column c*x^2 and d_2's unit column becomes (-c, 0, 0, 1)
-    sq = [P.gen(i) ** 2 for i in range(3)]
-    res = resolve_bounded([Vector.from_polys([f]) for f in sq], FreeLayout(1), S_LOC, 5)
+    res = resolve_bounded([col("x^2"), col("y^2"), col("z^2")], FreeLayout(1), S_LOC, 5)
     d1, d2, d3 = res.mats
     c = P.from_string("1 + x")
     wide = [Vector(v.ring, 4, v.terms) for v in d2.columns]
     layouts = [FreeLayout(1), FreeLayout(4), FreeLayout(4), FreeLayout(1)]
     mats = [
         Matrix(layouts[0], layouts[1], d1.columns + [c * d1.columns[0]]),
-        Matrix(layouts[1], layouts[2], wide + [col(-c, "0", "0", "1")]),
+        Matrix(layouts[1], layouts[2], wide + [col("-1 - x", "0", "0", "1")]),
         Matrix(layouts[2], layouts[3], [Vector(v.ring, 4, v.terms) for v in d3.columns]),
     ]
     cx = FreeComplex(layouts, mats)
@@ -80,7 +78,7 @@ def test_minimalize_requires_complex():
 def test_min_gens_strips_redundant_generator():
     gens = [col("x"), col("x*y")]
     cols, syz = min_gens_with_syz(gens, FreeLayout(1), S_LOC)
-    assert len(cols) == 1 and cols[0].component(0) == P.gen(0)
+    assert len(cols) == 1 and cols[0].component(0) == P.from_string("x")
     assert all(S_LOC.unit_component(v) is None for v in syz)
 
 
@@ -100,7 +98,7 @@ def test_resolution_betti_match_nakayama_counts(squares_module):
 def test_graded_resolution_of_residue_field_one_var():
     P1 = PolyRing(["x"], 32003)
     S1 = GradedRing(P1, [])
-    res = resolve_bounded([Vector.from_polys([P1.gen(0)])], FreeLayout(1), S1, 4)
+    res = resolve_bounded([Vector.from_polys([P1.from_string("x")])], FreeLayout(1), S1, 4)
     assert res.finite and res.pdim == 1
     assert res.mats[0].source.twists == (1,)
 
@@ -285,8 +283,8 @@ def test_certificate_falls_back_on_a_redundant_candidate(plane):
     from aggraded.modules import LocalModule
 
     for make, ring in ((LocalModule, plane), (GradedModule, GradedRing(plane.cover, []))):
-        x, y = ring.cover.gen(0), ring.cover.gen(1)
-        res = _certificate_falls_back(make(ring, FreeLayout(1), [x, y, x + y]), 1)
+        gens = [ring.cover.from_string(f) for f in ("x", "y", "x + y")]
+        res = _certificate_falls_back(make(ring, FreeLayout(1), gens), 1)
         assert res.ranks == [1, 2] and res.pdim is None
 
 
@@ -306,8 +304,7 @@ def test_certificate_falls_back_on_dependent_initial_forms(plane):
     both, as the reference does, and the Koszul complex follows."""
     from aggraded.modules import LocalModule
 
-    x, y = plane.cover.gen(0), plane.cover.gen(1)
-    mod = LocalModule(plane, FreeLayout(1), [x + y * y, x])
+    mod = LocalModule(plane, FreeLayout(1), [plane.cover.from_string(f) for f in ("x + y^2", "x")])
     assert _certificate_falls_back(mod, 1).ranks == [1, 2]
     assert _certificate_falls_back(mod, 2).ranks == [1, 2, 1]
     assert resolve_bounded(mod.gens, mod.layout, mod.ring, 2).pdim == 2
@@ -316,7 +313,8 @@ def test_certificate_falls_back_on_dependent_initial_forms(plane):
 def _redundant(mod, gens):
     """``gens`` followed by combinations of them, in normal form: a
     generating set whose syzygies have several unit entries to strip."""
-    ring, x = mod.ring, mod.ring.cover.gen(0)
+    ring = mod.ring
+    x = ring.cover.from_string(ring.cover.names[0])
     extra = [gens[0] + gens[-1], x * gens[0], gens[0] + x * gens[-1], gens[-1] + x * gens[0]]
     return gens + [v for v in map(ring.nf_vector, extra)
                    if v and (ring.order.is_local or v.is_homogeneous(mod.layout))]

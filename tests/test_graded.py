@@ -170,9 +170,10 @@ def test_poincare_requires_linear():
 
 def test_additivity_consequence():
     # 0 -> K -> C -> Q -> 0 with dim C = dim Q and e(C) = e(Q) forces dim K < dim C
-    C = GradedModule(S2, FreeLayout(2), [Vector.from_polys([P2.gen(0), P2.zero()])])
+    x = P2.from_string("x")
+    C = GradedModule(S2, FreeLayout(2), [Vector.from_polys([x, P2.poly({})])])
     Q = GradedModule(S2, FreeLayout(1), [])
-    K = GradedModule(S2, FreeLayout(1), [P2.gen(0)])
+    K = GradedModule(S2, FreeLayout(1), [x])
     hc, hq, hk = hilbert_series(C), hilbert_series(Q), hilbert_series(K)
     assert hc.dim == hq.dim and hc.multiplicity == hq.multiplicity
     assert hk.dim < hc.dim

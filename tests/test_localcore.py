@@ -1,15 +1,21 @@
+import pathlib
+
 import pytest
 
 from aggraded import oracle
 from aggraded.complexes import min_gens_with_syz
+from aggraded.engine import _make_keys
 from aggraded.graded import hilbert_series
 from aggraded.modules import (LocalModule, SubmoduleNotInMaximalIdeal,
                               assoc_graded_module, equigenerated_check,
                               initial_matrix, local_minimal_resolution,
                               submodule_initial)
+from aggraded.orders import GREVLEX
 from aggraded.poly import FreeLayout, PolyRing, Vector
+from aggraded.randomized import ring_pool
 from aggraded.rings import (LocalRing, UnitIdealError, ZeroInQuotientError,
                             ideals_equal)
+from aggraded.session import _Workspace, parse_session
 
 P = 32003
 
@@ -23,7 +29,32 @@ def test_tangent_cone_examples(semigroup_ring):
     P2 = PolyRing(["x", "y"], P)
     assert ideals_equal(LocalRing(P2, [P2.from_string("x^2 - y^3")]).tangent_cone(),
                         [P2.from_string("x^2")])
-    assert ideals_equal(LocalRing(P2, [P2.from_string("x - y^2")]).tangent_cone(), [P2.gen(0)])
+    assert ideals_equal(LocalRing(P2, [P2.from_string("x - y^2")]).tangent_cone(),
+                        [P2.from_string("x")])
+
+
+def _local_rings():
+    """(name, ring) of each bundled local session and of ``randomized.ring_pool``."""
+    sessions = pathlib.Path(__file__).resolve().parent.parent / "sessions"
+    for path in sorted(sessions.glob("*.session")):
+        ring = _Workspace(parse_session(path.read_text())).ring
+        if isinstance(ring, LocalRing):
+            yield path.stem, ring
+    for k, (ring, _) in enumerate(ring_pool()):
+        yield f"ring_pool[{k}]", ring
+
+
+def test_tangent_cone_generators_come_with_their_grevlex_leads_ascending():
+    # the engine's key: a larger monomial has a smaller key
+    key, _ = _make_keys(GREVLEX, (0,))
+    sizes = {}
+    for name, ring in _local_rings():
+        cone = ring.tangent_cone()
+        keys = [min(key((0, e)) for e in g.terms) for g in cone]
+        assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys), name
+        sizes[name] = len(cone)
+    assert sizes == {"fibre": 9, "semigroup": 4, "squares": 0, "ring_pool[0]": 0,
+                     "ring_pool[1]": 1, "ring_pool[2]": 1, "ring_pool[3]": 0, "ring_pool[4]": 4}
 
 
 def test_tangent_cone_rejects_units():
@@ -178,7 +209,7 @@ def test_initial_matrix_examples(semigroup_ring, plane, squares_module):
     )
     s2, cols2 = initial_matrix(m2, plane)
     assert s2 == 1
-    assert cols2[0].component(0) == pc.gen(0) and cols2[0].component(1) == pc.gen(1)
+    assert cols2[0] == Vector.from_polys([pc.from_string("x"), pc.from_string("y")])
     assert cols2[1].is_zero()
 
     res = local_minimal_resolution(squares_module, 8)

@@ -194,7 +194,7 @@ def test_filtration_intersection_examples(semigroup_ring):
     # N = mF: intersection with m^2 F is m^2 F layerwise
     plane = LocalRing(PolyRing(["x", "y"], P), [])
     fm2 = FreeModel(plane, 1, 8)
-    mf = [Vector.from_polys([plane.cover.gen(0)]), Vector.from_polys([plane.cover.gen(1)])]
+    mf = [Vector.from_polys([plane.cover.from_string(v)]) for v in ("x", "y")]
     units = np.eye(fm2.n, dtype=np.int64)[np.array(fm2.coord_degs) >= 2]
     assert filtration_intersection(fm2, mf, 2) == rref_dense(units, P)[0]
 

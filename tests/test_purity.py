@@ -25,7 +25,7 @@ def test_build_semigroup_case(semigroup_module):
     res = local_minimal_resolution(semigroup_module, 6)
     fs = initial_complex(semigroup_module, res)
     assert fs.delta == (0, 1)
-    assert fs.complex.mats[0].columns[0].component(0) == semigroup_module.ring.cover.gen(0)
+    assert fs.complex.mats[0].columns[0].component(0) == semigroup_module.ring.cover.from_string("X")
     assert fs.complex.layouts[1].twists == (1,)
 
 
@@ -169,7 +169,7 @@ def test_fiber_product_3_plus_3(regular3):
     r = fiber_product(regular3, r2)
     assert len(r.cover.names) == 6
     assert len(r.ideal) == 9
-    assert all(g.is_homogeneous() and g.degree() == 2 for g in r.ideal)
+    assert all(g.is_homogeneous() and g.order() == 2 for g in r.ideal)
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +193,7 @@ def test_koszul_fp_agrees_with_purity(fibre_module):
 
 def test_koszul_fp_positive_residue_field():
     cover = PolyRing(["x", "y"], P)
-    ring = LocalRing(cover, [cover.from_string("x*y")], fibre_factors=("x", "y"))
+    ring = LocalRing(cover, [cover.from_string("x*y")])
     k = _mod(ring, "x", "y")
     rep = koszul_fibre_check(k, 4)
     assert rep.omega2_equigenerated and rep.omega2_linear_within_cutoff
@@ -207,11 +207,6 @@ def test_koszul_fp_free_module(regular3):
     free = LocalModule(ring, FreeLayout(1), [])
     rep = koszul_fibre_check(free, 3)
     assert rep.omega2_linear_within_cutoff and not rep.not_pure_certificate
-
-
-def test_koszul_fp_requires_fibre_flag(plane):
-    with pytest.raises(ValueError):
-        koszul_fibre_check(_mod(plane, "x"), 3)
 
 
 def test_fiber_product_of_quotients():

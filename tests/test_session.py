@@ -433,6 +433,21 @@ def test_an_exponent_above_the_bound_is_rejected_at_its_line(ideal, column, line
                               f"exponents are at most {MAX_EXPONENT}")
 
 
+@pytest.mark.parametrize("digits", ["7" * 4000, "7" * 5000, "32003" + "0" * 4996])
+def test_a_long_coefficient_is_read_modulo_p(digits):
+    # longer than the interpreter converts to an int at once; the last one is
+    # a multiple of p, so its column is zero and M is free
+    residue = 0
+    for d in digits:
+        residue = (residue * 10 + int(d)) % 32003
+    runs = [execute(parse_session(_exponent_session("x*y", f"{c}*x")))
+            for c in (digits, residue)]
+    (long, status), (reduced, reduced_status) = runs
+    assert status == reduced_status and status in (0, 2)
+    assert long["results"] == reduced["results"] and summarize(long) == summarize(reduced)
+    assert long["results"][0]["result"]["pdim"] == (0 if residue == 0 else None)
+
+
 @pytest.mark.parametrize("line", ["option max_homdeg -1", "option truncation 0"])
 def test_out_of_range_cutoff_rejected_at_parse(line):
     with pytest.raises(SessionError, match="line 2: option .* must be at least"):
