@@ -15,7 +15,7 @@ from .field import PrimeField, DEFAULT_CHARACTERISTIC
 from .orders import OrderSpec, GLOBAL, LOCAL, GREVLEX, DS
 from .poly import FreeLayout, PolyRing, Polynomial, Vector
 from .engine import StandardBasis, SyzygyMatrix, normal_form, standard_basis, syzygies
-from .complexes import FreeComplex, Matrix, ResolutionResult, minimalize, resolve_bounded
+from .complexes import Matrix, ResolutionResult, check_complex, minimalize, resolve_bounded
 from .rings import GradedRing, LocalRing, ideals_equal
 from .modules import (BridgeError, EquigenReport, InitialData, LocalModule,
                       assoc_graded_module, equigenerated_check, initial_matrix,
@@ -23,9 +23,8 @@ from .modules import (BridgeError, EquigenReport, InitialData, LocalModule,
 from .graded import (BettiTable, GradedModule, HilbertSeries, NumericInvariants,
                      PurityReport, betti_analysis, hilbert_series,
                      minimal_graded_resolution, numeric_invariants, ring_as_module)
-from .purity import (InitialComplex, InitialComplexVerdict, KoszulFibreReport,
-                     PurityVerdict, fiber_product, initial_complex,
-                     initial_complex_verdict, koszul_fibre_check, purity_verdict,
+from .purity import (InitialComplexVerdict, KoszulFibreReport, PurityVerdict,
+                     fiber_product, initial_complex, koszul_fibre_check, purity_verdict,
                      syzygy_filtration_check, verify_initial_complex,
                      PURE, NOT_PURE, INCONCLUSIVE)
 from .herzog_kuhl import (CMPurityReport, FinitePdimReport, HKCoefficients,

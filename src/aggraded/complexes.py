@@ -1,8 +1,8 @@
 """Free complexes, minimalization and bounded minimal resolutions.
 
-A complex is a chain ``F_0 <- F_1 <- ... <- F_n`` of free layouts with
-differential matrices.  Nakayama's condition decides minimality: a
-differential is minimal when no entry is a unit, and ``ctx`` (a ring
+A complex ``F_0 <- F_1 <- ... <- F_n`` is its list of differentials, each a
+``Matrix`` that carries its target and source.  Nakayama's condition decides
+minimality: a differential is minimal when no entry is a unit, and ``ctx`` (a ring
 presentation) supplies ``unit_component``, the one test for a unit entry in
 a column.  One step cancels a unit entry, ``_cancel_unit``: over a local ring
 a polynomial unit u has no polynomial inverse, so the step is
@@ -89,23 +89,14 @@ class Matrix:
         return f"Matrix({self.target.rank}x{self.source.rank})"
 
 
-@dataclass
-class FreeComplex:
-    """layouts[0..n]; mats[i] maps layouts[i+1] -> layouts[i]."""
-
-    layouts: list
-    mats: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.mats) != len(self.layouts) - 1:
-            raise ValueError("need one differential per adjacent layout pair")
-
-    def check_complex(self, nf_vector):
-        """Exact consecutive-composition-zero check; raises if violated."""
-        for i in range(len(self.mats) - 1):
-            if not self.mats[i].compose(self.mats[i + 1]).is_zero_mod(nf_vector):
-                raise NotAComplexError(f"composition at position {i + 1} is nonzero")
-        return True
+def check_complex(mats, nf_vector):
+    """Raise unless ``mats`` is a complex: each differential's source is the
+    next one's target, and each composition is zero modulo ``nf_vector``."""
+    for i, (d, e) in enumerate(zip(mats, mats[1:]), start=1):
+        if d.source != e.target:
+            raise NotAComplexError(f"differentials {i} and {i + 1} do not meet at F_{i}")
+        if not d.compose(e).is_zero_mod(nf_vector):
+            raise NotAComplexError(f"composition at position {i} is nonzero")
 
 
 # ------------------------------------------------------------ minimalize
@@ -134,37 +125,36 @@ def _cancel_unit(cols, k, j, ctx):
     return out
 
 
-def minimalize(cx: FreeComplex, ctx) -> FreeComplex:
+def minimalize(mats, ctx):
     """Homotopy-equivalent complex with no unit entries in any differential.
 
     ``ctx`` provides nf_vector and unit_component for the ambient (quotient)
-    ring.  Input must be a complex; ranks drop by one per cancellation.  A
+    ring.  ``mats`` must be a complex; ranks drop by one per cancellation.  A
     unit u in component j of column k of d_i is cancelled by
     ``_cancel_unit``, which drops component k of d_{i+1} and column j of
     d_{i-1}.  The columns of d_i that it leaves unscaled have their
     components in d_{i+1} multiplied by u, so every composition stays zero:
     the result is the exact elimination with d_{i+1} rescaled by u.
     """
-    mats = [list(m.columns) for m in cx.mats]
-    twists = [list(layout.twists) for layout in cx.layouts]
+    cols = [list(m.columns) for m in mats]
+    twists = [list(m.target.twists) for m in mats[:1]] + [list(m.source.twists) for m in mats]
     while True:
-        spot = next(((i, k, j) for i, cols in enumerate(mats) for k, v in enumerate(cols)
+        spot = next(((i, k, j) for i, c in enumerate(cols) for k, v in enumerate(c)
                      if (j := ctx.unit_component(v)) is not None), None)
         if spot is None:
             break
         i, k, j = spot
-        u = mats[i][k].component(j)
-        unscaled = {c for c, v in enumerate(mats[i]) if not v.component(j)}
-        mats[i] = _cancel_unit(mats[i], k, j, ctx)
-        for n, w in enumerate(mats[i + 1] if i + 1 < len(mats) else ()):
+        u = cols[i][k].component(j)
+        unscaled = {c for c, v in enumerate(cols[i]) if not v.component(j)}
+        cols[i] = _cancel_unit(cols[i], k, j, ctx)
+        for n, w in enumerate(cols[i + 1] if i + 1 < len(cols) else ()):
             rows = Vector(w.ring, w.rank, {t: a for t, a in w.terms.items() if t[0] in unscaled})
-            mats[i + 1][n] = _drop(ctx.nf_vector(w - rows + u * rows), k)
+            cols[i + 1][n] = _drop(ctx.nf_vector(w - rows + u * rows), k)
         if i > 0:
-            del mats[i - 1][j]
+            del cols[i - 1][j]
         del twists[i][j], twists[i + 1][k]
     layouts = [FreeLayout(len(tw), tuple(tw)) for tw in twists]
-    return FreeComplex(layouts, [Matrix(layouts[i], layouts[i + 1], cols)
-                                 for i, cols in enumerate(mats)])
+    return [Matrix(layouts[i], layouts[i + 1], c) for i, c in enumerate(cols)]
 
 
 # ---------------------------------------------------- bounded resolutions

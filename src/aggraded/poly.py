@@ -125,7 +125,9 @@ def _residue(digits, p):
 
 
 def _parse_poly(ring, text):
-    """Parse sums of monomial terms: e.g. ``X*Z - Y^3 + 2*X``."""
+    """Parse sums of monomial terms: e.g. ``X*Z - Y^3 + 2*X``.  A term is
+    factors joined by '*'; one sign may lead, and after a term comes '+',
+    '-' or the end."""
     pos, n = 0, len(text)
     tokens = []
     while pos < n:
@@ -136,56 +138,45 @@ def _parse_poly(ring, text):
             break
         tokens.append((m.group(1), m.group(2), m.group(3)))
         pos = m.end()
-    terms = {}
-    i, nt = 0, len(tokens)
-    var_index = {name: k for k, name in enumerate(ring.names)}
-    sign = 1
-    if nt == 0:
+    if not tokens:
         raise ValueError("empty polynomial")
-    while i < nt:
-        num, name, op = tokens[i]
-        if op == "+":
-            sign = 1
-            i += 1
-            continue
-        if op == "-":
-            sign = -1
-            i += 1
-            continue
-        # one term: factors joined by '*'
-        coeff = sign
+    var_index = {name: k for k, name in enumerate(ring.names)}
+    terms = {}
+    sign = tokens[0][2]
+    i, nt = (1 if sign in ("+", "-") else 0), len(tokens)
+    while True:
+        coeff = -1 if sign == "-" else 1
         exps = [0] * ring.nvars
-        sign = 1
-        expect_factor = True
-        while i < nt:
+        while True:
+            if i == nt:
+                raise ValueError("polynomial ends where a factor is expected")
             num, name, op = tokens[i]
-            if expect_factor:
-                if num is not None:
-                    coeff *= _residue(num, ring.p)
-                    i += 1
-                elif name is not None:
-                    if name not in var_index:
-                        raise ValueError(f"unknown variable {name!r}")
-                    e = 1
-                    i += 1
-                    if i < nt and tokens[i][2] == "^":
-                        if i + 1 >= nt or tokens[i + 1][0] is None:
-                            raise ValueError("exponent expected after '^'")
-                        e = int(tokens[i + 1][0])
-                        i += 2
-                    exps[var_index[name]] += e
-                else:
-                    raise ValueError(f"unexpected {op!r} in polynomial")
-                expect_factor = False
+            i += 1
+            if num is not None:
+                coeff *= _residue(num, ring.p)
+            elif name is not None:
+                if name not in var_index:
+                    raise ValueError(f"unknown variable {name!r}")
+                e = 1
+                if i < nt and tokens[i][2] == "^":
+                    if i + 1 >= nt or tokens[i + 1][0] is None:
+                        raise ValueError("exponent expected after '^'")
+                    e = int(tokens[i + 1][0])
+                    i += 2
+                exps[var_index[name]] += e
             else:
-                if op == "*":
-                    expect_factor = True
-                    i += 1
-                else:
-                    break
+                raise ValueError(f"unexpected {op!r} in polynomial")
+            if i == nt or tokens[i][2] != "*":
+                break
+            i += 1
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
-    return ring.poly(terms)
+        if i == nt:
+            return ring.poly(terms)
+        sign = tokens[i][2]
+        if sign not in ("+", "-"):
+            raise ValueError(f"'+' or '-' expected after a term in {text!r}")
+        i += 1
 
 
 # ------------------------------------------------------------- polynomials

@@ -9,8 +9,9 @@ directly computed graded Betti table (route A) or by verifying the complex
 (route B): the two must agree wherever both are conclusive, and a
 disagreement is a build-failing error, not a result.
 
-``initial_complex_verdict`` is route B's one entry point: it resolves M one
-step past the cutoff, builds the complex and verifies it up to the cutoff.
+``verify_initial_complex`` is route B's one entry point: it resolves M one
+step past the cutoff, builds the complex's differentials (``initial_complex``)
+and verifies them up to the cutoff; its verdict carries that resolution.
 
 Fibre products of local rings and the Koszul/fibre-product necessary
 conditions live here as well.
@@ -21,50 +22,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import oracle
-from .complexes import FreeComplex, Matrix, ResolutionResult, syzygy_columns
+from .complexes import Matrix, ResolutionResult, check_complex, syzygy_columns
 from .engine import standard_basis
 from .graded import PurityReport, betti_analysis, minimal_graded_resolution
 from .modules import (BridgeError, LocalModule, assoc_graded_module, initial_matrix,
                       local_minimal_resolution, submodule_initial)
 from .orders import GREVLEX
 from .poly import FreeLayout, Polynomial, PolyRing
-from .rings import GradedRing, LocalRing, ideals_equal
+from .rings import LocalRing, ideals_equal
 
 PURE = "pure"
 NOT_PURE = "not-pure"
 INCONCLUSIVE = "inconclusive-at-cutoff"
 
 
-@dataclass
-class InitialComplex:
-    """The associated graded complex of a minimal local resolution."""
-
-    complex: FreeComplex          # over A; layouts twisted by -delta_i
-    delta: tuple
-    module: LocalModule
-    resolution: ResolutionResult  # of ``module``
-
-    @property
-    def ring(self) -> GradedRing:
-        return self.module.ring.graded_cover
-
-
-def initial_complex(mpres: LocalModule, res: ResolutionResult) -> InitialComplex:
-    """Initial matrices of ``res``, a minimal resolution of ``mpres``, with
-    twists delta_i; the complex property is asserted."""
+def initial_complex(mpres: LocalModule, res: ResolutionResult) -> list:
+    """The initial matrices of ``res``, a minimal resolution of ``mpres``: the
+    differentials over A from F_0 = ``res.layout``, with F_i twisted by
+    delta_i.  ``NotAComplexError`` unless they form a complex."""
     ring = mpres.ring
-    A = ring.graded_cover
-    delta = tuple(res.delta)
-    layouts = [res.layout]          # F_0, untwisted as every local layout
+    target = res.layout
     mats = []
-    for mat, d in zip(res.mats, delta[1:]):
+    for mat, d in zip(res.mats, res.delta[1:]):
         _, cols = initial_matrix(mat, ring)
-        src = FreeLayout(mat.source.rank, (d,) * mat.source.rank)
-        mats.append(Matrix(layouts[-1], src, cols))
-        layouts.append(src)
-    cx = FreeComplex(layouts, mats)
-    cx.check_complex(A.nf_vector)
-    return InitialComplex(cx, delta, mpres, res)
+        source = FreeLayout(mat.source.rank, (d,) * mat.source.rank)
+        mats.append(Matrix(target, source, cols))
+        target = source
+    check_complex(mats, ring.graded_cover.nf_vector)
+    return mats
 
 
 @dataclass
@@ -72,38 +57,44 @@ class InitialComplexVerdict:
     """Route B's checks; the complex property itself is certified by
     ``initial_complex``, which raises when it fails."""
 
+    resolution: ResolutionResult          # the local resolution checked, to cutoff + 1
     acyclic_up_to: int
     homology_witness: tuple = None        # (position, Vector)
     coker_matches: bool = True            # image of the first differential is the initial submodule
     is_minimal: bool = True
     purity_conclusion: str = INCONCLUSIVE
-    fully_checked: bool = False
     acyclic_without_coker_match: bool = False
 
 
-def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVerdict:
-    """Homology, cokernel and minimality checks up to the cutoff.
+def _first_outside(vectors, cols, layout, A):
+    """The first of the nonzero ``vectors`` outside the span of ``cols`` in
+    ``layout`` over A, or None."""
+    cols = [v for v in cols if v]
+    if not cols:
+        return vectors[0] if vectors else None
+    basis = standard_basis(cols, GREVLEX, layout, modulus=A.ideal_sb)
+    return next((v for v in vectors if not basis.contains(v)), None)
 
-    Homology at position i compares syzygies of the i-th differential with
-    the column span of the (i+1)-st by mutual normal-form containment over
-    A; the kernel of the last differential is checked directly when the
-    source resolution is finite.
+
+def verify_initial_complex(mpres: LocalModule, cutoff: int) -> InitialComplexVerdict:
+    """Route B at the cutoff: homology, cokernel and minimality checks of the
+    initial complex of M's resolution one step past the cutoff, so that
+    homology at the cutoff position is compared with the image of the next
+    map.  Homology at position i compares syzygies of the i-th differential
+    with the column span of the (i+1)-st by normal-form containment over A;
+    the kernel of the last differential is checked directly when the
+    resolution is finite.
     """
-    res, mpres = fs.resolution, fs.module
-    A = fs.ring
-    mats = fs.complex.mats
+    res = local_minimal_resolution(mpres, cutoff + 1)
+    mats = initial_complex(mpres, res)
+    A = mpres.ring.graded_cover
     n = len(mats)
     maxpos = min(cutoff, n if res.finite else n - 1)
     witness = None
     acyclic_up_to = 0
     for i in range(1, maxpos + 1):
         kernel_gens = syzygy_columns(mats[i - 1].columns, mats[i - 1].target, A)
-        next_cols = [v for v in mats[i].columns if v] if i < n else []
-        if next_cols:
-            basis = standard_basis(next_cols, GREVLEX, mats[i].target, modulus=A.ideal_sb)
-            bad = next((v for v in kernel_gens if not basis.contains(v)), None)
-        else:
-            bad = kernel_gens[0] if kernel_gens else None
+        bad = _first_outside(kernel_gens, mats[i].columns if i < n else [], mats[i - 1].source, A)
         if bad is not None:
             witness = (i, bad)
             break
@@ -113,37 +104,21 @@ def verify_initial_complex(fs: InitialComplex, cutoff: int) -> InitialComplexVer
         coker = True
     else:
         init = submodule_initial(mpres)
-        first_cols = [v for v in mats[0].columns if v] if mats else []
-        if first_cols:
-            b1 = standard_basis(first_cols, GREVLEX, mats[0].target, modulus=A.ideal_sb)
-            coker = all(b1.contains(v) for v in init.generators)
-        else:
-            coker = not init.generators
+        first_cols = mats[0].columns if mats else []
+        coker = _first_outside(init.generators, first_cols, mpres.layout, A) is None
         # the reverse containment is a theorem; violation is a bug
-        if not all(init.basis.contains(v) for v in first_cols):
+        if not all(init.basis.contains(v) for v in first_cols if v):
             raise BridgeError("initial matrix columns escape the initial submodule")
     minimal = all(A.unit_component(v) is None for m in mats for v in m.columns)
-    fully = res.finite and maxpos >= n and witness is None
     if witness is not None or not coker or not minimal:
         conclusion = NOT_PURE
-    elif fully:
+    elif res.finite and maxpos >= n:
         conclusion = PURE
     else:
         conclusion = INCONCLUSIVE
     noteworthy = (witness is None and maxpos > 0) and not coker
-    return InitialComplexVerdict(
-        acyclic_up_to, witness, coker, minimal, conclusion, fully, noteworthy,
-    )
-
-
-def initial_complex_verdict(mpres: LocalModule, cutoff: int):
-    """(InitialComplex, InitialComplexVerdict) of route B at the cutoff.
-
-    The resolution goes one step further than the checks, so that homology
-    at the cutoff position is compared with the image of the next map.
-    """
-    fs = initial_complex(mpres, local_minimal_resolution(mpres, cutoff + 1))
-    return fs, verify_initial_complex(fs, cutoff)
+    return InitialComplexVerdict(res, acyclic_up_to, witness, coker, minimal, conclusion,
+                                 noteworthy)
 
 
 @dataclass
@@ -169,7 +144,9 @@ def route_a_verdict(report: PurityReport) -> str:
 
 def purity_verdict(mpres: LocalModule, cutoff: int) -> PurityVerdict:
     """Theorem-grade purity decision with mandatory route agreement."""
-    fs, route_b = initial_complex_verdict(mpres, cutoff)
+    route_b = verify_initial_complex(mpres, cutoff)
+    res = route_b.resolution
+    delta = tuple(res.delta)
     gm = assoc_graded_module(mpres)
     table = minimal_graded_resolution(gm, cutoff)
     route_a = betti_analysis(table)
@@ -185,15 +162,14 @@ def purity_verdict(mpres: LocalModule, cutoff: int) -> PurityVerdict:
         verdict = b_verdict
     transfer = {}
     if verdict == PURE:
-        delta = fs.delta
-        for i, br in enumerate(fs.resolution.ranks):
+        for i, br in enumerate(res.ranks):
             a_count = table.entries.get((i, delta[i]), 0)
             transfer[i] = (br, a_count)
             if br != a_count:
                 raise BridgeError("Betti transfer failed on a pure module")
             if table.degrees(i) != ([delta[i]] if br else []):
                 raise BridgeError("pure degree placement differs from delta")
-    return PurityVerdict(verdict, route_a, route_b, transfer, fs.delta)
+    return PurityVerdict(verdict, route_a, route_b, transfer, delta)
 
 
 # ------------------------------------------------------ filtration checks

@@ -15,6 +15,7 @@ Grammar (``#`` comments allowed)::
     analyze M : purity, betti, hilbert, fstar, hk, equigen
     analyze ring : hilbert, invariants, tangentcone
 
+``char``, ``vars``, ``flavor`` and ``ideal`` each appear at most once.
 ``option regbound`` is only echoed into the report's ``options`` and
 ``provenance``; no command reads it.  An exponent written in an ``ideal`` or
 ``submodule`` line is at most ``MAX_EXPONENT``.
@@ -54,8 +55,8 @@ from .modules import (BridgeError, LocalModule, SubmoduleNotInMaximalIdeal, asso
                       equigenerated_check, local_minimal_resolution)
 from .oracle import ModelSizeError, OracleWindowError
 from .poly import NAME, FreeLayout, PolyRing, Vector
-from .purity import (INCONCLUSIVE, initial_complex_verdict, koszul_fibre_check, purity_verdict,
-                     route_a_verdict)
+from .purity import (INCONCLUSIVE, koszul_fibre_check, purity_verdict, route_a_verdict,
+                     verify_initial_complex)
 from .rings import GradedRing, LocalRing, ZeroInQuotientError
 
 DEFAULT_OPTIONS = {"truncation": 12, "max_homdeg": 8, "regbound": 10}
@@ -164,12 +165,17 @@ def _check_exponents(line_no, text):
 
 def parse_session(text: str) -> Session:
     ses = Session()
+    seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("char", "vars", "flavor", "ideal"):    # a second would replace the first
+            if head in seen:
+                raise SessionError(line_no, f"a second {head} line: a session has at most one")
+            seen.add(head)
         if head == "char":
             try:
                 p = int(rest)
@@ -194,10 +200,12 @@ def parse_session(text: str) -> Session:
                 raise SessionError(line_no, f"flavor must be local or graded, got {rest!r}")
             ses.flavor = rest
         elif head == "ideal":
-            name, _, body = rest.partition(":")
+            name, colon, body = rest.partition(":")
             body = body.strip()
             if not name.strip():
                 raise SessionError(line_no, "ideal needs a name")
+            if not colon:
+                raise SessionError(line_no, "expected: ideal NAME : f, g, ...")
             _check_exponents(line_no, body)
             ses.ideal_strings = tuple(s.strip() for s in body.split(",") if s.strip()) if body else ()
         elif head == "free":
@@ -402,12 +410,12 @@ def _purity(ws, target):
 
 
 def _fstar(ws, target):
-    fs, vr = initial_complex_verdict(ws.modules[target], ws.cutoff)
-    res = fs.resolution
+    vr = verify_initial_complex(ws.modules[target], ws.cutoff)
+    res = vr.resolution
     return {
         **_route_b(vr),
         "is_complex": True,           # initial_complex raises otherwise
-        "delta": list(fs.delta),
+        "delta": res.delta,
         "column_orders": [res.column_orders(i) for i in range(1, len(res.mats) + 1)],
     }, vr.purity_conclusion != INCONCLUSIVE
 

@@ -1,6 +1,6 @@
 import pytest
 
-from aggraded.complexes import (FreeComplex, Matrix, NotAComplexError, min_gens_with_syz,
+from aggraded.complexes import (Matrix, NotAComplexError, check_complex, min_gens_with_syz,
                                 minimalize, resolve_bounded)
 from aggraded.poly import FreeLayout, PolyRing, Vector
 from aggraded.rings import GradedRing, LocalRing
@@ -14,35 +14,37 @@ def col(*entries):
     return Vector.from_polys([P.from_string(e) if isinstance(e, str) else e for e in entries])
 
 
+def ranks(mats):
+    """The ranks of F_0, F_1, ... of a complex given by its differentials."""
+    return [m.target.rank for m in mats[:1]] + [m.source.rank for m in mats]
+
+
 def test_minimalize_unit_matrix():
-    cx = FreeComplex([FreeLayout(1), FreeLayout(1)], [Matrix(FreeLayout(1), FreeLayout(1), [col("1")])])
-    out = minimalize(cx, S_LOC)
-    assert [l.rank for l in out.layouts] == [0, 0]
+    out = minimalize([Matrix(FreeLayout(1), FreeLayout(1), [col("1")])], S_LOC)
+    assert ranks(out) == [0, 0]
 
 
 def test_minimalize_mixed_diagonal():
     mat = Matrix(FreeLayout(2), FreeLayout(2), [col("1", "0"), col("0", "x")])
-    out = minimalize(FreeComplex([FreeLayout(2), FreeLayout(2)], [mat]), S_LOC)
-    assert [l.rank for l in out.layouts] == [1, 1]
-    assert out.mats[0].columns[0].component(0) == P.from_string("x")
+    out = minimalize([mat], S_LOC)
+    assert ranks(out) == [1, 1]
+    assert out[0].columns[0].component(0) == P.from_string("x")
 
 
 def test_minimalize_keeps_koszul():
     res = resolve_bounded([col("x^2"), col("y^2"), col("z^2")], FreeLayout(1), S_LOC, 5)
-    cx = FreeComplex([FreeLayout(1)] + [m.source for m in res.mats], res.mats)
-    out = minimalize(cx, S_LOC)
-    assert [l.rank for l in out.layouts] == [l.rank for l in cx.layouts]
+    out = minimalize(res.mats, S_LOC)
+    assert ranks(out) == ranks(res.mats)
 
 
 def test_minimalize_polynomial_unit():
     # a 1+x unit entry over the localization cancels exactly
     mat = Matrix(FreeLayout(2), FreeLayout(2), [col("1 + x", "y"), col("z", "x*y")])
-    cx = FreeComplex([FreeLayout(2), FreeLayout(2)], [mat])
-    out = minimalize(cx, S_LOC)
-    assert [l.rank for l in out.layouts] == [1, 1]
+    out = minimalize([mat], S_LOC)
+    assert ranks(out) == [1, 1]
     # (1+x) * xy - y z must be the remaining entry up to the forced unit scaling
     expected = P.from_string("x*y + x^2*y - y*z")
-    assert out.mats[0].columns[0].component(0) == expected
+    assert out[0].columns[0].component(0) == expected
 
 
 def test_minimalize_cancels_across_adjacent_differentials():
@@ -59,20 +61,30 @@ def test_minimalize_cancels_across_adjacent_differentials():
         Matrix(layouts[1], layouts[2], wide + [col("-1 - x", "0", "0", "1")]),
         Matrix(layouts[2], layouts[3], [Vector(v.ring, 4, v.terms) for v in d3.columns]),
     ]
-    cx = FreeComplex(layouts, mats)
-    assert cx.check_complex(S_LOC.nf_vector)
-    out = minimalize(cx, S_LOC)
-    assert out.check_complex(S_LOC.nf_vector)
-    assert all(S_LOC.unit_component(v) is None for m in out.mats for v in m.columns)
-    assert [layout.rank for layout in out.layouts] == [1, 3, 3, 1]
+    check_complex(mats, S_LOC.nf_vector)
+    out = minimalize(mats, S_LOC)
+    check_complex(out, S_LOC.nf_vector)
+    assert all(S_LOC.unit_component(v) is None for m in out for v in m.columns)
+    assert ranks(out) == [1, 3, 3, 1]
 
 
 def test_minimalize_requires_complex():
     m1 = Matrix(FreeLayout(1), FreeLayout(1), [col("x")])
     m2 = Matrix(FreeLayout(1), FreeLayout(1), [col("y")])
-    cx = FreeComplex([FreeLayout(1), FreeLayout(1), FreeLayout(1)], [m1, m2])
     with pytest.raises(NotAComplexError):
-        cx.check_complex(S_LOC.nf_vector)
+        check_complex([m1, m2], S_LOC.nf_vector)
+
+
+def test_check_complex_rejects_differentials_that_do_not_meet():
+    # d_1's source has rank 1 and d_2's target rank 2: no composition exists
+    m1 = Matrix(FreeLayout(1), FreeLayout(1), [col("x")])
+    m2 = Matrix(FreeLayout(2), FreeLayout(1), [col("0", "0")])
+    with pytest.raises(ValueError, match="do not meet at F_1"):
+        check_complex([m1, m2], S_LOC.nf_vector)
+    # equal ranks with other twists do not meet either
+    m3 = Matrix(FreeLayout(1, (1,)), FreeLayout(1), [Vector(P, 1, {})])
+    with pytest.raises(ValueError, match="do not meet at F_1"):
+        check_complex([m1, m3], S_LOC.nf_vector)
 
 
 def test_min_gens_strips_redundant_generator():

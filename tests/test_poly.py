@@ -35,6 +35,25 @@ def test_parser_roundtrip():
     assert R.from_string("-X + X").is_zero()
     with pytest.raises(ValueError):
         R.from_string("X + W")
+    # one sign may lead a polynomial
+    assert R.from_string("- X + Y") == R.from_string("Y - X")
+    assert R.from_string("+X") == R.from_string("X")
+
+
+@pytest.mark.parametrize("text", [
+    "X Y", "3X",               # juxtaposition is not a product
+    "X - -Y", "X - +Y",        # one sign between two terms
+    "X -", "X*", "X +", "+", "-",
+])
+def test_parser_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        R.from_string(text)
+
+
+@settings(max_examples=60)
+@given(poly_strategy)
+def test_parser_reads_what_polynomials_print(f):
+    assert R.from_string(str(f)) == f
 
 
 @settings(max_examples=60)

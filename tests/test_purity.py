@@ -23,30 +23,29 @@ def _mod(ring, *gens, rank=1):
 
 def test_build_semigroup_case(semigroup_module):
     res = local_minimal_resolution(semigroup_module, 6)
-    fs = initial_complex(semigroup_module, res)
-    assert fs.delta == (0, 1)
-    assert fs.complex.mats[0].columns[0].component(0) == semigroup_module.ring.cover.from_string("X")
-    assert fs.complex.layouts[1].twists == (1,)
+    mats = initial_complex(semigroup_module, res)
+    assert res.delta == [0, 1]
+    assert mats[0].columns[0].component(0) == semigroup_module.ring.cover.from_string("X")
+    assert mats[0].source.twists == (1,)
 
 
 def test_build_koszul_case(squares_module):
     res = local_minimal_resolution(squares_module, 6)
-    fs = initial_complex(squares_module, res)
-    assert fs.delta == (0, 2, 4, 6)
-    for built, src in zip(fs.complex.mats, res.mats):
+    mats = initial_complex(squares_module, res)
+    assert res.delta == [0, 2, 4, 6]
+    for built, src in zip(mats, res.mats):
         assert [c.terms for c in built.columns] == [c.terms for c in src.columns]
 
 
 def test_build_free_module(plane):
     free = LocalModule(plane, FreeLayout(2), [])
     res = local_minimal_resolution(free, 6)
-    fs = initial_complex(free, res)
-    assert fs.complex.mats == [] and fs.complex.layouts[0].rank == 2
+    mats = initial_complex(free, res)
+    assert mats == [] and res.layout.rank == 2
 
 
 def test_verify_semigroup_case(semigroup_module):
-    res = local_minimal_resolution(semigroup_module, 6)
-    vr = verify_initial_complex(initial_complex(semigroup_module, res), 6)
+    vr = verify_initial_complex(semigroup_module, 6)
     assert vr.is_minimal          # the complex property: initial_complex raises otherwise
     assert vr.homology_witness is not None
     pos, cls = vr.homology_witness
@@ -58,16 +57,17 @@ def test_verify_semigroup_case(semigroup_module):
 
 
 def test_verify_koszul_case(squares_module):
-    res = local_minimal_resolution(squares_module, 8)
-    vr = verify_initial_complex(initial_complex(squares_module, res), 8)
+    vr = verify_initial_complex(squares_module, 8)
     assert vr.homology_witness is None and vr.acyclic_up_to == 3
-    assert vr.coker_matches and vr.is_minimal and vr.fully_checked
+    # fully checked: the resolution is finite and every position was checked
+    assert vr.resolution.finite and vr.acyclic_up_to == vr.resolution.pdim
+    assert vr.coker_matches and vr.is_minimal
     assert vr.purity_conclusion == PURE
 
 
 def test_verify_free_module(plane):
     free = LocalModule(plane, FreeLayout(1), [])
-    vr = verify_initial_complex(initial_complex(free, local_minimal_resolution(free, 4)), 4)
+    vr = verify_initial_complex(free, 4)
     assert vr.purity_conclusion == PURE and vr.coker_matches
 
 
@@ -76,10 +76,10 @@ def test_image_of_first_differential_inside_initial_submodule(semigroup_module, 
     for mod in (semigroup_module, squares_module):
         A = mod.ring.graded_cover
         res = local_minimal_resolution(mod, 6)
-        fs = initial_complex(mod, res)
+        mats = initial_complex(mod, res)
         init = submodule_initial(mod)
         basis = standard_basis(init.generators, GREVLEX, mod.layout, modulus=A.ideal_sb)
-        for col in fs.complex.mats[0].columns:
+        for col in mats[0].columns:
             if col:
                 assert basis.contains(col)
 

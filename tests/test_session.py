@@ -45,6 +45,15 @@ def test_non_prime_characteristic_rejected():
         parse_session("char 32004\nvars x\n")
 
 
+def test_malformed_column_entry_is_a_provenance_error():
+    # juxtaposition is not a product, nor a sum: no Betti table of (x + y)
+    text = ("vars x y\nflavor local\nideal I :\nfree F : rank 1\n"
+            "submodule N in F : [x y]\nmodule M = F / N\nanalyze M : betti\n")
+    report, status = execute(parse_session(text))
+    assert status == 1 and not report["results"]
+    assert "'x y'" in report["provenance"]["error"]
+
+
 def test_unit_generator_rejected_at_execution():
     text = (
         "vars x y\nflavor local\nideal I :\nfree F : rank 1\n"
@@ -379,6 +388,14 @@ def test_every_command_target_and_flavor(flavor, position, target, command):
      "submodule N in F : [x, x]\n", "line 5: 'N' is already declared"),
     ("vars x\nfree F : rank 1\nmodule M = F / 0\nmodule M = F / 0\n",
      "line 4: 'M' is already declared"),
+    # a line that sets the ring once may not silently replace it
+    ("vars x y\nideal I x*y\n", "line 2: expected: ideal NAME : f, g, ..."),
+    ("vars x y\nvars z\n", "line 2: a second vars line: a session has at most one"),
+    ("char 5\nvars x\nchar 7\n", "line 3: a second char line: a session has at most one"),
+    ("flavor local\nvars x\nflavor graded\n",
+     "line 3: a second flavor line: a session has at most one"),
+    ("vars x\nideal I : x^2\nideal J : x^3\n",
+     "line 3: a second ideal line: a session has at most one"),
 ])
 def test_declarations_checked_at_their_line(text, message):
     with pytest.raises(SessionError) as err:
