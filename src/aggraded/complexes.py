@@ -15,11 +15,15 @@ generators of a minimal generating set are unit-stripped by that step
 (Nakayama) in ``min_gens_with_syz``, and the stripped syzygy matrix doubles
 as the next level's candidate generators.  The last level's syzygies are
 reported nowhere, so it skips them when ``_minimal_and_not_free``
-certifies that no candidate would be stripped (one degree or one order, and
-linearly independent over GF(p)) and that a syzygy exists (more candidates
-than rows, McCoy): it keeps its candidates, and its record is term for term
-the one that eliminating it would give.  ``minimalize`` applies the
-Nakayama step to every differential of a given complex.
+certifies that no candidate would be stripped and that a syzygy exists
+(more candidates than rows, McCoy): it keeps its candidates, and its record
+is term for term the one that eliminating it would give.  A graded level of
+any number of degrees is minimal when no candidate lies in the span of
+those before it in degree order, one degree-truncated standard basis run
+(``engine.minimal_in_degree_order``); a local level when its candidates have
+one order and their initial forms are linearly independent over GF(p).
+``minimalize`` applies the Nakayama step to every differential of a given
+complex.
 
 The normal-form contract: a stored column is in normal form.  A column is
 reduced as a whole modulo I*F by its ring's ``nf_vector`` (under Mora up to
@@ -52,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .engine import syzygies
+from .engine import minimal_in_degree_order, syzygies
 from .poly import FreeLayout, Vector
 
 
@@ -265,27 +269,34 @@ def _minimal_and_not_free(cand, layout, ctx):
     and return a nonzero syzygy, without computing the syzygies.
 
     Not free (McCoy): more columns than rows have a nonzero syzygy over any
-    commutative ring.  Minimal (Nakayama), for one degree or order only: a
-    syzygy with a unit entry gives a GF(p)-linear relation with a nonzero
-    coefficient among the columns of one degree d, which are fully reduced
-    modulo I*F (graded); among the degree-s parts of the columns of order s,
-    normal-formed over A = G(R), since m*K lies in m^{s+1}F (local).  So
-    their independence leaves no unit entry to strip.
+    commutative ring.  Minimal (Nakayama): ``min_gens_with_syz`` strips a
+    candidate exactly when some syzygy has a unit entry, since syzygy
+    generators whose entries all lie in the maximal ideal generate only such
+    syzygies.
+
+    Graded, of any number of degrees: the ring and the columns are
+    homogeneous, so the degree-D part of a syzygy is a syzygy, and one with
+    a unit entry may be taken homogeneous.  Its unit entries then sit at
+    candidates of degree D and its other entries at candidates of lower
+    degree, so its last unit-entry candidate in degree order lies in the span
+    of the candidates before it.  Conversely, a candidate in that span gives
+    a syzygy with entry 1.  ``engine.minimal_in_degree_order`` decides that
+    no candidate lies in the span of those before it.
+
+    Local, of one order s only: a syzygy with a unit entry gives a GF(p)-
+    linear relation with a nonzero coefficient among the degree-s parts of
+    the columns, normal-formed over A = G(R), since m*K lies in m^{s+1}F.
+    So their independence leaves no unit entry to strip.
     """
     if len(cand) <= layout.rank:
         return False
-    if ctx.order.is_local:
-        s = cand[0].order()
-        if any(v.order() != s for v in cand):
-            return False
-        A = ctx.graded_cover
-        forms = [A.nf_vector(v.initial_form()) for v in cand]
-    else:
-        d = layout.degree_of(*next(iter(cand[0].terms)))
-        if any(layout.degree_of(c, e) != d for v in cand for c, e in v.terms):
-            return False
-        forms = cand
-    return _independent(forms, ctx.cover.p)
+    if not ctx.order.is_local:
+        return minimal_in_degree_order(cand, ctx.order, layout, ctx.ideal_sb)
+    s = cand[0].order()
+    if any(v.order() != s for v in cand):
+        return False
+    A = ctx.graded_cover
+    return _independent([A.nf_vector(v.initial_form()) for v in cand], ctx.cover.p)
 
 
 def resolve_bounded(gens, layout, ctx, cutoff):

@@ -19,9 +19,9 @@ indexes keyed by lead component, in the spirit of Gebauer and Moeller
 - reducers are looked up in ``{comp: [reducer, ...]}``, each list in
   insertion order, so only reducers whose lead shares the component of the
   term being reduced are scanned;
-- the pair queue is a ``heapq`` heap of ``(sugar, (i, j))``; pairs pruned
-  by the Gebauer-Moeller criterion stay in the heap and are skipped when
-  popped;
+- the pair queue is a ``heapq`` heap of ``(sugar, 0, (i, j))``; pairs
+  pruned by the Gebauer-Moeller criterion stay in the heap and are skipped
+  when popped;
 - the pair prune and the new-pair loop visit only the pairs and positions
   of the new element's lead component, positions kept ascending;
 - a term's key puts the order's largest term first (smallest), so the
@@ -41,7 +41,8 @@ order as by a scan, and the bases come out term for term the same.
 
 Three shortcuts skip work whose result is known, and give the same result
 term for term, in the same dict order.  A fourth skips work whose result is
-redundant, and gives fewer syzygy columns that generate the same module:
+redundant, and gives fewer syzygy columns that generate the same module.  A
+fifth answers one question with part of a standard basis:
 
 - ``StandardBasis.reduce`` returns an irreducible column at once for a
   rank-1 basis of an ideal, before any heap or dict is built.  Under Mora
@@ -64,7 +65,19 @@ redundant, and gives fewer syzygy columns that generate the same module:
   reduces to zero against the kernel elements kept, which are still
   reducers (Greuel and Pfister, *A Singular Introduction to Commutative
   Algebra*, section 2.5).  ``standard_basis`` passes its own rank, which no
-  lead reaches, so every element there opens its pairs as before.
+  lead reaches, so every element there opens its pairs as before;
+- ``minimal_in_degree_order`` asks whether some homogeneous column lies in
+  the span of the columns before it in degree order, modulo I*F.
+  ``_buchberger``'s truncated run queues each column as a seed ``(degree, 1,
+  index)``, after the pairs ``(degree, 0, (i, j))`` of its degree, and
+  lead-reduces it when it comes off: it is in that span exactly when it
+  reduces to zero.  Sugar is the degree of homogeneous input, so when a seed
+  of degree d comes off, every pair of degree at most d among the elements
+  before it is reduced or pruned, and they are a d-truncated standard basis
+  of the span of the seeds before it with I*F.  The run stops at the first
+  zero or after the last seed, and reduces no pair of a higher degree
+  (Singular's ``mstd`` and ``minbase``; Greuel and Pfister, sections
+  2.1-2.5).
 """
 
 from __future__ import annotations
@@ -368,7 +381,7 @@ def _pair_sugar(sug_i, red_i, sug_j, red_j, lcm_exps):
     return max(di, dj)
 
 
-def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below, pair_bound):
+def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below, pair_bound, truncated=False):
     """Core loop.  seed: list of Vector-term dicts.  ideal: the rank-1
     reducers acting as g*e_c in each component c < below, at position
     g*below + c; they open no pairs among themselves.  An element whose lead
@@ -376,7 +389,14 @@ def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below, pair_bound):
     later remainders, and with ``pair_bound == rank`` every element opens its
     pairs.  Returns the monic reducers (``_Red``) after the ideal's; with
     every pair opened they and I*F are a standard basis (not yet
-    interreduced)."""
+    interreduced).
+
+    ``truncated`` (homogeneous seed, global order): each seed enters the
+    queue under its degree, after the pairs of that degree, the seeds of one
+    degree in seed order.  A seed is lead-reduced when it comes off and
+    appended; the run returns None at the first seed that reduces to zero,
+    and otherwise ends once the last seed is appended, with no pair of a
+    higher degree reduced."""
     p = ring.p
     mora = order.is_local
     reds = [g for g in ideal for _ in range(below)]
@@ -385,7 +405,7 @@ def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below, pair_bound):
     index = {}        # lead component -> reducers after the ideal's, in insertion order
     positions = {c: list(range(c, n, below)) for c in range(below)}    # ascending
     pairs = {}        # lead component -> {(i, j): (sugar, lcm, sev of lcm)}, the live pairs
-    queue = []        # heap of (sugar, (i, j)); may hold pruned pairs
+    queue = []        # heap of (sugar, 0, (i, j)) and (sugar, 1, seed); may hold pruned pairs
 
     def add_pairs(new):
         lt_new, sev_new = reds[new].lt, reds[new].sev
@@ -426,7 +446,7 @@ def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below, pair_bound):
                 continue        # two monic terms: the s-vector is zero
             sug = _pair_sugar(sugars[i], reds[i], sugars[new], reds[new], L)
             live[(i, new)] = (sug, L, sev_L)
-            heapq.heappush(queue, (sug, (i, new)))
+            heapq.heappush(queue, (sug, 0, (i, new)))
 
     def append(red, sugar):
         idx = len(reds)
@@ -437,18 +457,32 @@ def _buchberger(ring, rank, order, key, wdeg, seed, ideal, below, pair_bound):
             add_pairs(idx)
             positions.setdefault(red.lt[0], []).append(idx)
 
-    for terms in seed:
-        lt = _lt(terms, key)
+    left = len(seed) if truncated else 0       # seeds still in the queue
+    for s, terms in enumerate(seed):
         sugar = max(map(wdeg, terms))
+        if truncated:
+            heapq.heappush(queue, (sugar, 1, s))    # after the pairs (sugar, 0, (i, j))
+            continue
+        lt = _lt(terms, key)
         append(_Red(_scale(terms, pow(terms[lt], -1, p), p), lt, sugar - wdeg(lt)), sugar)
 
     while queue:
-        _, (i, j) = heapq.heappop(queue)
+        sug, seeded, x = heapq.heappop(queue)
+        if seeded:
+            h, lt, ecart = _weak_nf(seed[x], index, key, wdeg, p, False, False, ideal, below)
+            if not h:
+                return None
+            append(_Red(_scale(h, pow(h[lt], -1, p), p), lt, ecart), sug)
+            left -= 1
+            if not left:
+                break
+            continue
+        i, j = x
         comp = reds[j].lt[0]        # j is newer than i: never a position of the ideal
         entry = pairs[comp].pop((i, j), None)
         if entry is None:
             continue        # pruned after it was queued
-        sug, L, _ = entry
+        _, L, _ = entry
         # s-vector of monic reducers i and j, both in component comp
         h = {}
         _sub_scaled(h, reds[i].terms, mon_div(L, reds[i].lt[1]), p - 1, p, comp - reds[i].lt[0])
@@ -512,6 +546,25 @@ def standard_basis(gens, order: OrderSpec, layout: FreeLayout = None, modulus=No
     dicts = _interreduce(reds, key, wdeg, ring.p, order.is_local, ideal, below)
     vecs = [Vector(ring, layout.rank, d) for d in dicts]
     return StandardBasis(ring, layout, order, vecs, modulus)
+
+
+def minimal_in_degree_order(cols, order: OrderSpec, layout: FreeLayout, modulus=None):
+    """Whether no column of ``cols`` lies in the submodule that the columns
+    before it generate, modulo I*F, the columns taken by degree and those of
+    one degree in the given order.  ``cols`` are homogeneous in ``layout``
+    and ``order`` is global; ``modulus`` is a rank-1 standard basis of I, or
+    None.  One truncated ``_buchberger`` run answers it (module docstring).
+    """
+    key, wdeg = _make_keys(order, layout.twists)
+    if order.is_local or any(len(set(map(wdeg, v.terms))) != 1 for v in cols):
+        raise ValueError("a degree-truncated run needs nonzero homogeneous columns "
+                         "under a global order")
+    if not cols:
+        return True
+    ideal, below = (modulus._reds, layout.rank) if modulus is not None else ((), 0)
+    seed = [dict(v.terms) for v in cols]
+    return _buchberger(cols[0].ring, layout.rank, order, key, wdeg, seed, ideal, below,
+                       layout.rank, truncated=True) is not None
 
 
 class SyzygyMatrix:

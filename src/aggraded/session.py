@@ -18,7 +18,9 @@ Grammar (``#`` comments allowed)::
 ``char``, ``vars``, ``flavor`` and ``ideal`` each appear at most once.
 ``option regbound`` is only echoed into the report's ``options`` and
 ``provenance``; no command reads it.  An exponent written in an ``ideal`` or
-``submodule`` line is at most ``MAX_EXPONENT``.
+``submodule`` line is at most ``MAX_EXPONENT``.  Their polynomials are parsed
+when the session runs, and a malformed one is a ``SessionError`` naming its
+line.
 
 Each command has one record in ``COMMANDS``.  ``betti``, ``hilbert`` and
 ``invariants`` take the ``ring`` target or a module, ``tangentcone`` only
@@ -94,8 +96,9 @@ class Session:
     variables: tuple = ()
     flavor: str = "local"
     ideal_strings: tuple = ()
+    ideal_line: int = None
     frees: dict = field(default_factory=dict)        # name -> rank
-    submodules: dict = field(default_factory=dict)   # name -> (free, [column strings])
+    submodules: dict = field(default_factory=dict)   # name -> (free, [column strings], line)
     modules: dict = field(default_factory=dict)      # name -> (free, submodule or None)
     commands: list = field(default_factory=list)     # (target, command)
     options: dict = field(default_factory=lambda: dict(DEFAULT_OPTIONS))
@@ -208,6 +211,7 @@ def parse_session(text: str) -> Session:
                 raise SessionError(line_no, "expected: ideal NAME : f, g, ...")
             _check_exponents(line_no, body)
             ses.ideal_strings = tuple(s.strip() for s in body.split(",") if s.strip()) if body else ()
+            ses.ideal_line = line_no
         elif head == "free":
             name, _, body = rest.partition(":")
             name = name.strip()
@@ -233,7 +237,7 @@ def parse_session(text: str) -> Session:
                 raise SessionError(line_no, f"unknown free module {free!r}")
             _check_exponents(line_no, body)
             cols = _split_columns(body.strip(), line_no) if body.strip() else []
-            ses.submodules[name] = (free, cols)
+            ses.submodules[name] = (free, cols, line_no)
         elif head == "module":
             name, _, body = rest.partition("=")
             name = name.strip()
@@ -310,7 +314,7 @@ class _Workspace:
             p = char_override
         self.characteristic = p
         self.cover = PolyRing(ses.variables, p)
-        ideal = [self.cover.from_string(s) for s in ses.ideal_strings]
+        ideal = [self._poly(s, ses.ideal_line) for s in ses.ideal_strings]
         self.local = ses.flavor == "local"
         ring_cls, module_cls = ((LocalRing, LocalModule) if self.local
                                 else (GradedRing, GradedModule))
@@ -320,10 +324,19 @@ class _Workspace:
         for name, (free, sub) in ses.modules.items():
             cols = []
             if sub is not None:
-                for colspec in ses.submodules[sub][1]:
+                _, colspecs, line_no = ses.submodules[sub]
+                for colspec in colspecs:
                     entries = [e.strip() or "0" for e in colspec.split(",")]
-                    cols.append(Vector.from_polys([self.cover.from_string(e) for e in entries]))
+                    cols.append(Vector.from_polys([self._poly(e, line_no) for e in entries]))
             self.modules[name] = module_cls(self.ring, FreeLayout(ses.frees[free]), cols)
+
+    def _poly(self, text, line_no):
+        """``text`` as a polynomial of the cover; a malformed one is a
+        ``SessionError`` at its ``ideal`` or ``submodule`` line."""
+        try:
+            return self.cover.from_string(text)
+        except ValueError as exc:
+            raise SessionError(line_no, str(exc)) from None
 
     def graded_module(self, target):
         """The graded module a command reads: the ring itself, a graded

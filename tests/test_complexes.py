@@ -242,36 +242,48 @@ def test_certified_last_level_matches_the_eliminating_reference(monkeypatch):
     the reference that eliminates it: on every bundled module and its G(M)
     at cutoffs 0-8 (the six-variable fibre module and its G(M) at 0-5, whose
     level 8 alone has 77,562 columns), and on the local module and G(M) of
-    the first 10 default-seed and held-out agreement modules at 0-4."""
+    the first 10 default-seed and held-out agreement modules at 0-4.  The
+    graded certificate holds on levels of several degrees: semigroup G(M)'s
+    level 8 (degrees 8-16) and the fibre G(M)'s level 3 (degrees 3-6)."""
     import aggraded.complexes as complexes
     from aggraded import randomized
     from aggraded.modules import assoc_graded_module
     from reference_checks import agreement_modules, eliminating_resolution
 
     certified = {True: 0, False: 0}
+    degrees = []        # the degrees of each graded last level certified
     real = complexes._minimal_and_not_free
 
     def counted(cand, layout, ctx):
         ok = real(cand, layout, ctx)
         certified[ctx.order.is_local] += ok
+        if ok and not ctx.order.is_local:
+            degrees.append(sorted({v.degree_in(layout) for v in cand}))
         return ok
 
     monkeypatch.setattr(complexes, "_minimal_and_not_free", counted)
-    cases = [(mod, gens, 5 if mod.ring.nvars == 6 else 8) for mod, gens in _bundled_modules()]
+    cases = [(mod, gens, 5 if mod.ring.nvars == 6 else 8, mod.ring.cover.names)
+             for mod, gens in _bundled_modules()]
     for seed in (randomized.DEFAULT_SEED, 2):
         for n, (mod, _) in enumerate(agreement_modules(10, seed)):
             # held-out module 2's local resolution stalls in the Mora
             # syzygies of level 2; its G(M) is covered
             if (seed, n) != (2, 2):
-                cases.append((mod, mod.gens, 4))
+                cases.append((mod, mod.gens, 4, None))
             gmod = assoc_graded_module(mod)
-            cases.append((gmod, gmod.gens, 4))
-    for mod, gens, top in cases:
+            cases.append((gmod, gmod.gens, 4, None))
+    several = {}        # (a bundled module's variables, cutoff) -> degrees of its last level
+    for mod, gens, top, names in cases:
         for c in range(top + 1):
+            degrees.clear()
             got = resolve_bounded(gens, mod.layout, mod.ring, c)
             assert _shape(got) == _shape(eliminating_resolution(gens, mod.layout, mod.ring, c)), \
                 (mod, c)
+            if names and degrees and len(degrees[-1]) > 1:
+                several[names, c] = degrees[-1]
     assert certified[True] and certified[False]
+    assert several[("X", "Y", "Z"), 8] == [8, 10, 12, 14, 16]
+    assert several[("x1", "x2", "x3", "y1", "y2", "y3"), 3] == [3, 4, 5, 6]
 
 
 def _certificate_falls_back(mod, cutoff):
@@ -298,6 +310,41 @@ def test_certificate_falls_back_on_a_redundant_candidate(plane):
         gens = [ring.cover.from_string(f) for f in ("x", "y", "x + y")]
         res = _certificate_falls_back(make(ring, FreeLayout(1), gens), 1)
         assert res.ranks == [1, 2] and res.pdim is None
+
+
+@pytest.mark.parametrize("gens, kept, pdim", [
+    # y^3 lies in the image only through the s-pair of x*y and x^2 + y^2,
+    # of degree 3: the pairs of a degree come before its candidates
+    (("x*y", "x^2 + y^2", "y^3"), 2, None),
+    (("x", "x*y"), 1, 1),
+    # a dependency of one degree inside a level of degrees 1 and 2
+    (("x", "y^2", "x*y + y^2"), 2, None),
+])
+def test_graded_certificate_falls_back_on_a_redundant_candidate_of_several_degrees(
+        plane, gens, kept, pdim):
+    from aggraded.graded import GradedModule
+
+    ring = GradedRing(plane.cover, [])
+    mod = GradedModule(ring, FreeLayout(1), [ring.cover.from_string(f) for f in gens])
+    res = _certificate_falls_back(mod, 1)
+    assert res.ranks == [1, kept] and res.pdim == pdim
+
+
+def test_graded_certificate_holds_on_minimal_candidates_of_several_degrees(plane):
+    """x^2, x*y, y^3: degrees 2 and 3, none in the span of the others, and
+    more candidates than rows, so the level keeps them with their syzygies
+    pending, as the reference's record does."""
+    import aggraded.complexes as complexes
+    from aggraded.graded import GradedModule
+    from reference_checks import eliminating_resolution
+
+    ring = GradedRing(plane.cover, [])
+    mod = GradedModule(ring, FreeLayout(1), [ring.cover.from_string(f)
+                                             for f in ("x^2", "x*y", "y^3")])
+    assert complexes._minimal_and_not_free(mod.gens, mod.layout, ring)
+    res = resolve_bounded(mod.gens, mod.layout, ring, 1)
+    assert res.rest[2] and res.ranks == [1, 3] and res.pdim is None
+    assert _shape(res) == _shape(eliminating_resolution(mod.gens, mod.layout, ring, 1))
 
 
 def test_certificate_needs_more_candidates_than_rows():

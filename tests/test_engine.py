@@ -678,3 +678,31 @@ def test_monomial_syzygies_over_the_tangent_cone(entries, want, monkeypatch):
     _check_rebased(sz, *want, GREVLEX, modulus)
     pairs = list(zip(built[::2], built[1::2]))
     assert pairs and (1, 1) not in pairs
+
+
+def test_minimal_in_degree_order_agrees_with_the_strip_loop():
+    """On random homogeneous columns of degrees 1-3 over k[x,y,z]/(x*y, z^2),
+    in random order: the truncated run finds every column outside the span
+    of those before it in degree order exactly when ``min_gens_with_syz``
+    keeps them all.  Local orders and inhomogeneous columns are refused."""
+    from aggraded.complexes import min_gens_with_syz
+    from aggraded.engine import minimal_in_degree_order
+
+    P = PolyRing(["x", "y", "z"], 32003)
+    A = GradedRing(P, [P.from_string("x*y"), P.from_string("z^2")])
+    pool = ["x", "y", "z", "x + y", "x^2", "y^2", "x*z", "y*z + x^2", "x^2 + y^2", "x*z - y*z",
+            "x^3", "y^3", "x^2*z", "y^2*z + x^3", "x^3 - y^3"]
+    pool = [v for v in (A.nf_vector(Vector.from_polys([P.from_string(f)])) for f in pool) if v]
+    rng = random.Random(5)
+    layout = FreeLayout(1)
+    outcomes = set()
+    for _ in range(200):
+        cols = rng.sample(pool, rng.randint(1, 5))
+        minimal = minimal_in_degree_order(cols, A.order, layout, A.ideal_sb)
+        assert minimal == (len(min_gens_with_syz(cols, layout, A)[0]) == len(cols)), cols
+        outcomes.add(minimal)
+    assert outcomes == {True, False}
+    inhomogeneous = [Vector.from_polys([P.from_string("x + y^2")])]
+    for order, cols in ((DS, pool[:2]), (A.order, inhomogeneous)):
+        with pytest.raises(ValueError, match="homogeneous"):
+            minimal_in_degree_order(cols, order, layout, None)

@@ -54,6 +54,22 @@ def test_malformed_column_entry_is_a_provenance_error():
     assert "'x y'" in report["provenance"]["error"]
 
 
+@pytest.mark.parametrize("ideal, column, line", [("x y", "x", 3), ("x*y", "x y", 5)])
+def test_malformed_polynomial_is_a_session_error_at_its_line(ideal, column, line):
+    # an ideal or column entry is parsed when the session runs; its error
+    # names the line it was written on
+    from aggraded.session import _Workspace
+
+    text = (f"vars x y\nflavor local\nideal I : {ideal}\nfree F : rank 1\n"
+            f"submodule N in F : [{column}]\nmodule M = F / N\nanalyze M : betti\n")
+    message = f"line {line}: '+' or '-' expected after a term in 'x y'"
+    with pytest.raises(SessionError) as err:
+        _Workspace(parse_session(text))
+    assert err.value.line_no == line and str(err.value) == message
+    report, status = execute(parse_session(text))
+    assert status == 1 and not report["results"] and report["provenance"]["error"] == message
+
+
 def test_unit_generator_rejected_at_execution():
     text = (
         "vars x y\nflavor local\nideal I :\nfree F : rank 1\n"
