@@ -188,13 +188,13 @@ class EquigenReport:
     truncation: int
 
 
-def _oracle_equigen(mpres: LocalModule, s: int, jmax: int, t: int):
-    fmodel = oracle.free_model(mpres.ring, mpres.layout.rank, t)
+def _oracle_equigen(mpres: LocalModule, s: int, jmax: int, fmodel: oracle.FreeModel):
     gens = mpres.gens
-    inter = oracle.filtration_intersection(fmodel, gens, s + 1)
+    # m*N first: N is m*N plus the generator rows
     msub = fmodel.submodule(gens, min_mult_deg=1)
+    inter = oracle.filtration_intersection(fmodel, gens, s + 1)
     cond_intersection = inter == msub
-    oracle._window_check(gens, 1, t)
+    oracle._window_check(gens, 1, fmodel.t)
     mu_n = fmodel.submodule(gens).rank - msub.rank
     _, mus = oracle.submodule_layer_data(fmodel, gens, jmax)
     mu_nstar = sum(mus.values())
@@ -216,13 +216,17 @@ def equigenerated_check(mpres: LocalModule, truncation: int = 12) -> EquigenRepo
     degrees = data.generator_degrees
     path_a = all(d == s for d in degrees)
     jmax = max(degrees)
-    answers = []
-    for t in (truncation, truncation + 1):
+    pair = (truncation, truncation + 1)
+    for t in pair:
         oracle._window_check(mpres.gens, max(jmax, s + 1) + 1, t)
-        answers.append(_oracle_equigen(mpres, s, jmax, t))
-    if answers[0] != answers[1]:
+    # the t-model is built first, so its size error comes first; the answer
+    # at t + 1 comes first, so the t-model reads its spaces off that model
+    below, above = (oracle.free_model(mpres.ring, mpres.layout.rank, t) for t in pair)
+    answer_above = _oracle_equigen(mpres, s, jmax, above)
+    answer = _oracle_equigen(mpres, s, jmax, below)
+    if answer != answer_above:
         raise oracle.OracleWindowError("oracle answers unstable under t -> t+1")
-    cond_intersection, mu_n, mu_nstar = answers[0]
+    cond_intersection, mu_n, mu_nstar = answer
     if mu_nstar != len(degrees):
         raise BridgeError(
             f"oracle counts {mu_nstar} minimal initial generators, engine {len(degrees)}"

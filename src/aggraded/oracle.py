@@ -46,6 +46,30 @@ submodule echelon forms, among the queries of a check.  The coordinates of
 a model (a ``_Layout``: monomials, their index and degree blocks, the shift
 and raise tables) depend only on (nvars, rank, t); every model of a ring
 shares them through ``ring.cache``.
+
+A stability check asks the same spaces of the t- and the (t+1)-model, and
+each is eliminated once, in the (t+1)-model.  Coordinates are sorted by
+degree first, so those of F/m^t F are the first n_t coordinates of
+F/m^{t+1} F, in the same order and with the same indexes.  A t-row
+x^a * col is the (t+1)-row x^a * col cut at n_t, and a (t+1)-row with no
+t-row has all its terms in degree t, so it cuts to zero: each t-space is
+the (t+1)-space cut at n_t.  A pivot is its row's smallest column, so the
+RREF rows with pivot >= n_t cut to zero; the rows with pivot < n_t, cut,
+keep their pivots and stay zero at every other pivot column.  They are in
+reduced echelon form and span the cut space, and the RREF is unique: the
+t-model's RREF is the rows of the (t+1)-model's RREF with pivot < n_t, each
+cut at n_t.  So a model serves a space that the (t+1)-model of its ring
+and rank already holds by that cut, with no row built and no elimination
+(``FreeModel.relations`` and ``submodule``), and a stability check asks at
+t + 1 first.  The (t+1)-model is found among the models ``free_model``
+made that are still alive, and only weakly referenced: a t-model keeps no
+(t+1)-model alive.
+
+Inside one model, the space through m^k (``submodule(cols, k)``) is the
+space through m^{k+1} plus the multiples x^a * col with deg(x^a) = k.  When
+the deeper space is held, its echelon rows enter the elimination as ready
+pivots and only those multiples are reduced; so callers that need several
+powers ask for the deepest first.
 """
 
 from __future__ import annotations
@@ -53,6 +77,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import weakref
 
 from .field import MAX_CHARACTERISTIC
 from .poly import Vector, ideal_columns, mon_deg, mon_mul
@@ -270,43 +295,76 @@ class FreeModel:
                 row[i] = a % self.p
         return row
 
-    def _multiple_rows(self, cols, min_mult_deg=0):
+    def _multiple_rows(self, cols, min_mult_deg=0, max_mult_deg=None):
         """Sparse rows {coordinate: value} of x^a * col for all monomials
-        with deg(x^a) >= min_mult_deg."""
+        with min_mult_deg <= deg(x^a), and deg(x^a) <= max_mult_deg if given."""
         rows = []
-        start = bisect.bisect_left(self.layout.mon_degs, min_mult_deg)
+        mon_degs = self.layout.mon_degs
+        start = bisect.bisect_left(mon_degs, min_mult_deg)
+        end = len(mon_degs) if max_mult_deg is None else bisect.bisect_right(mon_degs, max_mult_deg)
         for col in cols:
             terms = [(self.layout.shifted(c, e), v % self.p)
                      for (c, e), v in col.terms.items() if v % self.p]
             if not terms:
                 continue
-            stop = max(len(shifted) for shifted, _ in terms)
+            stop = min(end, max(len(shifted) for shifted, _ in terms))
             for k in range(start, stop):
                 rows.append({shifted[k]: v for shifted, v in terms if k < len(shifted)})
         return rows
 
     # -- canonical subspaces --------------------------------------------------
 
+    def _above(self):
+        """The (t+1)-model of this ring and rank, if one is alive."""
+        return _alive.get((self.ring, self.rank, self.t + 1))
+
+    def _cut(self, space: Subspace) -> Subspace:
+        """A (t+1)-model's echelon form cut to this model's coordinates: its
+        rows of pivot < n, each cut at n (see the module docstring).  A row
+        with no entry past n is shared, not copied: no reader changes a row."""
+        n = self.n
+        rows = {}
+        for c, row in space.rows.items():
+            if c < n:
+                rows[c] = row if max(row) < n else {j: v for j, v in row.items() if j < n}
+        return Subspace(n, self.p, rows)
+
     @property
     def relations(self) -> Subspace:
         """Image of I*F, from raw ideal generators."""
         if self._rel is None:
-            rows = self._multiple_rows(ideal_columns(self.ring.ideal, self.rank))
-            self._rel = rref_modp(rows, self.p, self.n)[0] if rows else Subspace(self.n, self.p, {})
+            above = self._above()
+            if above is not None and above._rel is not None:
+                self._rel = self._cut(above._rel)
+            else:
+                rows = self._multiple_rows(ideal_columns(self.ring.ideal, self.rank))
+                self._rel = (rref_modp(rows, self.p, self.n)[0] if rows
+                             else Subspace(self.n, self.p, {}))
         return self._rel
 
     def submodule(self, cols, min_mult_deg=0) -> Subspace:
-        """relations + image of the R-span of cols (through m^min_mult_deg);
-        the relations enter the elimination as ready pivot rows."""
-        key = (
-            tuple(tuple(sorted(c.terms.items())) for c in cols),
-            min_mult_deg,
-        )
+        """relations + image of the R-span of cols (through m^min_mult_deg).
+
+        Cut from the (t+1)-model when it holds the space; else the multiples
+        of degree min_mult_deg join the space through m^(min_mult_deg + 1)
+        when that is held, and all multiples from min_mult_deg on join the
+        relations otherwise, the held rows entering as ready pivots.
+        """
+        gens_key = tuple(tuple(sorted(c.terms.items())) for c in cols)
+        key = (gens_key, min_mult_deg)
         if key not in self._sub_cache:
-            space = self.relations
-            rows = self._multiple_rows(cols, min_mult_deg)
-            if rows:
-                space = rref_modp(rows, self.p, self.n, space.rows)[0]
+            above = self._above()
+            if above is not None and key in above._sub_cache:
+                space = self._cut(above._sub_cache[key])
+            else:
+                space = self._sub_cache.get((gens_key, min_mult_deg + 1))
+                if space is not None:
+                    rows = self._multiple_rows(cols, min_mult_deg, min_mult_deg)
+                else:
+                    space = self.relations
+                    rows = self._multiple_rows(cols, min_mult_deg)
+                if rows:
+                    space = rref_modp(rows, self.p, self.n, space.rows)[0]
             self._sub_cache[key] = space
         return self._sub_cache[key]
 
@@ -340,12 +398,17 @@ class FreeModel:
                 for dst in self.layout.raise_maps(j) for row in rows]
 
 
+# (ring, rank, t) -> the model ``free_model`` made for it, while it is alive
+_alive = weakref.WeakValueDictionary()
+
+
 @functools.lru_cache(maxsize=2)
 def free_model(ring, rank, t) -> FreeModel:
     """The FreeModel of (ring, rank, t), shared with its echelon forms.  Two
     entries hold the t and t + 1 models of a stability check; keeping more
     would keep every echelon form of a run alive."""
-    return FreeModel(ring, rank, t)
+    model = _alive[ring, rank, t] = FreeModel(ring, rank, t)
+    return model
 
 
 class TruncatedModel:

@@ -95,10 +95,11 @@ def run_agreement_case(mod: LocalModule, truncation: int):
         # equigenerated: N | m^i F = m^{i-s} N throughout the window
         s = rep.order
         maxdeg = max(sum(e) for g in mod.gens for (_, e) in g.terms)
-        for i in range(s, min(s + 3, truncation - maxdeg - oracle.WINDOW_SLACK) + 1):
-            inter = oracle.filtration_intersection(fmodel, mod.gens, i)
-            power = fmodel.submodule(mod.gens, min_mult_deg=i - s)
-            if inter != power:
+        layers = range(s, min(s + 3, truncation - maxdeg - oracle.WINDOW_SLACK) + 1)
+        # deepest power first: each shallower one extends it
+        powers = {i: fmodel.submodule(mod.gens, min_mult_deg=i - s) for i in reversed(layers)}
+        for i in layers:
+            if oracle.filtration_intersection(fmodel, mod.gens, i) != powers[i]:
                 raise BridgeError(f"filtration equality fails at layer {i}")
     return rep
 

@@ -19,8 +19,9 @@ Grammar (``#`` comments allowed)::
 ``option regbound`` is only echoed into the report's ``options`` and
 ``provenance``; no command reads it.  An exponent written in an ``ideal`` or
 ``submodule`` line is at most ``MAX_EXPONENT``.  Their polynomials are parsed
-when the session runs, and a malformed one is a ``SessionError`` naming its
-line.
+when the session runs, those of every declared submodule whether a
+``module`` line uses it or not, and a malformed one, or a column whose
+width is not the free rank, is a ``SessionError`` naming its line.
 
 Each command has one record in ``COMMANDS``.  ``betti``, ``hilbert`` and
 ``invariants`` take the ``ring`` target or a module, ``tangentcone`` only
@@ -149,6 +150,12 @@ def _check_new_name(ses, line_no, name):
         raise SessionError(line_no, f"{name!r} is already declared")
 
 
+def _check_width(line_no, colspec, rank):
+    width = len(colspec.split(","))
+    if width != rank:
+        raise SessionError(line_no, f"column {colspec!r} has {width} entries, free rank is {rank}")
+
+
 # the largest exponent an ideal or submodule line may write.  A two-variable
 # session with exponents of 10,000 runs every command in seconds, and its
 # Betti table has about that many degree rows; without the bound an exponent
@@ -253,12 +260,8 @@ def parse_session(text: str) -> Session:
                     raise SessionError(line_no, f"unknown submodule {sub!r}")
                 if ses.submodules[sub][0] != free:
                     raise SessionError(line_no, f"submodule {sub!r} lives in a different free module")
-                rank = ses.frees[free]
                 for colspec in ses.submodules[sub][1]:
-                    width = len(colspec.split(","))
-                    if width != rank:
-                        raise SessionError(
-                            line_no, f"column {colspec!r} has {width} entries, free rank is {rank}")
+                    _check_width(line_no, colspec, ses.frees[free])
             ses.modules[name] = (free, None if sub == "0" else sub)
         elif head == "option":
             key, _, val = rest.partition(" ")
@@ -320,15 +323,23 @@ class _Workspace:
                                 else (GradedRing, GradedModule))
         self.ring = ring_cls(self.cover, ideal)
         self.graded_ring = self.ring.graded_cover if self.local else self.ring
+        # every declared submodule, used by a module line or not
+        columns = {sub: self._columns(colspecs, ses.frees[free], line_no)
+                   for sub, (free, colspecs, line_no) in ses.submodules.items()}
         self.modules = {}
         for name, (free, sub) in ses.modules.items():
-            cols = []
-            if sub is not None:
-                _, colspecs, line_no = ses.submodules[sub]
-                for colspec in colspecs:
-                    entries = [e.strip() or "0" for e in colspec.split(",")]
-                    cols.append(Vector.from_polys([self._poly(e, line_no) for e in entries]))
+            cols = [] if sub is None else columns[sub]
             self.modules[name] = module_cls(self.ring, FreeLayout(ses.frees[free]), cols)
+
+    def _columns(self, colspecs, rank, line_no):
+        """The columns of a ``submodule`` line, each of ``rank`` entries; a
+        wrong width or a malformed entry is a ``SessionError`` at the line."""
+        cols = []
+        for colspec in colspecs:
+            _check_width(line_no, colspec, rank)
+            entries = [e.strip() or "0" for e in colspec.split(",")]
+            cols.append(Vector.from_polys([self._poly(e, line_no) for e in entries]))
+        return cols
 
     def _poly(self, text, line_no):
         """``text`` as a polynomial of the cover; a malformed one is a

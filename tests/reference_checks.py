@@ -20,6 +20,9 @@ and oracle output that no computation in the package needs.
 - ``sparse_rows`` and ``rref_dense``: a dense matrix as the sparse rows that
   ``rref_modp`` takes, and its echelon form;
 - ``dense``: an oracle echelon form written out as its matrix;
+- ``eliminated_space``: a space of an oracle model eliminated at that model
+  from rows built here, the reference for the spaces a model cuts from the
+  (t+1)-model or extends from a deeper power;
 - ``strip_units``: the Nakayama strip loop that ``complexes`` once ran
   inline, the reference for ``min_gens_with_syz``;
 - ``eliminating_resolution``: ``resolve_bounded`` with every level, the
@@ -256,6 +259,22 @@ def dense(space):
         for j, v in space.rows[c].items():
             A[i, j] = v
     return A
+
+
+def eliminated_space(model, cols=(), min_mult_deg=0):
+    """The space relations + <x^a * col : deg(x^a) >= min_mult_deg> of the
+    oracle ``model`` (a ``FreeModel``), eliminated in one ``rref_modp`` call
+    from the rows of every multiple, each product formed as a vector and cut
+    at degree t by ``row_of``."""
+    cover = model.ring.cover
+
+    def multiples(vecs, low):
+        return [model.row_of(cover.poly({a: 1}) * v)
+                for a in model.layout.monomials if mon_deg(a) >= low for v in vecs]
+
+    rows = (multiples(ideal_columns(model.ring.ideal, model.rank), 0)
+            + multiples(cols, min_mult_deg))
+    return rref_modp([row for row in rows if row], model.p, model.n)[0]
 
 
 def dense_rref_modp(rows, p):

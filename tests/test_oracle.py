@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from aggraded.oracle import (FreeModel, OracleWindowError, build_model,
                              filtration_intersection, rref_modp, submodule_layer_data)
 from aggraded.poly import PolyRing, Vector
 from aggraded.rings import LocalRing
-from reference_checks import (agreement_modules, dense, dense_rref_modp, rref_dense, sparse_rows,
-                              variable_maps)
+from reference_checks import (agreement_modules, dense, dense_rref_modp, eliminated_space,
+                              rref_dense, sparse_rows, variable_maps)
 
 P = 32003
 
@@ -224,6 +226,42 @@ def test_free_model_is_shared_per_ring_rank_and_truncation(semigroup_ring):
     assert oracle.free_model(semigroup_ring, 1, 9) is model
     assert oracle.free_model(semigroup_ring, 1, 10) is not model
     assert oracle.free_model(semigroup_ring, 1, 10).t == 10
+
+
+@pytest.mark.parametrize("seed", [randomized.DEFAULT_SEED, 2])
+def test_cut_and_extended_spaces_match_direct_elimination(seed, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("a space the (t+1)-model holds was eliminated again")
+
+    powers = range(4)
+    for mod, t in agreement_modules(20, seed=seed):
+        oracle.free_model.cache_clear()
+        ring, rank, gens = mod.ring, mod.layout.rank, mod.gens
+        below, above = oracle.free_model(ring, rank, t), oracle.free_model(ring, rank, t + 1)
+        # at t + 1 the deepest power comes first; each shallower one extends it
+        extended = {k: above.submodule(gens, k) for k in reversed(powers)}
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "rref_modp", no_elimination)
+            cut = {k: below.submodule(gens, k) for k in powers}
+            cut_relations = below.relations
+        assert above.relations == eliminated_space(above)
+        assert cut_relations == eliminated_space(below)
+        for k in powers:
+            assert extended[k] == eliminated_space(above, gens, k)
+            assert cut[k] == eliminated_space(below, gens, k)
+    oracle.free_model.cache_clear()
+
+
+def test_a_t_model_keeps_no_t_plus_one_model_alive(semigroup_ring):
+    oracle.free_model.cache_clear()
+    below = oracle.free_model(semigroup_ring, 1, 9)
+    above = weakref.ref(oracle.free_model(semigroup_ring, 1, 10))
+    assert below._above() is above()
+    oracle.free_model.cache_clear()
+    assert above() is None and below._above() is None
+    # without the (t+1)-model the t-model eliminates its own spaces
+    xcol = Vector.from_polys([semigroup_ring.cover.from_string("X")])
+    assert below.submodule([xcol], 1) == eliminated_space(below, [xcol], 1)
 
 
 def test_window_violation_raises(semigroup_ring):

@@ -70,6 +70,25 @@ def test_malformed_polynomial_is_a_session_error_at_its_line(ideal, column, line
     assert status == 1 and not report["results"] and report["provenance"]["error"] == message
 
 
+@pytest.mark.parametrize("column, message", [
+    ("[x y], [z]", "line 4: '+' or '-' expected after a term in 'x y'"),
+    ("[z]", "line 4: unknown variable 'z'"),
+    ("[x, y]", "line 4: column 'x, y' has 2 entries, free rank is 1"),
+])
+def test_unused_submodule_is_parsed_at_its_line(column, message):
+    # no module line uses B: its columns are still parsed and their widths
+    # checked when the session runs
+    from aggraded.session import _Workspace
+
+    text = (f"vars x y\nflavor graded\nfree F : rank 1\nsubmodule B in F : {column}\n"
+            "submodule N in F : [x]\nmodule M = F / N\nanalyze M : betti\n")
+    with pytest.raises(SessionError) as err:
+        _Workspace(parse_session(text))
+    assert err.value.line_no == 4 and str(err.value) == message
+    report, status = execute(parse_session(text))
+    assert status == 1 and not report["results"] and report["provenance"]["error"] == message
+
+
 def test_unit_generator_rejected_at_execution():
     text = (
         "vars x y\nflavor local\nideal I :\nfree F : rank 1\n"
