@@ -188,26 +188,30 @@ class EquigenReport:
     truncation: int
 
 
-def _oracle_equigen(mpres: LocalModule, s: int, jmax: int, fmodel: oracle.FreeModel):
+def _movable_answer(mpres: LocalModule, s: int, fmodel: oracle.FreeModel):
+    """What can move under t -> t+1: the intersection condition and mu(N)."""
     gens = mpres.gens
     # m*N first: N is m*N plus the generator rows
     msub = fmodel.submodule(gens, min_mult_deg=1)
-    inter = oracle.filtration_intersection(fmodel, gens, s + 1)
-    cond_intersection = inter == msub
-    oracle._window_check(gens, 1, fmodel.t)
-    mu_n = fmodel.submodule(gens).rank - msub.rank
-    _, mus = oracle.submodule_layer_data(fmodel, gens, jmax)
-    mu_nstar = sum(mus.values())
-    return cond_intersection, mu_n, mu_nstar
+    cond_intersection = oracle.filtration_intersection(fmodel, gens, s + 1) == msub
+    return cond_intersection, fmodel.submodule(gens).rank - msub.rank
 
 
 def equigenerated_check(mpres: LocalModule, truncation: int = 12) -> EquigenReport:
+    """``equigenerated_at`` on a new ``oracle.stability_pair`` at ``truncation``."""
+    return equigenerated_at(mpres, oracle.stability_pair(mpres.ring, mpres.layout.rank, truncation))
+
+
+def equigenerated_at(mpres: LocalModule, model: oracle.FreeModel) -> EquigenReport:
     """Equigeneration of the initial submodule, decided along two routes.
 
     Path A reads minimal generator degrees from the engine; path B checks
     the intersection condition and the generator-count condition through
-    the truncation oracle (verified stable under t -> t+1).  The two paths
-    agreeing is a theorem; disagreement raises BridgeError.
+    the truncation oracle, on the stability pair ``model`` (its t-model).
+    The intersection condition and mu(N) are verified stable under
+    t -> t+1; mu(N*) is read once, at t, from blocks that the cut leaves
+    unchanged (see ``oracle``).  The two paths agreeing is a theorem;
+    disagreement raises BridgeError.
     """
     if mpres.is_free:
         raise ZeroInQuotientError("N = 0: equigeneration undefined")
@@ -216,17 +220,14 @@ def equigenerated_check(mpres: LocalModule, truncation: int = 12) -> EquigenRepo
     degrees = data.generator_degrees
     path_a = all(d == s for d in degrees)
     jmax = max(degrees)
-    pair = (truncation, truncation + 1)
-    for t in pair:
-        oracle._window_check(mpres.gens, max(jmax, s + 1) + 1, t)
-    # the t-model is built first, so its size error comes first; the answer
-    # at t + 1 comes first, so the t-model reads its spaces off that model
-    below, above = (oracle.free_model(mpres.ring, mpres.layout.rank, t) for t in pair)
-    answer_above = _oracle_equigen(mpres, s, jmax, above)
-    answer = _oracle_equigen(mpres, s, jmax, below)
-    if answer != answer_above:
+    oracle._window_check(mpres.gens, max(jmax, s + 1) + 1, model.t)
+    # the t-model is asked first, so its size error comes first
+    answer = _movable_answer(mpres, s, model)
+    if answer != _movable_answer(mpres, s, model.above):
         raise oracle.OracleWindowError("oracle answers unstable under t -> t+1")
-    cond_intersection, mu_n, mu_nstar = answer
+    cond_intersection, mu_n = answer
+    _, mus = oracle.submodule_layer_data(model, mpres.gens, jmax)
+    mu_nstar = sum(mus.values())
     if mu_nstar != len(degrees):
         raise BridgeError(
             f"oracle counts {mu_nstar} minimal initial generators, engine {len(degrees)}"
@@ -236,5 +237,5 @@ def equigenerated_check(mpres: LocalModule, truncation: int = 12) -> EquigenRepo
     if path_a != path_b:
         raise BridgeError("equigeneration criteria (i) and (iv) disagree")
     return EquigenReport(
-        path_a, s, degrees, cond_intersection, mu_condition, mu_n, mu_nstar, truncation
+        path_a, s, degrees, cond_intersection, mu_condition, mu_n, mu_nstar, model.t
     )

@@ -25,8 +25,8 @@ filtration query is read off one echelon form W = RREF(Rel + N) of a
 submodule, Rel being the relations: N | m^i F is Rel plus the rows of W with
 pivot degree >= i, of dimension #pivots(W, deg >= i) + #pivots(Rel, deg < i).
 These intersections suffer Artin-Rees truncation effects; they require the
-validity window ``i + max generator degree + 2 <= t`` and callers
-double-check stability under t -> t+1.
+validity window ``i + max generator degree + 2 <= t``, and callers
+double-check stability under t -> t+1 on a ``stability_pair``.
 
 The coordinates of one degree form a contiguous block, and the number of
 pivots among the first k columns is the rank of those columns.  So the
@@ -41,29 +41,29 @@ W rows, and a W row of pivot degree >= j has no entry in block j - 1, so its
 x-multiple none in block j.  Minimal generator counts of the initial
 submodule are read from these small blocks, never from a full-width stack.
 
-``free_model`` shares one model per (ring, rank, t), with its relations and
-submodule echelon forms, among the queries of a check.  The coordinates of
-a model (a ``_Layout``: monomials, their index and degree blocks, the shift
-and raise tables) depend only on (nvars, rank, t); every model of a ring
-shares them through ``ring.cache``.
+A model keeps its submodule echelon forms for as long as its check holds
+it.  What depends only on the ring, the rank and t is shared by every model
+of the ring through ``ring.cache``: the coordinates (a ``_Layout``:
+monomials, their index and degree blocks, the shift and raise tables) and
+the relations' echelon form, eliminated once per (rank, t).
 
-A stability check asks the same spaces of the t- and the (t+1)-model, and
-each is eliminated once, in the (t+1)-model.  Coordinates are sorted by
-degree first, so those of F/m^t F are the first n_t coordinates of
-F/m^{t+1} F, in the same order and with the same indexes.  A t-row
-x^a * col is the (t+1)-row x^a * col cut at n_t, and a (t+1)-row with no
-t-row has all its terms in degree t, so it cuts to zero: each t-space is
-the (t+1)-space cut at n_t.  A pivot is its row's smallest column, so the
-RREF rows with pivot >= n_t cut to zero; the rows with pivot < n_t, cut,
-keep their pivots and stay zero at every other pivot column.  They are in
-reduced echelon form and span the cut space, and the RREF is unique: the
-t-model's RREF is the rows of the (t+1)-model's RREF with pivot < n_t, each
-cut at n_t.  So a model serves a space that the (t+1)-model of its ring
-and rank already holds by that cut, with no row built and no elimination
-(``FreeModel.relations`` and ``submodule``), and a stability check asks at
-t + 1 first.  The (t+1)-model is found among the models ``free_model``
-made that are still alive, and only weakly referenced: a t-model keeps no
-(t+1)-model alive.
+A stability check asks the same spaces at t and at t + 1, and
+``stability_pair`` makes a t-model that owns its (t+1)-model as ``above``.
+Coordinates are sorted by degree first, so those of F/m^t F are the first
+n_t coordinates of F/m^{t+1} F, in the same order and with the same
+indexes.  A t-row x^a * col is the (t+1)-row x^a * col cut at n_t, and a
+(t+1)-row with no t-row has all its terms in degree t, so it cuts to zero:
+each t-space is the (t+1)-space cut at n_t.  A pivot is its row's smallest
+column, so the RREF rows with pivot >= n_t cut to zero; the rows with
+pivot < n_t, cut, keep their pivots and stay zero at every other pivot
+column.  They are in reduced echelon form and span the cut space, and the
+RREF is unique: the t-model's RREF is the rows of the (t+1)-model's RREF
+with pivot < n_t, each cut at n_t.  So the t-model of a pair reads every
+space, relations included, off its (t+1)-model by that cut (``_cut``), and
+eliminates nothing itself.  In particular the rows of pivot degree < t and
+their blocks of degree < t are the same in both models, so what is read
+from those blocks alone (``submodule_layer_data``'s layer dimensions and
+generator counts) cannot change under t -> t+1.
 
 Inside one model, the space through m^k (``submodule(cols, k)``) is the
 space through m^{k+1} plus the multiples x^a * col with deg(x^a) = k.  When
@@ -75,9 +75,7 @@ powers ask for the deepest first.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
-import weakref
 
 from .field import MAX_CHARACTERISTIC
 from .poly import Vector, ideal_columns, mon_deg, mon_mul
@@ -258,9 +256,12 @@ class _Layout:
 class FreeModel:
     """Model of F / m^t F over R = Loc(k[x])/I, rank ``rank``.
 
-    Its coordinates are a ``_Layout`` kept in ``ring.cache`` under
-    (rank, t), so the models of one ring share them; the echelon forms are
-    the model's own.
+    Its coordinates and its relations' echelon form are kept in
+    ``ring.cache`` per (rank, t); the submodule echelon forms are its own.
+    The size bound is checked at the first space a model is asked for, which
+    comes before any coordinate is made, not when the model is made: a check
+    raises its window errors first, and a t-model's size error before its
+    (t+1)-model's.
     """
 
     def __init__(self, ring, rank, t):
@@ -271,26 +272,28 @@ class FreeModel:
         self.t = t
         self.p = ring.cover.p
         # rank times the number of monomials of degree < t, before any is made
-        n = rank * math.comb(ring.cover.nvars + t - 1, ring.cover.nvars)
-        if n > SIZE_BOUND:
-            raise ModelSizeError(f"model needs {n} coordinates (bound {SIZE_BOUND})")
-        if (rank, t) not in ring.cache:
-            ring.cache[rank, t] = _Layout(ring.cover.nvars, rank, t)
-        self.layout = layout = ring.cache[rank, t]
-        self.coords = layout.coords
-        self.index = layout.index
-        self.coord_degs = layout.coord_degs
-        self.n = n
-        self._rel = None
+        self.n = rank * math.comb(ring.cover.nvars + t - 1, ring.cover.nvars)
+        self.above = None
         self._sub_cache = {}
+
+    @property
+    def layout(self) -> _Layout:
+        if (self.rank, self.t) not in self.ring.cache:
+            self.ring.cache[self.rank, self.t] = _Layout(self.ring.cover.nvars, self.rank, self.t)
+        return self.ring.cache[self.rank, self.t]
+
+    coords = property(lambda self: self.layout.coords)
+    index = property(lambda self: self.layout.index)
+    coord_degs = property(lambda self: self.layout.coord_degs)
 
     # -- rows ---------------------------------------------------------------
 
     def row_of(self, vec: Vector):
         """The sparse row of ``vec``, cut at degree t."""
         row = {}
+        index = self.index
         for ce, a in vec.terms.items():
-            i = self.index.get(ce)
+            i = index.get(ce)
             if i is not None and a % self.p:
                 row[i] = a % self.p
         return row
@@ -299,11 +302,12 @@ class FreeModel:
         """Sparse rows {coordinate: value} of x^a * col for all monomials
         with min_mult_deg <= deg(x^a), and deg(x^a) <= max_mult_deg if given."""
         rows = []
-        mon_degs = self.layout.mon_degs
+        layout = self.layout
+        mon_degs = layout.mon_degs
         start = bisect.bisect_left(mon_degs, min_mult_deg)
         end = len(mon_degs) if max_mult_deg is None else bisect.bisect_right(mon_degs, max_mult_deg)
         for col in cols:
-            terms = [(self.layout.shifted(c, e), v % self.p)
+            terms = [(layout.shifted(c, e), v % self.p)
                      for (c, e), v in col.terms.items() if v % self.p]
             if not terms:
                 continue
@@ -313,10 +317,6 @@ class FreeModel:
         return rows
 
     # -- canonical subspaces --------------------------------------------------
-
-    def _above(self):
-        """The (t+1)-model of this ring and rank, if one is alive."""
-        return _alive.get((self.ring, self.rank, self.t + 1))
 
     def _cut(self, space: Subspace) -> Subspace:
         """A (t+1)-model's echelon form cut to this model's coordinates: its
@@ -331,31 +331,32 @@ class FreeModel:
 
     @property
     def relations(self) -> Subspace:
-        """Image of I*F, from raw ideal generators."""
-        if self._rel is None:
-            above = self._above()
-            if above is not None and above._rel is not None:
-                self._rel = self._cut(above._rel)
-            else:
-                rows = self._multiple_rows(ideal_columns(self.ring.ideal, self.rank))
-                self._rel = (rref_modp(rows, self.p, self.n)[0] if rows
-                             else Subspace(self.n, self.p, {}))
-        return self._rel
+        """Image of I*F, from raw ideal generators: the R-span of no column."""
+        return self.submodule([])
 
     def submodule(self, cols, min_mult_deg=0) -> Subspace:
         """relations + image of the R-span of cols (through m^min_mult_deg).
 
-        Cut from the (t+1)-model when it holds the space; else the multiples
-        of degree min_mult_deg join the space through m^(min_mult_deg + 1)
-        when that is held, and all multiples from min_mult_deg on join the
-        relations otherwise, the held rows entering as ready pivots.
+        Cut from ``above`` when the model has one.  Else the relations are
+        eliminated once per (rank, t) of the ring; the multiples of degree
+        min_mult_deg join the space through m^(min_mult_deg + 1) when that
+        is held, and all multiples from min_mult_deg on join the relations
+        otherwise, the held rows entering as ready pivots.
         """
         gens_key = tuple(tuple(sorted(c.terms.items())) for c in cols)
         key = (gens_key, min_mult_deg)
         if key not in self._sub_cache:
-            above = self._above()
-            if above is not None and key in above._sub_cache:
-                space = self._cut(above._sub_cache[key])
+            if self.n > SIZE_BOUND:
+                raise ModelSizeError(f"model needs {self.n} coordinates (bound {SIZE_BOUND})")
+            if self.above is not None:
+                space = self._cut(self.above.submodule(cols, min_mult_deg))
+            elif not cols:
+                rel_key = ("relations", self.rank, self.t)
+                if rel_key not in self.ring.cache:
+                    rows = self._multiple_rows(ideal_columns(self.ring.ideal, self.rank))
+                    self.ring.cache[rel_key] = (rref_modp(rows, self.p, self.n)[0] if rows
+                                                else Subspace(self.n, self.p, {}))
+                space = self.ring.cache[rel_key]
             else:
                 space = self._sub_cache.get((gens_key, min_mult_deg + 1))
                 if space is not None:
@@ -371,8 +372,9 @@ class FreeModel:
     def pivot_counts(self, space: Subspace):
         """#pivots(space, deg d) for each d < t."""
         counts = [0] * self.t
+        degs = self.coord_degs
         for c in space.rows:
-            counts[self.coord_degs[c]] += 1
+            counts[degs[c]] += 1
         return counts
 
     def block_width(self, d):
@@ -398,16 +400,13 @@ class FreeModel:
                 for dst in self.layout.raise_maps(j) for row in rows]
 
 
-# (ring, rank, t) -> the model ``free_model`` made for it, while it is alive
-_alive = weakref.WeakValueDictionary()
-
-
-@functools.lru_cache(maxsize=2)
-def free_model(ring, rank, t) -> FreeModel:
-    """The FreeModel of (ring, rank, t), shared with its echelon forms.  Two
-    entries hold the t and t + 1 models of a stability check; keeping more
-    would keep every echelon form of a run alive."""
-    model = _alive[ring, rank, t] = FreeModel(ring, rank, t)
+def stability_pair(ring, rank, t) -> FreeModel:
+    """The t-model of a stability check under t -> t+1.  It owns the
+    (t+1)-model as ``above`` and reads every space off it, so each space of
+    the check is eliminated once; both live as long as the check holds the
+    t-model."""
+    model = FreeModel(ring, rank, t)
+    model.above = FreeModel(ring, rank, t + 1)
     return model
 
 
@@ -415,7 +414,7 @@ class TruncatedModel:
     """Quotient model of (F/N)/m^t with its standard-monomial basis."""
 
     def __init__(self, ring, rank, relation_cols, t):
-        self.free = free_model(ring, rank, t)
+        self.free = FreeModel(ring, rank, t)
         self.t = t
         self.relation_cols = list(relation_cols)
         self.space = self.free.submodule(self.relation_cols)

@@ -195,14 +195,14 @@ def syzygy_filtration_check(mpres: LocalModule, i: int, j_range=None,
     if j_range is None:
         j_range = range(s_i, regbound + i - res.delta[i - 1] + 1)
     out = {}
+    model = oracle.stability_pair(mpres.ring, mat.target.rank, truncation)
     for j in j_range:
         if j < s_i:
             raise ValueError("j below the syzygy order")
         answers = []
-        for t in (truncation, truncation + 1):
-            model = oracle.free_model(mpres.ring, mat.target.rank, t)
-            inter = oracle.filtration_intersection(model, gens, j)
-            power = model.submodule(gens, min_mult_deg=j - s_i)
+        for fmodel in (model, model.above):
+            inter = oracle.filtration_intersection(fmodel, gens, j)
+            power = fmodel.submodule(gens, min_mult_deg=j - s_i)
             answers.append(inter.rank == power.rank)
         if answers[0] != answers[1]:
             raise oracle.OracleWindowError("filtration answer unstable under t -> t+1")

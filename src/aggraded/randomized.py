@@ -5,7 +5,7 @@ degrees <= 3) so the truncation windows stay cheap.  Every case checks:
 
 * generator column orders against the oracle's element orders,
 * the equigeneration verdict along both theorem routes (inside
-  ``equigenerated_check``, which also reconciles generator counts), and
+  ``equigenerated_at``, which also reconciles generator counts), and
 * the Hilbert function of the associated graded module against the
   oracle's layer dimensions.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .graded import hilbert_series
-from .modules import BridgeError, LocalModule, assoc_graded_module, equigenerated_check
+from .modules import BridgeError, LocalModule, assoc_graded_module, equigenerated_at
 from .poly import FreeLayout, PolyRing, Vector
 from .rings import LocalRing
 
@@ -80,16 +80,15 @@ class AgreementStats:
 
 def run_agreement_case(mod: LocalModule, truncation: int):
     """All cross-checks for one module; raises on any disagreement."""
-    ring = mod.ring
-    fmodel = oracle.free_model(ring, mod.layout.rank, truncation)
+    # one stability pair serves every oracle query of the case
+    model = oracle.stability_pair(mod.ring, mod.layout.rank, truncation)
     for col in mod.gens:
-        if col.order() != oracle.element_order(fmodel, col):
+        if col.order() != oracle.element_order(model, col):
             raise BridgeError("generator column order differs from the oracle's element order")
-    rep = equigenerated_check(mod, truncation=truncation)
+    rep = equigenerated_at(mod, model)
     gm = assoc_graded_module(mod)
-    model = oracle.build_model(mod, truncation)
     upto = truncation - 1
-    if hilbert_series(gm).series(upto) != model.layer_dims[: upto + 1]:
+    if hilbert_series(gm).series(upto) != model.dims_by_degree(model.submodule(mod.gens))[:upto + 1]:
         raise BridgeError("Hilbert function of G(M) differs from the oracle's layer dimensions")
     if rep.verdict:
         # equigenerated: N | m^i F = m^{i-s} N throughout the window
@@ -97,9 +96,9 @@ def run_agreement_case(mod: LocalModule, truncation: int):
         maxdeg = max(sum(e) for g in mod.gens for (_, e) in g.terms)
         layers = range(s, min(s + 3, truncation - maxdeg - oracle.WINDOW_SLACK) + 1)
         # deepest power first: each shallower one extends it
-        powers = {i: fmodel.submodule(mod.gens, min_mult_deg=i - s) for i in reversed(layers)}
+        powers = {i: model.submodule(mod.gens, min_mult_deg=i - s) for i in reversed(layers)}
         for i in layers:
-            if oracle.filtration_intersection(fmodel, mod.gens, i) != powers[i]:
+            if oracle.filtration_intersection(model, mod.gens, i) != powers[i]:
                 raise BridgeError(f"filtration equality fails at layer {i}")
     return rep
 

@@ -1,3 +1,5 @@
+import gc
+import pathlib
 import weakref
 
 import numpy as np
@@ -8,10 +10,12 @@ from aggraded.oracle import (FreeModel, OracleWindowError, build_model,
                              filtration_intersection, rref_modp, submodule_layer_data)
 from aggraded.poly import PolyRing, Vector
 from aggraded.rings import LocalRing
+from aggraded.session import execute, parse_session
 from reference_checks import (agreement_modules, dense, dense_rref_modp, eliminated_space,
                               rref_dense, sparse_rows, variable_maps)
 
 P = 32003
+SESSIONS = pathlib.Path(__file__).resolve().parent.parent / "sessions"
 
 
 def degree_part(model, i):
@@ -128,13 +132,12 @@ def test_every_agreement_elimination_matches_dense_reference(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "rref_modp", capture)
-    oracle.free_model.cache_clear()
-    for mod, t in agreement_modules(10):
+    # enough modules for more than 50 eliminations
+    for mod, t in agreement_modules(14):
         try:
             randomized.run_agreement_case(mod, t)
         except OracleWindowError:
             continue
-    oracle.free_model.cache_clear()
     assert len(calls) > 50
     assert any(len(dense) > 100 for dense, _, _ in calls)
     for dense, p, out in calls:
@@ -162,8 +165,6 @@ def test_build_model_examples(semigroup_ring):
 
 
 def test_model_size_bound(semigroup_ring, monkeypatch):
-    # a cached model would not be built again, so the bound could not fire
-    oracle.free_model.cache_clear()
     monkeypatch.setattr(oracle, "SIZE_BOUND", 10)
     with pytest.raises(oracle.ModelSizeError):
         build_model(semigroup_ring, 5)
@@ -221,13 +222,6 @@ def test_block_generator_counts_match_full_width_stack(semigroup_module):
         assert mus == full_width_mus(fm, mod.gens, jmax)
 
 
-def test_free_model_is_shared_per_ring_rank_and_truncation(semigroup_ring):
-    model = oracle.free_model(semigroup_ring, 1, 9)
-    assert oracle.free_model(semigroup_ring, 1, 9) is model
-    assert oracle.free_model(semigroup_ring, 1, 10) is not model
-    assert oracle.free_model(semigroup_ring, 1, 10).t == 10
-
-
 @pytest.mark.parametrize("seed", [randomized.DEFAULT_SEED, 2])
 def test_cut_and_extended_spaces_match_direct_elimination(seed, monkeypatch):
     def no_elimination(*args):
@@ -235,9 +229,9 @@ def test_cut_and_extended_spaces_match_direct_elimination(seed, monkeypatch):
 
     powers = range(4)
     for mod, t in agreement_modules(20, seed=seed):
-        oracle.free_model.cache_clear()
         ring, rank, gens = mod.ring, mod.layout.rank, mod.gens
-        below, above = oracle.free_model(ring, rank, t), oracle.free_model(ring, rank, t + 1)
+        below = oracle.stability_pair(ring, rank, t)
+        above = below.above
         # at t + 1 the deepest power comes first; each shallower one extends it
         extended = {k: above.submodule(gens, k) for k in reversed(powers)}
         with monkeypatch.context() as m:
@@ -249,19 +243,25 @@ def test_cut_and_extended_spaces_match_direct_elimination(seed, monkeypatch):
         for k in powers:
             assert extended[k] == eliminated_space(above, gens, k)
             assert cut[k] == eliminated_space(below, gens, k)
-    oracle.free_model.cache_clear()
 
 
-def test_a_t_model_keeps_no_t_plus_one_model_alive(semigroup_ring):
-    oracle.free_model.cache_clear()
-    below = oracle.free_model(semigroup_ring, 1, 9)
-    above = weakref.ref(oracle.free_model(semigroup_ring, 1, 10))
-    assert below._above() is above()
-    oracle.free_model.cache_clear()
-    assert above() is None and below._above() is None
-    # without the (t+1)-model the t-model eliminates its own spaces
-    xcol = Vector.from_polys([semigroup_ring.cover.from_string("X")])
-    assert below.submodule([xcol], 1) == eliminated_space(below, [xcol], 1)
+def test_no_model_outlives_the_check_that_made_it(monkeypatch):
+    # a model holds its submodule echelon forms: none may outlive its check
+    made = []
+    real_init = FreeModel.__init__
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(FreeModel, "__init__", recording_init)
+    mod, t = agreement_modules(1)[0]
+    rep = randomized.run_agreement_case(mod, t)
+    report, _ = execute(parse_session((SESSIONS / "semigroup.session").read_text()))
+    gc.collect()
+    assert rep.truncation == t and any(e["command"] == "equigen" for e in report["results"])
+    assert len(made) == 4
+    assert all(ref() is None for ref in made)
 
 
 def test_window_violation_raises(semigroup_ring):
